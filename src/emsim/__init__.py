@@ -35,7 +35,8 @@ from .repdays import (  # noqa: F401
     reduce_to_representative_year,
     select_representative,
 )
-from .market import Bid, ClearingResult, clear_market, dispatch_day, srmc  # noqa: F401
+from .market import (Bid, ClearingResult, clear_hours, clear_market,  # noqa: F401
+                     dispatch_year, srmc)
 from .agents import (  # noqa: F401
     GenCo,
     InvestmentCandidate,

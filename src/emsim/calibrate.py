@@ -157,6 +157,20 @@ def objective_longterm(genome, bundle: ScenarioBundle, eval_seed: int = 0,
     return mix_error_longterm(trajectory, target)
 
 
+def check_target(bundle: ScenarioBundle, layout: GenomeLayout, source) -> None:
+    """Raise InputError unless the target gives every objective type a
+    share in every year the objective of `layout` scores: the final year
+    for validation, every simulated year for the long-term fit."""
+    scenario = bundle.scenario
+    first = scenario.start_year if bundle.include_first_year else scenario.start_year + 1
+    years = [scenario.end_year] if layout.kind == "validation" \
+        else range(first, scenario.end_year + 1)
+    for year in years:
+        missing = [t for t in OBJECTIVE_TYPES if t not in bundle.target.get(year, {})]
+        if missing:
+            raise InputError(f"{source}: no {', '.join(missing)} share for year {year}")
+
+
 class ValidationObjective:
     """Picklable callable wrapping objective_validation for worker pools."""
 
@@ -210,6 +224,8 @@ class GAConfig:
                 raise InputError(f"gene bounds must satisfy lower < upper (got {lo}, {hi})")
         if self.population_size < 2:
             raise InputError("population_size must be >= 2")
+        if self.survivor not in ("plus", "generational"):
+            raise InputError(f"survivor must be 'plus' or 'generational' (got {self.survivor!r})")
 
 
 @dataclass

@@ -173,15 +173,18 @@ class _DispatchLogSink:
             self.invest.writerow([ev.year, ev.genco_id, ev.plant_type,
                                   _fmt(ev.capacity_mw), _fmt(ev.npv),
                                   int(ev.committed), ev.online_year])
-        if self.dispatch is not None and result.dispatch_detail:
-            for day in result.dispatch_detail:
-                for hour, clearing in enumerate(day["clearings"], start=1):
-                    for pid in sorted(clearing.dispatch):
+        if self.dispatch is not None:
+            ids = result.plant_ids
+            by_id = sorted(range(len(ids)), key=ids.__getitem__)
+            for cluster, day in enumerate(result.days):
+                hours = zip(day.dispatch.tolist(), day.clearings.tolist(),
+                            day.unserved.tolist())
+                for hour, (mw, price, unserved) in enumerate(hours, start=1):
+                    for i in by_id:
                         self.dispatch.writerow([
-                            result.year, day["cluster"], hour, _fmt(day["weight"]),
-                            pid, _fmt(day["bid_prices"][pid]),
-                            _fmt(clearing.dispatch[pid]),
-                            _fmt(clearing.clearing_price), _fmt(clearing.unserved),
+                            result.year, cluster, hour, _fmt(day.weight), ids[i],
+                            _fmt(result.bid_prices[i]), _fmt(mw[i]), _fmt(price),
+                            _fmt(unserved),
                         ])
         for fh in self._handles():
             fh.flush()
@@ -208,7 +211,6 @@ def cmd_simulate(args) -> int:
 
     scenario, cost_table, registry, rep = _load_bundle_inputs(args)
     world = engine.init_world(scenario, registry, rep, cost_table, seed=args.seed)
-    world.keep_dispatch = args.dispatch_log
     horizon = scenario.end_year - scenario.start_year + 1
     sink = _DispatchLogSink(out, args.dispatch_log)
     try:
@@ -230,8 +232,12 @@ def _load_target(path: Path) -> dict[int, dict[str, float]]:
         missing = [c for c in ("year", "type", "share") if c not in (reader.fieldnames or [])]
         if missing:
             raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            target.setdefault(int(row["year"]), {})[row["type"]] = float(row["share"])
+        for row_no, row in enumerate(reader, start=2):
+            try:
+                year, share = int(row["year"]), float(row["share"])
+            except (TypeError, ValueError):
+                raise InputError(f"{path}: non-numeric year or share (row {row_no})") from None
+            target.setdefault(year, {})[row["type"]] = share
     if not target:
         raise InputError(f"{path}: empty target trajectory")
     return target
@@ -259,6 +265,7 @@ def cmd_calibrate(args) -> int:
     else:
         layout = cal.longterm_layout(scenario.start_year, scenario.end_year)
         objective = cal.LongTermObjective(bundle, layout)
+    cal.check_target(bundle, layout, inputs["target"])
 
     cfg = cal.GAConfig(
         population_size=args.pop,

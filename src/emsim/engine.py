@@ -16,7 +16,7 @@ import numpy as np
 
 from .agents import BeliefSet, Commitment, GenCo, candidate_menu, invest_step
 from .ingest import CostTable, InputError, PlantRegistry, PowerPlant, ScenarioConfig
-from .market import dispatch_year, srmc
+from .market import DayDispatch, annual_totals, dispatch_year, srmc
 from .repdays import RepresentativeYear
 
 log = logging.getLogger(__name__)
@@ -60,18 +60,24 @@ class YearResult:
     energy_mwh: dict[str, float]        # plant type -> MWh served
     mix: dict[str, float]               # plant type -> share of served energy
     unserved_mwh: float
-    n_clearings: int
-    prices: np.ndarray                  # clearing price per representative hour
-    price_hours: np.ndarray             # duration of each price sample
     settlements: dict[str, Settlement]  # genco id -> money movements
     funds: dict[str, float]             # genco id -> funds at year end
+    plant_ids: list[str]                # operating plants, in dispatch column order
+    bid_prices: list[float]             # each operating plant's bid
+    days: list[DayDispatch]             # every representative day's clearings
     investments: list = field(default_factory=list)      # committed this year
     investment_log: list = field(default_factory=list)   # every candidate evaluated
     retired: list[str] = field(default_factory=list)
     activated: list[str] = field(default_factory=list)
-    # populated only when World.keep_dispatch is set: per cluster, the 24
-    # clearings plus the bid price of every operating plant
-    dispatch_detail: list | None = None
+
+    @property
+    def n_clearings(self) -> int:
+        return sum(len(day.clearings) for day in self.days)
+
+    @property
+    def prices(self) -> np.ndarray:
+        """Clearing price per representative hour."""
+        return np.concatenate([day.clearings for day in self.days])
 
     def objective_mix(self) -> dict[str, float]:
         """Served-energy shares grouped into the five objective buckets."""
@@ -102,7 +108,6 @@ class World:
     gencos: dict[str, GenCo]
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
-    keep_dispatch: bool = False  # retain per-hour clearings on YearResults
 
     def operating_plants(self) -> list[PowerPlant]:
         return [p for p in self.plants if p.status == "operating"]
@@ -142,35 +147,23 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     )
 
 
-def _dispatch_summary(world: World, year: int):
-    """Dispatch all representative days; returns per-plant annual energy
-    and revenue plus aggregate price/unserved records."""
+def _dispatch(world: World, plants: list[PowerPlant], year: int):
+    """Bid prices of `plants` and their clearings on every representative
+    day of `year`."""
     scenario = world.scenario
-    operating = world.operating_plants()
-    costs = {p.plant_id: srmc(p, scenario, year) for p in operating}
-    days = dispatch_year(
-        operating, costs, world.rep_year, scenario.price_cap,
-        scenario.nuclear_subsidy, scenario.demand_scale_at(year),
-    )
-    energy = {p.plant_id: 0.0 for p in operating}
-    revenue = {p.plant_id: 0.0 for p in operating}
-    subsidy = {p.plant_id: 0.0 for p in operating}
-    unserved = 0.0
-    prices: list[float] = []
-    hours: list[float] = []
-    n_clearings = 0
-    for day in days:
-        for pid in energy:
-            energy[pid] += day.energy_mwh[pid]
-            revenue[pid] += day.market_revenue[pid]
-            subsidy[pid] += day.subsidy[pid]
-        unserved += day.unserved_mwh
-        for clearing in day.clearings:
-            prices.append(clearing.clearing_price)
-            hours.append(day.weight * 365.0)
-        n_clearings += len(day.clearings)
-    return operating, costs, energy, revenue, subsidy, unserved, prices, hours, \
-        n_clearings, days
+    costs = [srmc(p, scenario, year) for p in plants]
+    return costs, dispatch_year(plants, costs, world.rep_year, scenario.price_cap,
+                                scenario.demand_scale_at(year))
+
+
+def _mix(plants: list[PowerPlant], energy: list[float]):
+    """Served energy per plant type and each type's share of the total
+    (no shares when nothing was served)."""
+    by_type: dict[str, float] = {}
+    for plant, mwh in zip(plants, energy):
+        by_type[plant.plant_type] = by_type.get(plant.plant_type, 0.0) + mwh
+    total = sum(by_type.values())
+    return by_type, ({t: e / total for t, e in by_type.items()} if total > 0 else {})
 
 
 def step_year(world: World) -> YearResult:
@@ -197,28 +190,22 @@ def step_year(world: World) -> YearResult:
             retired.append(plant.plant_id)
 
     # 2. dispatch
-    operating, costs, energy, revenue, subsidy, unserved, prices, hours, \
-        n_clearings, days = _dispatch_summary(world, year)
-    dispatch_detail = None
-    if world.keep_dispatch:
-        dispatch_detail = [
-            {"cluster": c, "weight": day.weight, "clearings": day.clearings,
-             "bid_prices": costs}
-            for c, day in enumerate(days)
-        ]
+    operating = world.operating_plants()
+    costs, days = _dispatch(world, operating, year)
+    energy, revenue, subsidy, unserved = annual_totals(operating, days,
+                                                       scenario.nuclear_subsidy)
 
     # 3. settle
     settlements: dict[str, Settlement] = {}
     for gid in world.genco_order():
         genco = world.gencos[gid]
         s = Settlement(funds_start=genco.funds)
-        for plant in operating:
+        for i, plant in enumerate(operating):
             if plant.owner_id != gid:
                 continue
-            pid = plant.plant_id
-            s.market_revenue += revenue[pid]
-            s.subsidy += subsidy[pid]
-            s.variable_cost += energy[pid] * costs[pid]
+            s.market_revenue += revenue[i]
+            s.subsidy += subsidy[i]
+            s.variable_cost += energy[i] * costs[i]
             s.fixed_cost += plant.costs.fixed_om * plant.capacity_mw
         for commitment in world.commitments:
             if commitment.plant.owner_id != gid or commitment.tranches_left <= 0:
@@ -262,42 +249,30 @@ def step_year(world: World) -> YearResult:
     # 6. advance
     world.year = year + 1
 
-    energy_by_type: dict[str, float] = {}
-    for plant in operating:
-        energy_by_type[plant.plant_type] = energy_by_type.get(plant.plant_type, 0.0) \
-            + energy[plant.plant_id]
-    total = sum(energy_by_type.values())
-    mix = {t: (e / total if total > 0 else 0.0) for t, e in energy_by_type.items()}
-
+    energy_by_type, mix = _mix(operating, energy)
     return YearResult(
         year=year,
         energy_mwh=energy_by_type,
-        mix=mix if total > 0 else {},
+        mix=mix,
         unserved_mwh=unserved,
-        n_clearings=n_clearings,
-        prices=np.array(prices),
-        price_hours=np.array(hours),
         settlements=settlements,
         funds={gid: world.gencos[gid].funds for gid in world.genco_order()},
+        plant_ids=[p.plant_id for p in operating],
+        bid_prices=costs,
+        days=days,
         investments=investments,
         investment_log=investment_log,
         retired=retired,
         activated=activated,
-        dispatch_detail=dispatch_detail,
     )
 
 
 def evaluate_mix(world: World) -> dict[str, float]:
     """Current-fleet mix from a pure dispatch pass (no settlement, no
     mutation)."""
-    _, _, energy, *_ = _dispatch_summary(world, world.year)
-    by_type: dict[str, float] = {}
-    for plant in world.operating_plants():
-        by_type[plant.plant_type] = by_type.get(plant.plant_type, 0.0) + energy[plant.plant_id]
-    total = sum(by_type.values())
-    if total <= 0:
-        return {}
-    return {t: e / total for t, e in by_type.items()}
+    operating = world.operating_plants()
+    _, days = _dispatch(world, operating, world.year)
+    return _mix(operating, annual_totals(operating, days)[0])[1]
 
 
 def run(world: World, horizon: int, sink=None) -> SimulationResult:

@@ -543,16 +543,8 @@ class ScenarioConfig:
         return _held(self.carbon_price, year, "carbon price")
 
     def demand_scale_at(self, year: int) -> float:
-        if not self.demand_scale:
-            return 1.0
-        if year in self.demand_scale:
-            return self.demand_scale[year]
-        keys = sorted(self.demand_scale)
-        if year > keys[-1]:
-            return self.demand_scale[keys[-1]]
-        if year < keys[0]:
-            return self.demand_scale[keys[0]]
-        return 1.0
+        """An empty table scales nothing (1.0); otherwise the fuel-price rule."""
+        return _held(self.demand_scale, year, "demand scale") if self.demand_scale else 1.0
 
     def curve_params_at(self, year: int) -> tuple[float, float]:
         """Base price-curve (m, c) for a year; per-year curves hold the

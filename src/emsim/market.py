@@ -8,15 +8,12 @@ at the configured cap.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import InputError, PowerPlant, ScenarioConfig, SERIES_NAMES
 from .repdays import DAYS_PER_YEAR, HOURS_PER_DAY, RepresentativeYear
-
-log = logging.getLogger(__name__)
 
 
 def marginal_cost(plant_type: str, efficiency: float, variable_om: float,
@@ -64,108 +61,117 @@ class ClearingResult:
     demand: float
 
 
-def clear_market(bids: list[Bid], demand: float, price_cap: float = 300.0) -> ClearingResult:
-    """Fill demand from the cheapest bids; the marginal bid sets the price.
+def clear_hours(plant_ids: list[str], prices, avail: np.ndarray, demand,
+                price_cap: float = 300.0):
+    """Clear H hours of P plants' bids at once; the merit-order kernel.
 
-    Ties on price are broken by larger quantity first, then plant id, so
-    replays are deterministic. Zero demand clears at price 0; a supply
-    shortfall leaves unserved demand priced at the cap.
+    `prices` (P,) is each plant's bid, `avail` (H, P) the MW it offers
+    each hour and `demand` (H,) the load. Each hour takes bids in
+    ascending price, then larger quantity, then plant id, until demand
+    is met; the last accepted bid sets the uniform price. Zero demand
+    clears at price 0; a supply shortfall leaves unserved demand priced
+    at the cap. Open demand is reduced one bid at a time, as a
+    sequential loop would, so no float residue is left unserved.
+
+    Returns dispatch (H, P) MW in plant order, the clearing price (H,)
+    and unserved MW (H,).
     """
-    if demand < 0:
+    prices = np.asarray(prices, dtype=float)
+    avail = np.asarray(avail, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    bad = ~np.isfinite(prices)
+    if bad.any():
+        raise InputError(f"non-finite bid price for '{plant_ids[int(np.argmax(bad))]}'")
+    if (demand < 0).any():
         raise InputError("demand must be >= 0")
-    dispatch = {b.plant_id: 0.0 for b in bids}
-    if demand == 0:
-        return ClearingResult(0.0, dispatch, 0.0, 0.0, demand)
 
-    remaining = demand
-    price = None
-    for bid in sorted(bids, key=lambda b: (b.price, -b.quantity, b.plant_id)):
-        if remaining <= 0:
-            break
-        if bid.quantity <= 0:
-            continue
-        take = min(bid.quantity, remaining)
-        dispatch[bid.plant_id] += take
-        remaining -= take
-        price = bid.price
+    n_plants = avail.shape[1]
+    rank = np.empty(n_plants, dtype=np.int64)
+    rank[sorted(range(n_plants), key=plant_ids.__getitem__)] = np.arange(n_plants)
+    order = np.lexsort((np.broadcast_to(rank, avail.shape), -avail,
+                        np.broadcast_to(prices, avail.shape)))
+    offered = np.take_along_axis(avail, order, axis=1)
+    # open demand before each bid and after the last one
+    left = np.subtract.accumulate(np.column_stack([demand, offered]), axis=1)
+    left = np.where(left > 0, left, 0.0)
+    take = np.where(offered > 0, np.minimum(offered, left[:, :-1]), 0.0)
+    dispatch = np.empty_like(take)
+    np.put_along_axis(dispatch, order, take, axis=1)
 
-    if remaining > 0:
-        return ClearingResult(price_cap, dispatch, demand - remaining, remaining, demand)
-    return ClearingResult(price, dispatch, demand, 0.0, demand)
+    unserved = left[:, -1]
+    accepted = dispatch > 0
+    marginal = np.where(accepted, prices, -np.inf).max(axis=1, initial=-np.inf)
+    clearing = np.where(unserved > 0, price_cap,
+                        np.where(accepted.any(axis=1), marginal, 0.0))
+    return dispatch, clearing, unserved
 
 
-@dataclass
+def clear_market(bids: list[Bid], demand: float, price_cap: float = 300.0) -> ClearingResult:
+    """Clear one hour: the one-hour case of `clear_hours`."""
+    ids = [b.plant_id for b in bids]
+    dispatch, price, unserved = clear_hours(
+        ids, [b.price for b in bids], np.array([[b.quantity for b in bids]]),
+        [demand], price_cap)
+    unserved = float(unserved[0])
+    return ClearingResult(float(price[0]), dict(zip(ids, dispatch[0].tolist())),
+                          demand - unserved, unserved, demand)
+
+
+@dataclass(frozen=True)
 class DayDispatch:
-    """24 hourly clearings of one weighted representative day."""
+    """24 hourly clearings of one weighted representative day; plant
+    columns follow the order of the plants dispatched."""
 
-    clearings: list[ClearingResult]
-    energy_mwh: dict[str, float] = field(default_factory=dict)       # plant id -> MWh/year
-    market_revenue: dict[str, float] = field(default_factory=dict)   # plant id -> currency/year
-    subsidy: dict[str, float] = field(default_factory=dict)          # out-of-market payments
-    unserved_mwh: float = 0.0
-    weight: float = 0.0
-
-    @property
-    def revenue(self) -> dict[str, float]:
-        """Total revenue per plant: market payments plus subsidies."""
-        return {pid: self.market_revenue[pid] + self.subsidy[pid]
-                for pid in self.market_revenue}
+    weight: float
+    clearings: np.ndarray  # (24,) clearing price per hour
+    dispatch: np.ndarray   # (24, P) MW per plant
+    unserved: np.ndarray   # (24,) MW
 
 
-def available_mw(plant: PowerPlant, day_profile: np.ndarray, hour: int) -> float:
-    """Capacity offered in one hour: capacity x capacity factor for
-    intermittent plants, full capacity otherwise (availability 1.0)."""
-    series = plant.cf_series
-    if series is None:
-        return plant.capacity_mw
-    cf = float(day_profile[SERIES_NAMES.index(series), hour])
-    return plant.capacity_mw * min(max(cf, 0.0), 1.0)
+def dispatch_year(plants: list[PowerPlant], costs, rep_year: RepresentativeYear,
+                  price_cap: float, demand_scale: float = 1.0) -> list[DayDispatch]:
+    """Clear every hour of every weighted representative day.
 
-
-def dispatch_day(plants: list[PowerPlant], costs_by_plant: dict[str, float],
-                 day_profile: np.ndarray, weight: float, price_cap: float,
-                 nuclear_subsidy: float = 0.0, demand_scale: float = 1.0) -> DayDispatch:
-    """Clear all 24 hours of one representative day.
-
-    `day_profile` is the (4, 24) array of demand and capacity factors.
-    Energy and revenue are scaled to annual terms by weight x 365 hours
-    per representative hour; nuclear plants additionally earn the
-    per-MWh subsidy outside the market.
+    `costs` (P,) is each plant's bid. Intermittent plants offer capacity
+    x capacity factor clipped to [0, 1], every other plant its full
+    capacity.
     """
-    hours_per_sample = weight * DAYS_PER_YEAR
-    result = DayDispatch(clearings=[], weight=weight)
-    result.energy_mwh = {p.plant_id: 0.0 for p in plants}
-    result.market_revenue = {p.plant_id: 0.0 for p in plants}
-    result.subsidy = {p.plant_id: 0.0 for p in plants}
-    subsidised = {p.plant_id for p in plants if p.plant_type == "Nuclear"}
-
-    for h in range(HOURS_PER_DAY):
-        bids = [
-            Bid(p.plant_id, costs_by_plant[p.plant_id], available_mw(p, day_profile, h))
-            for p in plants
-        ]
-        demand = float(day_profile[0, h]) * demand_scale
-        clearing = clear_market(bids, demand, price_cap)
-        result.clearings.append(clearing)
-        result.unserved_mwh += clearing.unserved * hours_per_sample
-        for pid, mw in clearing.dispatch.items():
-            if mw == 0.0:
-                continue
-            mwh = mw * hours_per_sample
-            result.energy_mwh[pid] += mwh
-            result.market_revenue[pid] += mwh * clearing.clearing_price
-            if pid in subsidised:
-                result.subsidy[pid] += mwh * nuclear_subsidy
-    return result
+    hours = rep_year.values.shape[1]
+    factors = np.vstack([np.clip(rep_year.values, 0.0, 1.0), np.ones(hours)])
+    rows = [SERIES_NAMES.index(p.cf_series) if p.cf_series else -1 for p in plants]
+    avail = factors[rows].T * np.array([p.capacity_mw for p in plants])
+    dispatch, clearing, unserved = clear_hours(
+        [p.plant_id for p in plants], costs, avail,
+        rep_year.values[0] * demand_scale, price_cap)
+    k, n = rep_year.k, len(plants)
+    return [DayDispatch(float(w), c, d, u) for w, c, d, u in zip(
+        rep_year.cluster_weights, clearing.reshape(k, HOURS_PER_DAY),
+        dispatch.reshape(k, HOURS_PER_DAY, n), unserved.reshape(k, HOURS_PER_DAY))]
 
 
-def dispatch_year(plants: list[PowerPlant], costs_by_plant: dict[str, float],
-                  rep_year: RepresentativeYear, price_cap: float,
-                  nuclear_subsidy: float = 0.0, demand_scale: float = 1.0) -> list[DayDispatch]:
-    """Dispatch every weighted representative day of a year."""
-    return [
-        dispatch_day(plants, costs_by_plant, rep_year.day_profile(c),
-                     float(rep_year.cluster_weights[c]), price_cap,
-                     nuclear_subsidy, demand_scale)
-        for c in range(rep_year.k)
-    ]
+def annual_totals(plants: list[PowerPlant], days: list[DayDispatch],
+                  nuclear_subsidy: float = 0.0):
+    """Per-plant lists of annual MWh, market revenue and out-of-market
+    subsidy, and the unserved MWh, of a dispatched year.
+
+    Each representative hour stands for weight x 365 hours; nuclear
+    plants also earn the per-MWh subsidy. Sums run over each day's hours
+    in order, then over days, so totals do not depend on how the hours
+    were batched.
+    """
+    per_mwh = np.array([nuclear_subsidy if p.plant_type == "Nuclear" else 0.0
+                        for p in plants])
+    energy = revenue = subsidy = unserved = 0.0
+    for day in days:
+        hours = day.weight * DAYS_PER_YEAR
+        mwh = day.dispatch * hours
+        energy = energy + _hour_sum(mwh)
+        revenue = revenue + _hour_sum(mwh * day.clearings[:, None])
+        subsidy = subsidy + _hour_sum(mwh * per_mwh)
+        unserved = unserved + _hour_sum(day.unserved * hours)
+    return energy.tolist(), revenue.tolist(), subsidy.tolist(), float(unserved)
+
+
+def _hour_sum(values: np.ndarray):
+    """Sum over the hour axis strictly in order (np.sum would pair terms)."""
+    return np.add.accumulate(values, axis=0)[-1]

@@ -292,10 +292,18 @@ def assemble_year(profiles: np.ndarray, weights: np.ndarray) -> RepresentativeYe
 def reduce_to_representative_year(ts: TimeSeriesSet, k: int, method: str = "medoid",
                                   seed=0, normalization: str = "zscore") -> RepresentativeYear:
     """Full pipeline: day matrix -> k-means -> profiles -> weighted year."""
-    dm = build_day_matrix(ts, normalization)
-    clustering = kmeans(dm, k, seed=seed)
-    profiles = select_representative(clustering, dm, method)
-    return assemble_year(profiles, clustering.weights)
+    return _reduce(build_day_matrix(ts, normalization), k, method, seed)
+
+
+def _reduce(dm: DayMatrix, k: int, method: str, seed) -> RepresentativeYear:
+    """Cluster on the RNG stream of (seed, k, method), so the days saved
+    for a k and the metrics scored for the same k describe one clustering,
+    and k values may be computed in any order."""
+    code = {"medoid": 0, "centroid": 1}.get(method)
+    if code is None:
+        raise InputError(f"unknown representative method '{method}'")
+    clustering = kmeans(dm, int(k), seed=[_seed_int(seed), int(k), code])
+    return assemble_year(select_representative(clustering, dm, method), clustering.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +470,15 @@ def ce_av(observed: dict[str, WeightedSeries], approx: dict[str, WeightedSeries]
 
 def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0,
                      normalization: str = "zscore") -> list[dict]:
-    """Score a range of cluster counts; one row per k.
-
-    Each evaluation derives its own RNG stream from (seed, k, method) so
-    k values may be computed in any order (or in parallel) with the same
-    result.
-    """
+    """Score a range of cluster counts; one row per k, each clustered as
+    `reduce_to_representative_year` clusters that k."""
     dm = build_day_matrix(ts, normalization)
     if max(k_list) > dm.n_days:
         raise InputError(f"max k {max(k_list)} exceeds day count {dm.n_days}")
     observed = ts_series_set(ts)
-    method_code = {"medoid": 0, "centroid": 1}[method]
     rows = []
     for k in k_list:
-        clustering = kmeans(dm, int(k), seed=[_seed_int(seed), int(k), method_code])
-        profiles = select_representative(clustering, dm, method)
-        rep = assemble_year(profiles, clustering.weights)
-        approx = rep_series_set(rep)
+        approx = rep_series_set(_reduce(dm, k, method, seed))
         rows.append({
             "k": int(k),
             "method": method,

@@ -163,6 +163,11 @@ def test_ga_generational_survivor_monotone_with_elite():
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
 
+def test_ga_config_rejects_unknown_survivor():
+    with pytest.raises(InputError, match="survivor"):
+        small_cfg(survivor="generation")
+
+
 def test_ga_bounds_respected_every_generation():
     cfg = small_cfg(mutation_prob=0.9, max_generations=12)
     result = ga_run(cfg, quadratic)

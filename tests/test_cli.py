@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from emsim import repdays
 from emsim.cli import main
+from emsim.ingest import load_hourly_series
 from emsim.repdays import save_representative_days
 from toys import (
     invest_scenario,
@@ -53,6 +55,21 @@ def test_repdays_end_to_end(tmp_path):
     assert manifest["subcommand"] == "repdays"
     assert manifest["finished"] is not None
     assert "sha256" in manifest["inputs"]["input"]
+
+
+def test_repdays_metrics_row_describes_written_days(tmp_path):
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, synthetic_ts(60, seed=1))
+    out = tmp_path / "out"
+    assert main(["repdays", "--input", str(data), "--k", "4", "--seed", "3",
+                 "--sweep", "2,4", "--out", str(out)]) == 0
+    observed = repdays.ts_series_set(load_hourly_series(data))
+    approx = repdays.rep_series_set(
+        repdays.load_representative_days(out / "representative_days.csv"))
+    row = next(r for r in read_csv(out / "metrics.csv") if r["k"] == "4")
+    assert float(row["ce_av"]) == repdays.ce_av(observed, approx)
+    assert float(row["nrmse_av"]) == repdays.nrmse_av(observed, approx)
+    assert float(row["ree_av"]) == repdays.ree_av(observed, approx)
 
 
 def test_repdays_missing_input(tmp_path, capsys):
@@ -148,6 +165,53 @@ def test_calibrate_end_to_end(tmp_path):
     best = read_csv(out / "best.csv")[0]
     assert float(best["fitness"]) >= 0.0
     assert set(best) == {"fitness", "m", "c"}
+
+
+ALL_TYPES = {"wind": 0.1, "nuclear": 0.1, "solar": 0.2, "CCGT": 0.3, "coal": 0.3}
+
+
+def _calibrate(tmp_path, target, *extra):
+    tmp_path.mkdir(exist_ok=True)
+    paths = _write_sim_inputs(tmp_path)
+    path = tmp_path / "target.csv"
+    if isinstance(target, str):
+        path.write_text(target)
+    else:
+        write_target_csv(path, target)
+    out = tmp_path / "out"
+    rc = main(["calibrate", *extra, "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--target", str(path),
+               "--pop", "2", "--gens", "0", "--workers", "1", "--out", str(out)])
+    return rc, out
+
+
+def test_calibrate_target_missing_type_exits_one(tmp_path, capsys):
+    target = {2023: {t: v for t, v in ALL_TYPES.items() if t != "nuclear"}}
+    rc, out = _calibrate(tmp_path, target, "validation")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "target.csv" in err and "nuclear" in err and "2023" in err
+    assert not (out / "best.csv").exists()
+
+
+def test_calibrate_longterm_target_missing_first_year(tmp_path, capsys):
+    target = {y: ALL_TYPES for y in (2021, 2022, 2023)}
+    rc, out = _calibrate(tmp_path / "all", target, "longterm")
+    assert rc == 1
+    assert "2020" in capsys.readouterr().err
+    rc, out = _calibrate(tmp_path / "excluded", target, "longterm", "--exclude-first-year")
+    assert rc == 0
+    assert float(read_csv(out / "best.csv")[0]["fitness"]) < float("inf")
+
+
+@pytest.mark.parametrize("bad_row", ["2023,coal,lots", "twenty,coal,0.3"])
+def test_calibrate_non_numeric_target_exits_one(tmp_path, capsys, bad_row):
+    rc, _ = _calibrate(tmp_path, f"year,type,share\n2023,CCGT,0.3\n{bad_row}\n",
+                       "validation")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "target.csv" in err and "row 3" in err
 
 
 def test_metrics_end_to_end(tmp_path):

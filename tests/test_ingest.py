@@ -9,6 +9,7 @@ import pytest
 from emsim.ingest import (
     InputError,
     PlantCosts,
+    ScenarioConfig,
     bundled_cost_table,
     load_cost_table,
     load_hourly_series,
@@ -369,3 +370,15 @@ def test_scenario_end_before_start(tmp_path):
     path.write_text("start_year: 2020\nend_year: 2019\ncarbon_price: {2019: 0.0, 2020: 0.0}\n")
     with pytest.raises(InputError, match="end_year"):
         load_scenario(path)
+
+
+def test_demand_scale_gap_year_rejected():
+    carbon = {2018: 0.0, 2019: 0.0, 2020: 0.0}
+    scenario = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
+                              demand_scale={2018: 1.1, 2020: 1.3})
+    assert scenario.demand_scale_at(2020) == 1.3
+    assert scenario.demand_scale_at(2025) == 1.3  # held beyond the table
+    with pytest.raises(InputError, match="2019"):
+        scenario.demand_scale_at(2019)
+    unscaled = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon)
+    assert unscaled.demand_scale_at(2019) == 1.0

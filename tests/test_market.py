@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from emsim.ingest import InputError, ScenarioConfig
-from emsim.market import Bid, clear_market, dispatch_day, marginal_cost, srmc
+from emsim.market import (
+    Bid,
+    annual_totals,
+    clear_hours,
+    clear_market,
+    dispatch_year,
+    marginal_cost,
+    srmc,
+)
+from emsim.repdays import assemble_year
 from toys import flat_rep_year, make_plant, simple_costs
 
 
@@ -175,18 +184,83 @@ def test_removing_a_plant_never_increases_served():
 
 
 # ---------------------------------------------------------------------------
-# dispatch_day
+# clear_hours against the sequential reference
+
+
+def _reference_clear(bids, demand, price_cap):
+    """The one-bid-at-a-time merit-order loop the kernel replaces:
+    (clearing price, plant id -> MW, unserved MW)."""
+    dispatch = {b.plant_id: 0.0 for b in bids}
+    if demand == 0:
+        return 0.0, dispatch, 0.0
+    remaining = demand
+    price = None
+    for bid in sorted(bids, key=lambda b: (b.price, -b.quantity, b.plant_id)):
+        if remaining <= 0:
+            break
+        if bid.quantity <= 0:
+            continue
+        take = min(bid.quantity, remaining)
+        dispatch[bid.plant_id] += take
+        remaining -= take
+        price = bid.price
+    if remaining > 0:
+        return price_cap, dispatch, remaining
+    return price, dispatch, 0.0
+
+
+def random_hours(rng):
+    """A multi-hour case drawn to hit price ties, equal quantities, zero
+    availability, zero demand, shortfalls and empty fleets."""
+    n_plants = int(rng.integers(0, 9))
+    n_hours = int(rng.integers(1, 6))
+    ids = [f"p{i}" for i in rng.permutation(20)[:n_plants]]
+    if rng.random() < 0.5:
+        prices = rng.choice([-4.0, 0.0, 12.5, 30.0, 30.0, 75.0], size=n_plants)
+        avail = rng.choice([0.0, 0.1, 40.0, 100.0, 100.0, 333.3], size=(n_hours, n_plants))
+    else:
+        prices = rng.uniform(-10.0, 250.0, n_plants)
+        avail = rng.uniform(0.0, 400.0, (n_hours, n_plants))
+        avail[rng.random((n_hours, n_plants)) < 0.2] = 0.0  # zero-CF hours
+    demand = rng.uniform(0.0, 1500.0, n_hours)
+    demand[rng.random(n_hours) < 0.2] = 0.0
+    return ids, prices, avail, demand
+
+
+def test_kernel_equals_reference_loop_exactly():
+    rng = np.random.default_rng(2024)
+    for _ in range(10_000):
+        ids, prices, avail, demand = random_hours(rng)
+        dispatch, clearing, unserved = clear_hours(ids, prices, avail, demand, 300.0)
+        for h in range(len(demand)):
+            bids = [Bid(pid, float(prices[i]), float(avail[h, i])) for i, pid in enumerate(ids)]
+            price, by_id, short = _reference_clear(bids, float(demand[h]), 300.0)
+            assert clearing[h] == price
+            assert unserved[h] == short
+            assert dispatch[h].tolist() == [by_id[pid] for pid in ids]
+
+
+def test_bid_validation():
+    with pytest.raises(InputError, match="quantity"):
+        Bid("a", 1.0, -1.0)
+    with pytest.raises(InputError, match="non-finite"):
+        Bid("a", np.inf, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# dispatch_year
 
 
 def test_single_nuclear_plant_serves_everything():
     plant = make_plant("n1", "g", "Nuclear", 2000.0, 2010,
                        simple_costs(efficiency=1.0, variable_om=5.0))
     rep = flat_rep_year(demand=1500.0)
-    day = dispatch_day([plant], {"n1": 5.0}, rep.day_profile(0), 1.0, 300.0)
-    for clearing in day.clearings:
-        assert clearing.dispatch["n1"] == 1500.0
-        assert clearing.unserved == 0.0
-    assert day.energy_mwh["n1"] == pytest.approx(1500.0 * 24 * 365)
+    days = dispatch_year([plant], [5.0], rep, 300.0)
+    for h in range(24):
+        assert days[0].dispatch[h, 0] == 1500.0
+        assert days[0].unserved[h] == 0.0
+    energy, *_ = annual_totals([plant], days)
+    assert energy[0] == pytest.approx(1500.0 * 24 * 365)
 
 
 def test_offshore_rise_displaces_ccgt_at_hour_19():
@@ -198,9 +272,9 @@ def test_offshore_rise_displaces_ccgt_at_hour_19():
     profile[3, :] = 0.2                # offshore cf
     profile[3, 18:] = 0.8              # rises at hour 19 (1-based)
     scenario = scenario_with({"gas": 20.0}, 0.0, {"gas": 0.0}, {"CCGT": "gas"})
-    costs = {"w1": 0.0, "c1": srmc(ccgt, scenario, 2020)}
-    day = dispatch_day([offshore, ccgt], costs, profile, 1.0, 300.0)
-    ccgt_dispatch = [c.dispatch["c1"] for c in day.clearings]
+    costs = [0.0, srmc(ccgt, scenario, 2020)]
+    days = dispatch_year([offshore, ccgt], costs, assemble_year(profile[None], [1.0]), 300.0)
+    ccgt_dispatch = days[0].dispatch[:, 1].tolist()
     assert ccgt_dispatch[18] < ccgt_dispatch[17]
     assert all(d == ccgt_dispatch[17] for d in ccgt_dispatch[:18])
 
@@ -209,27 +283,33 @@ def test_two_plant_weighted_energy():
     a = make_plant("a", "g", "CCGT", 100.0, 2015, simple_costs(variable_om=1.0))
     b = make_plant("b", "g", "CCGT", 100.0, 2015, simple_costs(variable_om=2.0))
     rep = flat_rep_year(demand=100.0, weights=(0.5, 0.5))
-    day = dispatch_day([a, b], {"a": 1.0, "b": 2.0}, rep.day_profile(0), 0.5, 300.0)
+    days = dispatch_year([a, b], [1.0, 2.0], rep, 300.0)
+    energy, *_ = annual_totals([a, b], days[:1])
     # flat 100 MW dispatch on a half-weight day: 100 * 24 * 0.5 * 365 MWh
-    assert day.energy_mwh["a"] == pytest.approx(100.0 * 24 * 0.5 * 365)
-    assert day.energy_mwh["b"] == 0.0
+    assert energy[0] == pytest.approx(100.0 * 24 * 0.5 * 365)
+    assert energy[1] == 0.0
 
 
 def test_nuclear_subsidy_paid_outside_market():
     plant = make_plant("n1", "g", "Nuclear", 100.0, 2010,
                        simple_costs(efficiency=1.0, variable_om=5.0))
     rep = flat_rep_year(demand=100.0)
-    day = dispatch_day([plant], {"n1": 5.0}, rep.day_profile(0), 1.0, 300.0,
-                       nuclear_subsidy=120.0)
-    energy = day.energy_mwh["n1"]
-    assert day.subsidy["n1"] == pytest.approx(120.0 * energy)
-    assert day.market_revenue["n1"] == pytest.approx(5.0 * energy)
-    assert day.revenue["n1"] == pytest.approx(125.0 * energy)
+    days = dispatch_year([plant], [5.0], rep, 300.0)
+    energy, revenue, subsidy, _ = annual_totals([plant], days, nuclear_subsidy=120.0)
+    assert subsidy[0] == pytest.approx(120.0 * energy[0])
+    assert revenue[0] == pytest.approx(5.0 * energy[0])
+    assert revenue[0] + subsidy[0] == pytest.approx(125.0 * energy[0])
 
 
 def test_demand_scale_multiplies_demand():
     plant = make_plant("n1", "g", "Nuclear", 500.0, 2010, simple_costs(efficiency=1.0))
     rep = flat_rep_year(demand=100.0)
-    day = dispatch_day([plant], {"n1": 0.0}, rep.day_profile(0), 1.0, 300.0,
-                       demand_scale=2.0)
-    assert day.clearings[0].demand == 200.0
+    days = dispatch_year([plant], [0.0], rep, 300.0, demand_scale=2.0)
+    # served plus unserved is the hour's demand
+    assert days[0].dispatch[0].sum() + days[0].unserved[0] == 200.0
+
+
+def test_dispatch_year_rejects_non_finite_cost_naming_plant():
+    plant = make_plant("n1", "g", "Nuclear", 500.0, 2010, simple_costs(efficiency=1.0))
+    with pytest.raises(InputError, match="'n1'"):
+        dispatch_year([plant], [np.nan], flat_rep_year(), 300.0)
