@@ -14,6 +14,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -85,6 +86,15 @@ class GenomeLayout:
             "nuclear_subsidy": float(genome[2 * n + 2]),
         }
 
+    def scored_years(self, scenario, include_first_year: bool) -> list[int]:
+        """Years the objective scores: the final year for validation,
+        every simulated year (less the start year unless included) for
+        the long-term fit."""
+        if self.kind == "validation":
+            return [scenario.end_year]
+        first = scenario.start_year + (0 if include_first_year else 1)
+        return list(range(first, scenario.end_year + 1))
+
 
 def validation_layout(m_bounds=(0.0, 0.004), c_bounds=(-30.0, 100.0)) -> GenomeLayout:
     """Two genes: the slope and intercept of a single price curve."""
@@ -127,73 +137,61 @@ class ScenarioBundle:
     include_first_year: bool = True
 
 
-def _simulate(bundle: ScenarioBundle, overrides: dict, eval_seed: int):
-    scenario = replace(bundle.scenario, **overrides)
+def _mix_error(genome, bundle: ScenarioBundle, eval_seed: int, layout: GenomeLayout) -> float:
+    """Summed mix error over the scored years of one simulated trajectory."""
+    scenario = replace(bundle.scenario, **layout.decode(genome))
     world = init_world(scenario, bundle.registry, bundle.rep_year,
                        bundle.cost_table, seed=eval_seed)
-    horizon = scenario.end_year - scenario.start_year + 1
-    return run(world, horizon)
+    trajectory = run(world, scenario.end_year - scenario.start_year + 1).mix_trajectory()
+    years = layout.scored_years(scenario, bundle.include_first_year)
+    return mix_error_longterm({y: trajectory[y] for y in years},
+                              {y: bundle.target[y] for y in years})
 
 
 def objective_validation(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                          layout: GenomeLayout | None = None) -> float:
     """Mix error of the final simulated year against the target."""
-    layout = layout or validation_layout()
-    sim = _simulate(bundle, layout.decode(genome), eval_seed)
-    final = sim.years[-1]
-    return mix_error_validation(final.objective_mix(), bundle.target[final.year])
+    return _mix_error(genome, bundle, eval_seed, layout or validation_layout())
 
 
 def objective_longterm(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                        layout: GenomeLayout | None = None) -> float:
     """Summed per-year mix error over the whole simulated trajectory."""
-    layout = layout or longterm_layout(bundle.scenario.start_year,
-                                       bundle.scenario.end_year)
-    sim = _simulate(bundle, layout.decode(genome), eval_seed)
-    trajectory = sim.mix_trajectory()
-    if not bundle.include_first_year:
-        trajectory.pop(bundle.scenario.start_year, None)
-    target = {y: bundle.target[y] for y in trajectory}
-    return mix_error_longterm(trajectory, target)
+    return _mix_error(genome, bundle, eval_seed, layout or longterm_layout(
+        bundle.scenario.start_year, bundle.scenario.end_year))
 
 
 def check_target(bundle: ScenarioBundle, layout: GenomeLayout, source) -> None:
-    """Raise InputError unless the target gives every objective type a
-    share in every year the objective of `layout` scores: the final year
-    for validation, every simulated year for the long-term fit."""
-    scenario = bundle.scenario
-    first = scenario.start_year if bundle.include_first_year else scenario.start_year + 1
-    years = [scenario.end_year] if layout.kind == "validation" \
-        else range(first, scenario.end_year + 1)
+    """Raise InputError unless `layout` scores at least one year and the
+    target gives every objective type a share in each of them."""
+    years = layout.scored_years(bundle.scenario, bundle.include_first_year)
+    if not years:
+        raise InputError(f"{source}: the {layout.kind} objective scores no year")
     for year in years:
         missing = [t for t in OBJECTIVE_TYPES if t not in bundle.target.get(year, {})]
         if missing:
             raise InputError(f"{source}: no {', '.join(missing)} share for year {year}")
 
 
-class ValidationObjective:
-    """Picklable callable wrapping objective_validation for worker pools."""
+@dataclass(frozen=True)
+class Objective:
+    """Picklable `objective(genome, eval_seed)` for `ga_run` and its
+    worker pool: the objective entry point of the layout's kind."""
 
-    def __init__(self, bundle: ScenarioBundle, layout: GenomeLayout | None = None):
-        self.bundle = bundle
-        self.layout = layout or validation_layout()
-
-    def __call__(self, genome, eval_seed: int) -> float:
-        return objective_validation(genome, self.bundle, eval_seed, self.layout)
-
-
-class LongTermObjective:
-    def __init__(self, bundle: ScenarioBundle, layout: GenomeLayout | None = None):
-        self.bundle = bundle
-        self.layout = layout or longterm_layout(bundle.scenario.start_year,
-                                                bundle.scenario.end_year)
+    bundle: ScenarioBundle
+    layout: GenomeLayout
 
     def __call__(self, genome, eval_seed: int) -> float:
-        return objective_longterm(genome, self.bundle, eval_seed, self.layout)
+        entry = objective_validation if self.layout.kind == "validation" else objective_longterm
+        return entry(genome, self.bundle, eval_seed, self.layout)
 
 
 # ---------------------------------------------------------------------------
 # Genetic algorithm
+
+TOURNAMENT_SIZE = 3
+BLEND_ALPHA = 0.5          # blend crossover widens the parents' span by this on each side
+MUTATION_SIGMA_FRAC = 0.1  # gaussian mutation sigma as a fraction of each bound's width
 
 
 @dataclass(frozen=True)
@@ -205,10 +203,6 @@ class GAConfig:
     bounds: tuple[tuple[float, float], ...] = ()
     seed: int = 0
     parallel_workers: int = 1
-    tournament_size: int = 3
-    blend_alpha: float = 0.5
-    mutation_sigma_frac: float = 0.1   # gaussian sigma as fraction of bound width
-    survivor: str = "plus"             # "plus" (merge parents+offspring) | "generational"
     stall_generations: int = 20
     stall_tol: float = 1e-6
 
@@ -224,8 +218,6 @@ class GAConfig:
                 raise InputError(f"gene bounds must satisfy lower < upper (got {lo}, {hi})")
         if self.population_size < 2:
             raise InputError("population_size must be >= 2")
-        if self.survivor not in ("plus", "generational"):
-            raise InputError(f"survivor must be 'plus' or 'generational' (got {self.survivor!r})")
 
 
 @dataclass
@@ -280,41 +272,46 @@ class _GenerationLogWriter:
         self._fh.close()
 
 
-def _evaluate(objective, genomes: np.ndarray, seeds: list[int], workers: int) -> np.ndarray:
-    """Fitness per genome; failures score worst and are logged."""
-    def call(genome, seed):
-        try:
-            return float(objective(genome, seed))
-        except Exception:
-            log.warning("objective failed; assigning worst fitness", exc_info=True)
-            return math.inf
+def _fitness(objective, genome, seed) -> float:
+    """One evaluation. A failing genome scores worst and is logged; an
+    InputError is a fault of the inputs, not of the genome, and propagates."""
+    try:
+        return float(objective(genome, seed))
+    except InputError:
+        raise
+    except Exception:
+        log.warning("objective failed; assigning worst fitness", exc_info=True)
+        return math.inf
 
+
+def _evaluate(objective, genomes: np.ndarray, seeds, workers: int, generation: int) -> np.ndarray:
+    """Fitness per genome, the same under any worker count; raises
+    RuntimeError when no genome of the generation scores a finite value."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                results = list(pool.map(objective, list(genomes), seeds))
-                return np.array([float(v) for v in results])
-            except Exception:
-                log.warning("parallel evaluation failed; falling back to serial",
-                            exc_info=True)
-    return np.array([call(g, s) for g, s in zip(genomes, seeds)])
+            fitness = np.array(list(pool.map(_fitness, repeat(objective), list(genomes), seeds)))
+    else:
+        fitness = np.array([_fitness(objective, g, s) for g, s in zip(genomes, seeds)])
+    if not np.isfinite(fitness).any():
+        raise RuntimeError(f"generation {generation}: no genome scored a finite fitness")
+    return fitness
 
 
 def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
     """Minimize `objective(genome, eval_seed)` with a real-valued GA.
 
-    Tournament selection, blend crossover, per-gene gaussian mutation
-    clamped to bounds; survivors are the best of parents plus offspring
-    (or the offspring with a single elite under the generational
-    strategy). Evaluation seeds derive from (seed, generation, index) so
-    results are reproducible under any worker scheduling.
+    The (mu+lambda) scheme: tournament selection, blend crossover,
+    per-gene gaussian mutation clamped to bounds; survivors are the best
+    of parents plus offspring. Evaluation seeds derive from (seed,
+    generation, index) so results are reproducible under any worker
+    scheduling.
     """
     rng = np.random.default_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
     n_genes = len(cfg.bounds)
     pop_size = cfg.population_size
-    sigma = cfg.mutation_sigma_frac * (hi - lo)
+    sigma = MUTATION_SIGMA_FRAC * (hi - lo)
 
     def seeds_for(generation: int) -> np.ndarray:
         # one stream per (run seed, generation, index): reproducible under
@@ -326,7 +323,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
 
     population = rng.uniform(lo, hi, size=(pop_size, n_genes))
     pop_seeds = seeds_for(0)
-    fitness = _evaluate(objective, population, list(pop_seeds), cfg.parallel_workers)
+    fitness = _evaluate(objective, population, list(pop_seeds), cfg.parallel_workers, 0)
 
     writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
     records: list[GenerationRecord] = []
@@ -343,7 +340,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
         record_generation(0)
         for gen in range(1, cfg.max_generations + 1):
             # tournament selection from the current population
-            contenders = rng.integers(0, pop_size, size=(pop_size, cfg.tournament_size))
+            contenders = rng.integers(0, pop_size, size=(pop_size, TOURNAMENT_SIZE))
             winners = contenders[np.arange(pop_size), np.argmin(fitness[contenders], axis=1)]
             offspring = population[winners].copy()
 
@@ -354,8 +351,8 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
                     low = np.minimum(p1, p2)
                     high = np.maximum(p1, p2)
                     span = high - low
-                    c_lo = low - cfg.blend_alpha * span
-                    c_hi = high + cfg.blend_alpha * span
+                    c_lo = low - BLEND_ALPHA * span
+                    c_hi = high + BLEND_ALPHA * span
                     offspring[a] = rng.uniform(c_lo, c_hi)
                     offspring[a + 1] = rng.uniform(c_lo, c_hi)
 
@@ -367,26 +364,15 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
 
             child_seeds = seeds_for(gen)
             child_fitness = _evaluate(objective, offspring, list(child_seeds),
-                                      cfg.parallel_workers)
+                                      cfg.parallel_workers, gen)
 
-            if cfg.survivor == "plus":
-                merged = np.vstack([population, offspring])
-                merged_fit = np.concatenate([fitness, child_fitness])
-                merged_seeds = np.concatenate([pop_seeds, child_seeds])
-                order = np.argsort(merged_fit, kind="stable")[:pop_size]
-                population = merged[order]
-                fitness = merged_fit[order]
-                pop_seeds = merged_seeds[order]
-            else:
-                elite = int(np.argmin(fitness))
-                worst_child = int(np.argmax(child_fitness))
-                if fitness[elite] < child_fitness[worst_child]:
-                    offspring[worst_child] = population[elite]
-                    child_fitness[worst_child] = fitness[elite]
-                    child_seeds[worst_child] = pop_seeds[elite]
-                population = offspring
-                fitness = child_fitness
-                pop_seeds = child_seeds
+            merged = np.vstack([population, offspring])
+            merged_fit = np.concatenate([fitness, child_fitness])
+            merged_seeds = np.concatenate([pop_seeds, child_seeds])
+            order = np.argsort(merged_fit, kind="stable")[:pop_size]
+            population = merged[order]
+            fitness = merged_fit[order]
+            pop_seeds = merged_seeds[order]
 
             record_generation(gen)
 

@@ -259,12 +259,8 @@ def cmd_calibrate(args) -> int:
         scenario=scenario, registry=registry, rep_year=rep, cost_table=cost_table,
         target=target, include_first_year=not args.exclude_first_year,
     )
-    if args.mode == "validation":
-        layout = cal.validation_layout()
-        objective = cal.ValidationObjective(bundle, layout)
-    else:
-        layout = cal.longterm_layout(scenario.start_year, scenario.end_year)
-        objective = cal.LongTermObjective(bundle, layout)
+    layout = (cal.validation_layout() if args.mode == "validation"
+              else cal.longterm_layout(scenario.start_year, scenario.end_year))
     cal.check_target(bundle, layout, inputs["target"])
 
     cfg = cal.GAConfig(
@@ -276,7 +272,8 @@ def cmd_calibrate(args) -> int:
         seed=args.seed,
         parallel_workers=args.workers,
     )
-    result = cal.ga_run(cfg, objective, log_path=out / "generation_log.csv")
+    result = cal.ga_run(cfg, cal.Objective(bundle, layout),
+                        log_path=out / "generation_log.csv")
 
     _write_csv(
         out / "best.csv",

@@ -99,11 +99,18 @@ class TimeSeriesSet:
         return self.timestamps[::HOURS_PER_DAY].astype("datetime64[D]")
 
 
-def _parse_float(text: str, row_no: int, col: str) -> float:
+def _parse_float(text: str, path, row_no: int, col: str) -> float:
     try:
         return float(text)
     except (TypeError, ValueError):
-        raise InputError(f"non-numeric value {text!r} in column '{col}' (row {row_no})")
+        raise InputError(f"{path}: non-numeric value {text!r} in column '{col}' (row {row_no})")
+
+
+def _parse_int(text: str, path, row_no: int, col: str) -> int:
+    value = _parse_float(text, path, row_no, col)
+    if not value.is_integer():
+        raise InputError(f"{path}: non-integer value {text!r} in column '{col}' (row {row_no})")
+    return int(value)
 
 
 def _parse_timestamp(text: str) -> np.datetime64:
@@ -145,7 +152,7 @@ def load_hourly_series(path) -> TimeSeriesSet:
             if prev is not None and ts <= prev:
                 raise InputError(f"{path}: timestamps not strictly increasing (row {row_no})")
             prev = ts
-            vals = tuple(_parse_float(row[c], row_no, c) for c in SERIES_COLUMNS)
+            vals = tuple(_parse_float(row[c], path, row_no, c) for c in SERIES_COLUMNS)
             if vals[0] < 0.0 or any(v < 0.0 or v > 1.0 for v in vals[1:]):
                 rejected += 1
                 continue
@@ -328,11 +335,12 @@ def _bracket(sorted_values, x):
     raise AssertionError("unreachable")
 
 
-def _expand_year_cell(cell: str) -> list[int]:
+def _expand_year_cell(cell: str, path, row_no: int) -> list[int]:
     """Expand a composite year cell such as '2018/20/25' into full years."""
+    malformed = InputError(f"{path}: malformed year cell {cell!r} (row {row_no})")
     parts = cell.strip().split("/")
-    if not parts or not parts[0].isdigit() or len(parts[0]) != 4:
-        raise InputError(f"malformed year cell {cell!r}")
+    if not parts[0].isdigit() or len(parts[0]) != 4:
+        raise malformed
     base = parts[0]
     years = [int(base)]
     for p in parts[1:]:
@@ -341,7 +349,7 @@ def _expand_year_cell(cell: str) -> list[int]:
         elif len(p) == 2 and p.isdigit():
             years.append(int(base[:2] + p))
         else:
-            raise InputError(f"malformed year cell {cell!r}")
+            raise malformed
     return years
 
 
@@ -363,15 +371,15 @@ def load_cost_table(path) -> CostTable:
             ptype = row["type"].strip()
             if ptype not in PLANT_TYPES:
                 raise InputError(f"{path}: unknown plant type {ptype!r} (row {row_no})")
-            cap = _parse_float(row["capacity_mw"], row_no, "capacity_mw")
-            vals = [_parse_float(row[c], row_no, c) for c in COST_COLUMNS]
+            cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
+            vals = [_parse_float(row[c], path, row_no, c) for c in COST_COLUMNS]
             if vals[0] > 1.0:
                 raise InputError(f"{path}: efficiency > 1 (row {row_no})")
             try:
                 costs = PlantCosts(**dict(zip(_COST_FIELDS, vals)))
             except InputError as exc:
                 raise InputError(f"{path}: {exc} (row {row_no})")
-            for year in _expand_year_cell(row["year"]):
+            for year in _expand_year_cell(row["year"], path, row_no):
                 key = (ptype, cap, year)
                 if key in rows:
                     raise InputError(f"{path}: duplicate cost row for {key}")
@@ -474,12 +482,12 @@ def load_plant_registry(path, cost_table: CostTable) -> PlantRegistry:
             if not owner:
                 raise InputError(f"{path}: plant '{pid}' has no owner id (row {row_no})")
             ptype = row["type"].strip()
-            cap = _parse_float(row["capacity_mw"], row_no, "capacity_mw")
-            year = int(_parse_float(row["construction_year"], row_no, "construction_year"))
+            cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
+            year = _parse_int(row["construction_year"], path, row_no, "construction_year")
             costs = cost_table.lookup(ptype, cap, year)
             plants.append(PowerPlant(pid, owner, ptype, cap, year, costs))
             if has_funds and row["funds"].strip():
-                f = _parse_float(row["funds"], row_no, "funds")
+                f = _parse_float(row["funds"], path, row_no, "funds")
                 if owner in funds and funds[owner] != f:
                     raise InputError(f"{path}: conflicting funds for owner '{owner}' (row {row_no})")
                 funds[owner] = f
@@ -547,19 +555,14 @@ class ScenarioConfig:
         return _held(self.demand_scale, year, "demand scale") if self.demand_scale else 1.0
 
     def curve_params_at(self, year: int) -> tuple[float, float]:
-        """Base price-curve (m, c) for a year; per-year curves hold the
-        nearest endpoint outside their range."""
+        """Base price-curve (m, c) for a year: the single curve when no
+        per-year curves are given, otherwise the fuel-price rule."""
         if not self.price_curve_by_year:
             return self.price_curve
-        keys = sorted(self.price_curve_by_year)
-        if year in self.price_curve_by_year:
-            return self.price_curve_by_year[year]
-        if year > keys[-1]:
-            return self.price_curve_by_year[keys[-1]]
-        return self.price_curve_by_year[keys[0]]
+        return _held(self.price_curve_by_year, year, "price curve")
 
 
-def _held(table: dict[int, float], year: int, what: str) -> float:
+def _held(table: dict, year: int, what: str):
     """Value for a year, holding the last (or first) known year outside the table."""
     if not table:
         raise InputError(f"{what} has no entries")
@@ -598,12 +601,18 @@ def load_scenario(path) -> ScenarioConfig:
         if key not in raw:
             raise InputError(f"{path}: missing required key '{key}'")
 
+    def number(value, key: str, kind=float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise InputError(f"{path}: {key} must be numeric (got {value!r})") from None
+
     def year_table(obj, what) -> dict[int, float]:
         if obj is None:
             return {}
         if not isinstance(obj, dict):
             raise InputError(f"{path}: {what} must be a year -> value mapping")
-        return {int(y): float(v) for y, v in obj.items()}
+        return {number(y, f"{what} year", int): number(v, f"{what}.{y}") for y, v in obj.items()}
 
     fuel_price = {
         str(fuel): year_table(tbl, f"fuel_price.{fuel}")
@@ -613,37 +622,40 @@ def load_scenario(path) -> ScenarioConfig:
     for item in raw.get("scheduled_retirements") or []:
         if not isinstance(item, dict) or "plant_id" not in item or "year" not in item:
             raise InputError(f"{path}: scheduled_retirements entries need plant_id and year")
-        retirements.append((str(item["plant_id"]), int(item["year"])))
+        retirements.append((str(item["plant_id"]),
+                            number(item["year"], "scheduled_retirements year", int)))
 
     def curve_pair(obj, what) -> tuple[float, float]:
         if not isinstance(obj, dict) or set(obj) != {"m", "c"}:
             raise InputError(f"{path}: {what} must be a mapping with keys m and c")
-        return (float(obj["m"]), float(obj["c"]))
+        return (number(obj["m"], f"{what}.m"), number(obj["c"], f"{what}.c"))
 
     curve = curve_pair(raw["price_curve"], "price_curve") if "price_curve" in raw else (0.0, 0.0)
     curve_by_year = {
-        int(y): curve_pair(v, f"price_curve_by_year.{y}")
+        number(y, "price_curve_by_year year", int): curve_pair(v, f"price_curve_by_year.{y}")
         for y, v in (raw.get("price_curve_by_year") or {}).items()
     }
 
+    config = dict(
+        start_year=number(raw["start_year"], "start_year", int),
+        end_year=number(raw["end_year"], "end_year", int),
+        fuel_price=fuel_price,
+        carbon_price=year_table(raw.get("carbon_price"), "carbon_price"),
+        demand_scale=year_table(raw.get("demand_scale"), "demand_scale"),
+        scheduled_retirements=tuple(retirements),
+        discount_rate=number(raw.get("discount_rate", 0.06), "discount_rate"),
+        price_cap=number(raw.get("price_cap", 300.0), "price_cap"),
+        nuclear_subsidy=number(raw.get("nuclear_subsidy", 0.0), "nuclear_subsidy"),
+        sigma_m=number(raw.get("sigma_m", 0.0), "sigma_m"),
+        sigma_c=number(raw.get("sigma_c", 0.0), "sigma_c"),
+        rng_seed=number(raw.get("rng_seed", 0), "rng_seed", int),
+        emission_factor={str(k): number(v, f"emission_factor.{k}")
+                         for k, v in (raw.get("emission_factor") or {}).items()},
+        fuel_map={str(k): str(v) for k, v in (raw.get("fuel_map") or {}).items()},
+        price_curve=curve,
+        price_curve_by_year=curve_by_year,
+    )
     try:
-        return ScenarioConfig(
-            start_year=int(raw["start_year"]),
-            end_year=int(raw["end_year"]),
-            fuel_price=fuel_price,
-            carbon_price=year_table(raw.get("carbon_price"), "carbon_price"),
-            demand_scale=year_table(raw.get("demand_scale"), "demand_scale"),
-            scheduled_retirements=tuple(retirements),
-            discount_rate=float(raw.get("discount_rate", 0.06)),
-            price_cap=float(raw.get("price_cap", 300.0)),
-            nuclear_subsidy=float(raw.get("nuclear_subsidy", 0.0)),
-            sigma_m=float(raw.get("sigma_m", 0.0)),
-            sigma_c=float(raw.get("sigma_c", 0.0)),
-            rng_seed=int(raw.get("rng_seed", 0)),
-            emission_factor={str(k): float(v) for k, v in (raw.get("emission_factor") or {}).items()},
-            fuel_map={str(k): str(v) for k, v in (raw.get("fuel_map") or {}).items()},
-            price_curve=curve,
-            price_curve_by_year=curve_by_year,
-        )
+        return ScenarioConfig(**config)
     except InputError as exc:
         raise InputError(f"{path}: {exc}")

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet
+from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, _parse_float,
+                     _parse_int)
 
 log = logging.getLogger(__name__)
 
@@ -531,15 +532,15 @@ def load_representative_days(path) -> RepresentativeYear:
         by_cluster: dict[int, dict[int, list[float]]] = {}
         weights: dict[int, float] = {}
         for row_no, row in enumerate(reader, start=2):
-            c = int(row["cluster"])
-            h = int(row["hour"])
+            c = _parse_int(row["cluster"], path, row_no, "cluster")
+            h = _parse_int(row["hour"], path, row_no, "hour")
             if not 1 <= h <= HOURS_PER_DAY:
                 raise InputError(f"{path}: hour must be in 1..24 (row {row_no})")
-            w = float(row["weight"])
+            w = _parse_float(row["weight"], path, row_no, "weight")
             if c in weights and weights[c] != w:
                 raise InputError(f"{path}: inconsistent weight for cluster {c} (row {row_no})")
             weights[c] = w
-            vals = [float(row[col]) for col in REPDAYS_COLUMNS[3:]]
+            vals = [_parse_float(row[col], path, row_no, col) for col in REPDAYS_COLUMNS[3:]]
             by_cluster.setdefault(c, {})[h] = vals
     if not by_cluster:
         raise InputError(f"{path}: no representative days found")

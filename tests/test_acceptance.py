@@ -13,8 +13,8 @@ import pytest
 
 from emsim.calibrate import (
     GAConfig,
+    Objective,
     ScenarioBundle,
-    ValidationObjective,
     ga_run,
     longterm_layout,
     mix_error_longterm,
@@ -198,9 +198,8 @@ def test_criterion_09_ga_versus_grid_search_oracle():
         target = {2023: {"wind": 0.0, "nuclear": 0.0, "solar": 0.15,
                          "CCGT": 0.35, "coal": 0.50}}
         bundle = ScenarioBundle(scenario, registry, rep, table, target)
-        objective = ValidationObjective(bundle)
-
         layout = validation_layout()
+        objective = Objective(bundle, layout)
         (m_lo, m_hi), (c_lo, c_hi) = layout.bounds
         grid_min = np.inf
         for m in np.linspace(m_lo, m_hi, 50):

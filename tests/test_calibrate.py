@@ -1,12 +1,15 @@
 """Mix objectives, GA behavior and forecast-metric tests."""
 
 import csv
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emsim.calibrate import (
     GAConfig,
+    Objective,
     ScenarioBundle,
     forecast_error_metrics,
     ga_run,
@@ -17,6 +20,7 @@ from emsim.calibrate import (
     objective_validation,
     validation_layout,
 )
+from emsim.engine import init_world, run
 from emsim.ingest import InputError
 from toys import invest_scenario
 
@@ -125,6 +129,19 @@ def test_decode_wrong_length():
         validation_layout().decode([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("layout, end_year, include_first_year, years", [
+    (validation_layout(), 2023, True, [2023]),
+    (validation_layout(), 2023, False, [2023]),
+    (longterm_layout(2020, 2023), 2023, True, [2020, 2021, 2022, 2023]),
+    (longterm_layout(2020, 2023), 2023, False, [2021, 2022, 2023]),
+    (longterm_layout(2020, 2020), 2020, True, [2020]),
+    (longterm_layout(2020, 2020), 2020, False, []),
+])
+def test_scored_years(layout, end_year, include_first_year, years):
+    scenario = invest_scenario(end_year)[0]
+    assert layout.scored_years(scenario, include_first_year) == years
+
+
 # ---------------------------------------------------------------------------
 # ga_run
 
@@ -156,18 +173,6 @@ def test_ga_pure_selection_is_monotone():
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
 
-def test_ga_generational_survivor_monotone_with_elite():
-    cfg = small_cfg(survivor="generational", max_generations=15)
-    result = ga_run(cfg, quadratic)
-    best = [rec.best_fitness for rec in result.generations]
-    assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
-
-
-def test_ga_config_rejects_unknown_survivor():
-    with pytest.raises(InputError, match="survivor"):
-        small_cfg(survivor="generation")
-
-
 def test_ga_bounds_respected_every_generation():
     cfg = small_cfg(mutation_prob=0.9, max_generations=12)
     result = ga_run(cfg, quadratic)
@@ -190,6 +195,58 @@ def test_ga_objective_failure_gets_worst_fitness():
     result = ga_run(small_cfg(max_generations=5), flaky)
     assert np.isfinite(result.best.fitness)
     assert any(np.isinf(rec.fitnesses).any() for rec in result.generations[:1])
+
+
+def fails_above_60(genome, seed):
+    """Deterministic failure for every genome whose second gene is > 60."""
+    if genome[1] > 60.0:
+        raise RuntimeError("deterministic failure")
+    return quadratic(genome, seed)
+
+
+def test_ga_failing_genomes_score_alike_serial_and_parallel():
+    runs = [ga_run(small_cfg(max_generations=4, parallel_workers=w), fails_above_60)
+            for w in (1, 2)]
+    serial, parallel = (r.generations for r in runs)
+    assert len(serial) == len(parallel) == 5
+    for a, b in zip(serial, parallel):
+        assert np.array_equal(a.fitnesses, b.fitnesses)
+        assert np.array_equal(a.genomes, b.genomes)
+    assert np.isinf(serial[0].fitnesses).any()
+
+
+def input_fault(genome, seed):
+    raise InputError("scheduled retirement names unknown plant 'ghost'")
+
+
+def always_fails(genome, seed):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ga_input_error_propagates(workers):
+    with pytest.raises(InputError, match="ghost"):
+        ga_run(small_cfg(max_generations=2, parallel_workers=workers), input_fault)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ga_generation_without_finite_fitness_raises(workers, tmp_path):
+    path = tmp_path / "log.csv"
+    with pytest.raises(RuntimeError, match="generation 0"):
+        ga_run(small_cfg(max_generations=2, parallel_workers=workers), always_fails,
+               log_path=path)
+
+
+def test_ga_later_generation_without_finite_fitness_raises():
+    def finite_in_generation_zero(genome, seed):
+        calls["n"] += 1
+        if calls["n"] > 20:
+            raise RuntimeError("boom")
+        return quadratic(genome, seed)
+
+    calls = {"n": 0}
+    with pytest.raises(RuntimeError, match="generation 1"):
+        ga_run(small_cfg(max_generations=3), finite_in_generation_zero)
 
 
 def test_ga_stall_termination():
@@ -271,6 +328,27 @@ def test_objective_validation_deterministic(toy_bundle):
     b = objective_validation(genome, toy_bundle, eval_seed=9)
     assert a == b
     assert a >= 0.0
+
+
+def test_objective_validation_scores_final_year(toy_bundle):
+    genome = np.array([0.002, 40.0])
+    scenario = replace(toy_bundle.scenario, **validation_layout().decode(genome))
+    world = init_world(scenario, toy_bundle.registry, toy_bundle.rep_year,
+                       toy_bundle.cost_table, seed=9)
+    final = run(world, 4).years[-1]
+    expected = mix_error_validation(final.objective_mix(), toy_bundle.target[final.year])
+    assert objective_validation(genome, toy_bundle, eval_seed=9) == expected
+
+
+def test_objective_calls_the_entry_point_of_its_layout(toy_bundle):
+    genome = np.array([0.002, 40.0])
+    objective = pickle.loads(pickle.dumps(Objective(toy_bundle, validation_layout())))
+    assert objective(genome, 9) == objective_validation(genome, toy_bundle, 9)
+    layout = longterm_layout(2020, 2023)
+    genome = np.zeros(len(layout))
+    genome[3:6] = 40.0
+    assert Objective(toy_bundle, layout)(genome, 1) \
+        == objective_longterm(genome, toy_bundle, 1, layout)
 
 
 def test_objective_longterm_runs(toy_bundle):

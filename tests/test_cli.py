@@ -79,9 +79,9 @@ def test_repdays_missing_input(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
-def _write_sim_inputs(tmp_path, price_curve=(0.002, 40.0)):
-    scenario, registry, rep, table = invest_scenario()
-    scenario = type(scenario)(**{**scenario.__dict__, "price_curve": price_curve})
+def _write_sim_inputs(tmp_path, price_curve=(0.002, 40.0), end_year=2023, **fields):
+    scenario, registry, rep, table = invest_scenario(end_year)
+    scenario = type(scenario)(**{**scenario.__dict__, "price_curve": price_curve, **fields})
     paths = {
         "scenario": tmp_path / "scenario.yaml",
         "registry": tmp_path / "registry.csv",
@@ -144,6 +144,24 @@ def test_simulate_missing_scenario_names_path(tmp_path, capsys):
     assert "nope.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("scenario", "start_year: 2020", "start_year: soon", "start_year must be numeric"),
+    ("repdays", "\n0,", "\nzero,", "'cluster' (row 2)"),
+    ("registry", ",2015,", ",2015.5,", "'construction_year' (row 3)"),
+])
+def test_simulate_non_numeric_input_exits_one(tmp_path, capsys, name, old, new, message):
+    paths = _write_sim_inputs(tmp_path)
+    text = paths[name].read_text()
+    assert old in text
+    paths[name].write_text(text.replace(old, new, 1))
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(paths[name]) in err and message in err
+
+
 def test_calibrate_end_to_end(tmp_path):
     paths = _write_sim_inputs(tmp_path)
     target = tmp_path / "target.csv"
@@ -170,9 +188,9 @@ def test_calibrate_end_to_end(tmp_path):
 ALL_TYPES = {"wind": 0.1, "nuclear": 0.1, "solar": 0.2, "CCGT": 0.3, "coal": 0.3}
 
 
-def _calibrate(tmp_path, target, *extra):
+def _calibrate(tmp_path, target, *extra, workers=1, **scenario_fields):
     tmp_path.mkdir(exist_ok=True)
-    paths = _write_sim_inputs(tmp_path)
+    paths = _write_sim_inputs(tmp_path, **scenario_fields)
     path = tmp_path / "target.csv"
     if isinstance(target, str):
         path.write_text(target)
@@ -182,7 +200,7 @@ def _calibrate(tmp_path, target, *extra):
     rc = main(["calibrate", *extra, "--scenario", str(paths["scenario"]),
                "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
                "--costs", str(paths["costs"]), "--target", str(path),
-               "--pop", "2", "--gens", "0", "--workers", "1", "--out", str(out)])
+               "--pop", "2", "--gens", "0", "--workers", str(workers), "--out", str(out)])
     return rc, out
 
 
@@ -203,6 +221,35 @@ def test_calibrate_longterm_target_missing_first_year(tmp_path, capsys):
     rc, out = _calibrate(tmp_path / "excluded", target, "longterm", "--exclude-first-year")
     assert rc == 0
     assert float(read_csv(out / "best.csv")[0]["fitness"]) < float("inf")
+
+
+def test_calibrate_longterm_scoring_no_year_exits_one(tmp_path, capsys):
+    rc, out = _calibrate(tmp_path, {2020: ALL_TYPES}, "longterm", "--exclude-first-year",
+                         end_year=2020)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "target.csv" in err and "scores no year" in err
+    assert not (out / "best.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calibrate_input_error_inside_evaluation_exits_one(tmp_path, capsys, workers):
+    rc, out = _calibrate(tmp_path, {2023: ALL_TYPES}, "validation", workers=workers,
+                         scheduled_retirements=(("ghost", 2021),))
+    assert rc == 1
+    assert "unknown plant 'ghost'" in capsys.readouterr().err
+    assert not (out / "best.csv").exists()
+
+
+def test_calibrate_without_a_finite_fitness_exits_two(tmp_path, capsys, monkeypatch):
+    def broken_run(world, horizon, sink=None):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr("emsim.calibrate.run", broken_run)
+    rc, out = _calibrate(tmp_path, {2023: ALL_TYPES}, "validation")
+    assert rc == 2
+    assert "generation 0" in capsys.readouterr().err
+    assert not (out / "best.csv").exists()
 
 
 @pytest.mark.parametrize("bad_row", ["2023,coal,lots", "twenty,coal,0.3"])

@@ -84,7 +84,7 @@ def test_non_numeric_cell(tmp_path):
     rows = _hour_rows(24)
     rows[3][1] = "oops"
     _write_rows(path, rows)
-    with pytest.raises(InputError, match="non-numeric"):
+    with pytest.raises(InputError, match=r"bad\.csv: non-numeric .*'demand_mw' \(row 5\)"):
         load_hourly_series(path)
 
 
@@ -190,7 +190,21 @@ def test_malformed_year_cell(tmp_path):
     with open(path, "w") as fh:
         fh.write("type,capacity_mw,year,efficiency,op,pd,cd,pc,cc,ic,fc,vc,inc,conc\n")
         fh.write("CCGT,100,20x8,0.5,25,1,1,1,1,1,1,1,1,1\n")
-    with pytest.raises(InputError, match="year cell"):
+    with pytest.raises(InputError, match=r"bad\.csv: malformed year cell .*\(row 2\)"):
+        load_cost_table(path)
+
+
+COST_HEADER = "type,capacity_mw,year,efficiency,op,pd,cd,pc,cc,ic,fc,vc,inc,conc\n"
+
+
+@pytest.mark.parametrize("row, column", [
+    ("CCGT,big,2018,0.5,25,1,1,1,1,1,1,1,1,1", "'capacity_mw'"),
+    ("CCGT,100,2018,0.5,25,1,1,1,1,1,1,n/a,1,1", "'vc'"),
+])
+def test_cost_table_parse_error_names_file_and_row(tmp_path, row, column):
+    path = tmp_path / "costs.csv"
+    path.write_text(COST_HEADER + "CCGT,100,2017,0.5,25,1,1,1,1,1,1,1,1,1\n" + row + "\n")
+    with pytest.raises(InputError, match=r"costs\.csv: .*" + column + r".*\(row 3\)"):
         load_cost_table(path)
 
 
@@ -302,6 +316,25 @@ def test_registry_blank_owner_rejected(tmp_path):
         load_plant_registry(path, bundled_cost_table())
 
 
+@pytest.mark.parametrize("row, column", [
+    (["b", "g1", "CCGT", "huge", 2010, 5.0], "'capacity_mw'"),
+    (["b", "g1", "CCGT", 1200, "2010.7", 5.0], "non-integer .*'construction_year'"),
+    (["b", "g1", "CCGT", 1200, "old", 5.0], "'construction_year'"),
+    (["b", "g1", "CCGT", 1200, 2010, "rich"], "'funds'"),
+])
+def test_registry_parse_error_names_file_and_row(tmp_path, row, column):
+    path = tmp_path / "reg.csv"
+    _write_registry(path, [["a", "g1", "CCGT", 1200, 2010, 5.0], row])
+    with pytest.raises(InputError, match=r"reg\.csv: .*" + column + r".*\(row 3\)"):
+        load_plant_registry(path, bundled_cost_table())
+
+
+def test_registry_integral_float_year_accepted(tmp_path):
+    path = tmp_path / "reg.csv"
+    _write_registry(path, [["a", "g1", "CCGT", 1200, "2010.0", 5.0]])
+    assert load_plant_registry(path, bundled_cost_table()).plants[0].construction_year == 2010
+
+
 def test_registry_duplicate_plant_id(tmp_path):
     path = tmp_path / "reg.csv"
     _write_registry(path, [
@@ -382,3 +415,32 @@ def test_demand_scale_gap_year_rejected():
         scenario.demand_scale_at(2019)
     unscaled = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon)
     assert unscaled.demand_scale_at(2019) == 1.0
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("start_year: 2013", "start_year: soon", "start_year"),
+    ("end_year: 2018", "end_year: [2018]", "end_year"),
+    ("2015: 18.0", "2015: lots", r"carbon_price\.2015"),
+    ("gas: {2013: 20.0", "gas: {2013: cheap", r"fuel_price\.gas\.2013"),
+    ("price_curve: {m: 0.002", "price_curve: {m: steep", r"price_curve\.m"),
+])
+def test_scenario_non_numeric_value_names_file_and_key(tmp_path, old, new, key):
+    path = tmp_path / "scen.yaml"
+    assert old in SCENARIO_YAML
+    path.write_text(SCENARIO_YAML.replace(old, new, 1))
+    with pytest.raises(InputError, match=r"scen\.yaml: " + key + " must be numeric"):
+        load_scenario(path)
+
+
+def test_price_curve_gap_year_rejected():
+    carbon = {2018: 0.0, 2019: 0.0, 2020: 0.0}
+    scenario = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
+                              price_curve_by_year={2018: (0.001, 10.0), 2020: (0.003, 30.0)})
+    assert scenario.curve_params_at(2017) == (0.001, 10.0)  # held before the table
+    assert scenario.curve_params_at(2020) == (0.003, 30.0)
+    assert scenario.curve_params_at(2025) == (0.003, 30.0)  # held beyond the table
+    with pytest.raises(InputError, match="price curve missing for year 2019"):
+        scenario.curve_params_at(2019)
+    single = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
+                            price_curve=(0.002, 20.0))
+    assert single.curve_params_at(2019) == (0.002, 20.0)

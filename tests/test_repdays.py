@@ -411,6 +411,32 @@ def test_representative_days_round_trip(tmp_path):
     assert np.array_equal(loaded.cluster_weights, rep.cluster_weights)
 
 
+@pytest.mark.parametrize("column", ["cluster", "hour", "weight", "demand_mw", "offshore_cf"])
+def test_representative_days_parse_error_names_file_and_row(tmp_path, column):
+    ts = synthetic_ts(30, seed=41)
+    dm = build_day_matrix(ts)
+    clustering = kmeans(dm, 2, seed=2)
+    path = tmp_path / "rep.csv"
+    save_representative_days(
+        assemble_year(select_representative(clustering, dm), clustering.weights), path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[header.index(column)] = "1.5x"
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=r"rep\.csv: .*'" + column + r"' \(row 6\)"):
+        load_representative_days(path)
+
+
+def test_representative_days_fractional_hour_rejected(tmp_path):
+    path = tmp_path / "rep.csv"
+    path.write_text("cluster,weight,hour,demand_mw,solar_cf,onshore_cf,offshore_cf\n"
+                    "0,365.0,1.5,1.0,0.1,0.1,0.1\n")
+    with pytest.raises(InputError, match=r"rep\.csv: non-integer .*'hour' \(row 2\)"):
+        load_representative_days(path)
+
+
 def test_rep_series_set_weights():
     ts = synthetic_ts(30, seed=43)
     dm = build_day_matrix(ts)
