@@ -29,10 +29,8 @@ from .repdays import (  # noqa: F401
     RepresentativeYear,
     assemble_year,
     build_day_matrix,
-    duration_curve,
     evaluate_k_range,
     kmeans,
-    reduce_to_representative_year,
     select_representative,
 )
 from .market import (Bid, ClearingResult, clear_hours, clear_market,  # noqa: F401

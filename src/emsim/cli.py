@@ -112,16 +112,15 @@ def cmd_repdays(args) -> int:
     log.info("loaded %d complete days (%d hours, %d dropped)",
              ts.n_days, ts.n_hours, ts.dropped_hours)
 
-    rep = repdays.reduce_to_representative_year(ts, args.k, args.method, seed=args.seed)
-    repdays.save_representative_days(rep, out / "representative_days.csv")
-
-    k_list = sorted({int(k) for k in (args.sweep.split(",") if args.sweep else [args.k])})
-    rows = repdays.evaluate_k_range(ts, k_list, args.method, seed=args.seed)
+    sweep = sorted({int(k) for k in (args.sweep.split(",") if args.sweep else [args.k])})
+    rows = {r["k"]: r for r in repdays.evaluate_k_range(ts, [*sweep, args.k], args.method,
+                                                         seed=args.seed)}
+    repdays.save_representative_days(rows[args.k]["year"], out / "representative_days.csv")
     _write_csv(
         out / "metrics.csv",
         ["k", "method", "ce_av", "nrmse_av", "ree_av"],
         [[r["k"], r["method"], _fmt(r["ce_av"]), _fmt(r["nrmse_av"]), _fmt(r["ree_av"])]
-         for r in rows],
+         for r in (rows[k] for k in sweep)],
     )
     _write_manifest(out, "repdays", args, {"input": input_path}, end=True, started=started)
     return 0

@@ -89,15 +89,6 @@ class TimeSeriesSet:
             raise KeyError(name)
         return getattr(self, name)
 
-    def day_view(self, name: str) -> np.ndarray:
-        """Series values reshaped to (n_days, 24)."""
-        return self.series(name).reshape(self.n_days, HOURS_PER_DAY)
-
-    @property
-    def day_dates(self) -> np.ndarray:
-        """Calendar date of each retained day."""
-        return self.timestamps[::HOURS_PER_DAY].astype("datetime64[D]")
-
 
 def _parse_float(text: str, path, row_no: int, col: str) -> float:
     try:
@@ -601,18 +592,36 @@ def load_scenario(path) -> ScenarioConfig:
         if key not in raw:
             raise InputError(f"{path}: missing required key '{key}'")
 
-    def number(value, key: str, kind=float):
+    def number(value, key: str) -> float:
         try:
-            return kind(value)
+            return float(value)
         except (TypeError, ValueError):
             raise InputError(f"{path}: {key} must be numeric (got {value!r})") from None
+
+    def whole(value, key: str) -> int:
+        """2020 and 2020.0 load as 2020; 2020.7 is an error, not 2020."""
+        if isinstance(value, int):
+            return int(value)
+        x = number(value, key)
+        if not x.is_integer():
+            raise InputError(f"{path}: {key} must be a whole number (got {value!r})")
+        return int(x)
+
+    def no_gaps(table: dict, what: str) -> dict:
+        """Years are held outside a table but never filled inside it."""
+        gaps = sorted(set(range(min(table), max(table) + 1)) - set(table)) if table else []
+        if gaps:
+            raise InputError(f"{path}: {what} has no entry for year {gaps[0]} "
+                             f"(its years run {min(table)}-{max(table)})")
+        return table
 
     def year_table(obj, what) -> dict[int, float]:
         if obj is None:
             return {}
         if not isinstance(obj, dict):
             raise InputError(f"{path}: {what} must be a year -> value mapping")
-        return {number(y, f"{what} year", int): number(v, f"{what}.{y}") for y, v in obj.items()}
+        return no_gaps({whole(y, f"{what} year"): number(v, f"{what}.{y}")
+                        for y, v in obj.items()}, what)
 
     fuel_price = {
         str(fuel): year_table(tbl, f"fuel_price.{fuel}")
@@ -623,7 +632,7 @@ def load_scenario(path) -> ScenarioConfig:
         if not isinstance(item, dict) or "plant_id" not in item or "year" not in item:
             raise InputError(f"{path}: scheduled_retirements entries need plant_id and year")
         retirements.append((str(item["plant_id"]),
-                            number(item["year"], "scheduled_retirements year", int)))
+                            whole(item["year"], "scheduled_retirements year")))
 
     def curve_pair(obj, what) -> tuple[float, float]:
         if not isinstance(obj, dict) or set(obj) != {"m", "c"}:
@@ -631,14 +640,14 @@ def load_scenario(path) -> ScenarioConfig:
         return (number(obj["m"], f"{what}.m"), number(obj["c"], f"{what}.c"))
 
     curve = curve_pair(raw["price_curve"], "price_curve") if "price_curve" in raw else (0.0, 0.0)
-    curve_by_year = {
-        number(y, "price_curve_by_year year", int): curve_pair(v, f"price_curve_by_year.{y}")
+    curve_by_year = no_gaps({
+        whole(y, "price_curve_by_year year"): curve_pair(v, f"price_curve_by_year.{y}")
         for y, v in (raw.get("price_curve_by_year") or {}).items()
-    }
+    }, "price_curve_by_year")
 
     config = dict(
-        start_year=number(raw["start_year"], "start_year", int),
-        end_year=number(raw["end_year"], "end_year", int),
+        start_year=whole(raw["start_year"], "start_year"),
+        end_year=whole(raw["end_year"], "end_year"),
         fuel_price=fuel_price,
         carbon_price=year_table(raw.get("carbon_price"), "carbon_price"),
         demand_scale=year_table(raw.get("demand_scale"), "demand_scale"),
@@ -648,7 +657,7 @@ def load_scenario(path) -> ScenarioConfig:
         nuclear_subsidy=number(raw.get("nuclear_subsidy", 0.0), "nuclear_subsidy"),
         sigma_m=number(raw.get("sigma_m", 0.0), "sigma_m"),
         sigma_c=number(raw.get("sigma_c", 0.0), "sigma_c"),
-        rng_seed=number(raw.get("rng_seed", 0), "rng_seed", int),
+        rng_seed=whole(raw.get("rng_seed", 0), "rng_seed"),
         emission_factor={str(k): number(v, f"emission_factor.{k}")
                          for k, v in (raw.get("emission_factor") or {}).items()},
         fuel_map={str(k): str(v) for k, v in (raw.get("fuel_map") or {}).items()},

@@ -1,7 +1,7 @@
 """Representative-day reduction of multi-year hourly data.
 
 Days are clustered with k-means on a (days x 96) feature matrix
-(24 hours x 4 series, normalized per series). Each cluster contributes
+(24 hours x 4 series, each series z-scored). Each cluster contributes
 one 24-hour profile (its medoid or centroid) weighted by the cluster's
 share of days; the weighted profiles assemble into an approximated
 8760-hour year. Approximation quality is scored with three duration
@@ -29,7 +29,8 @@ HOURS_PER_YEAR = HOURS_PER_DAY * DAYS_PER_YEAR  # 24 x 365 = 8760
 N_SERIES = len(SERIES_NAMES)
 DAY_VECTOR_LEN = N_SERIES * HOURS_PER_DAY  # 96 columns, series-major
 
-NORMALIZATIONS = ("zscore", "minmax", "none")
+MAX_ITER = 300  # Lloyd iterations
+TOL = 1e-6      # largest centroid move that still counts as movement
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +42,15 @@ class DayMatrix:
     """One row per complete day; 96 columns = 4 series x 24 hours.
 
     `normalized` feeds the clustering; `raw` keeps the original units
-    for de-normalized profile output. Normalization statistics are per
-    series (scalar offset/scale over all days), so each series
+    for de-normalized profile output. Each series is z-scored with its
+    mean and standard deviation over all days, so each series
     contributes comparably regardless of units.
     """
 
     normalized: np.ndarray  # (n_days, 96)
     raw: np.ndarray         # (n_days, 96)
-    day_dates: np.ndarray   # calendar day per row
-    normalization: str
-    offsets: np.ndarray     # (4,) per-series offset
-    scales: np.ndarray      # (4,) per-series scale
+    offsets: np.ndarray     # (4,) per-series mean
+    scales: np.ndarray      # (4,) per-series standard deviation (1 if zero)
 
     @property
     def n_days(self) -> int:
@@ -66,43 +65,25 @@ class DayMatrix:
         return out
 
 
-def build_day_matrix(ts: TimeSeriesSet, normalization: str = "zscore") -> DayMatrix:
+def build_day_matrix(ts: TimeSeriesSet) -> DayMatrix:
     """Stack each complete day's 4 series into one 96-vector row."""
-    if normalization not in NORMALIZATIONS:
-        raise InputError(f"unknown normalization '{normalization}'")
     if ts.n_days == 0:
         raise InputError("time series contains no complete days")
 
     raw = np.empty((ts.n_days, DAY_VECTOR_LEN))
-    for s, name in enumerate(SERIES_NAMES):
-        raw[:, s * HOURS_PER_DAY:(s + 1) * HOURS_PER_DAY] = ts.day_view(name)
-
-    offsets = np.zeros(N_SERIES)
-    scales = np.ones(N_SERIES)
+    offsets = np.empty(N_SERIES)
+    scales = np.empty(N_SERIES)
     for s, name in enumerate(SERIES_NAMES):
         v = ts.series(name)
-        if normalization == "zscore":
-            offsets[s] = v.mean()
-            sd = v.std()
-            scales[s] = sd if sd > 0 else 1.0  # zero variance: columns become 0
-        elif normalization == "minmax":
-            offsets[s] = v.min()
-            rng = v.max() - v.min()
-            scales[s] = rng if rng > 0 else 1.0
+        raw[:, s * HOURS_PER_DAY:(s + 1) * HOURS_PER_DAY] = v.reshape(ts.n_days, HOURS_PER_DAY)
+        offsets[s] = v.mean()
+        sd = v.std()
+        scales[s] = sd if sd > 0 else 1.0  # zero variance: columns become 0
 
-    normalized = raw.copy().reshape(ts.n_days, N_SERIES, HOURS_PER_DAY)
-    normalized -= offsets[:, None]
+    normalized = raw.reshape(ts.n_days, N_SERIES, HOURS_PER_DAY) - offsets[:, None]
     normalized /= scales[:, None]
-    normalized = normalized.reshape(ts.n_days, DAY_VECTOR_LEN)
-
-    return DayMatrix(
-        normalized=normalized,
-        raw=raw,
-        day_dates=ts.day_dates,
-        normalization=normalization,
-        offsets=offsets,
-        scales=scales,
-    )
+    return DayMatrix(normalized=normalized.reshape(ts.n_days, DAY_VECTOR_LEN), raw=raw,
+                     offsets=offsets, scales=scales)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +113,9 @@ def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator, init: str) -> np.ndarray:
+def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding."""
     n = len(x)
-    if init == "forgy":
-        return x[rng.choice(n, size=k, replace=False)].copy()
-    if init != "kmeans++":
-        raise InputError(f"unknown init '{init}'")
     chosen = [int(rng.integers(n))]
     for _ in range(1, k):
         d2 = _sq_distances(x, x[chosen]).min(axis=1)
@@ -168,25 +146,25 @@ def _repair_empty(x, centroids, labels):
     return labels
 
 
-def kmeans(dm: DayMatrix, k: int, seed=0, max_iter: int = 300, tol: float = 1e-6,
-           init: str = "kmeans++") -> Clustering:
-    """Lloyd's algorithm over day vectors, deterministic for a fixed seed.
+def kmeans(dm: DayMatrix, k: int, seed=0) -> Clustering:
+    """Lloyd's algorithm over day vectors from a k-means++ start,
+    deterministic for a fixed seed.
 
-    Stops when the largest centroid movement falls below `tol` or after
-    `max_iter` iterations; empty clusters are reseeded with the point
+    Stops when the largest centroid movement falls below TOL or after
+    MAX_ITER iterations; empty clusters are reseeded with the point
     farthest from its own centroid.
     """
     if not 1 <= k <= dm.n_days:
         raise InputError(f"k={k} outside [1, {dm.n_days}]")
     x = dm.normalized
     rng = np.random.default_rng(seed)
-    centroids = _init_centroids(x, k, rng, init)
+    centroids = _init_centroids(x, k, rng)
 
     labels = np.argmin(_sq_distances(x, centroids), axis=1)
     labels = _repair_empty(x, centroids, labels)
     history = [float(_sq_distances(x, centroids)[np.arange(len(x)), labels].sum())]
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_centroids = np.empty_like(centroids)
         for cid in range(k):
             new_centroids[cid] = x[labels == cid].mean(axis=0)
@@ -195,7 +173,7 @@ def kmeans(dm: DayMatrix, k: int, seed=0, max_iter: int = 300, tol: float = 1e-6
         history.append(float(_sq_distances(x, new_centroids)[np.arange(len(x)), new_labels].sum()))
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids, labels = new_centroids, new_labels
-        if shift < tol:
+        if shift < TOL:
             break
 
     counts = np.bincount(labels, minlength=k)
@@ -290,100 +268,58 @@ def assemble_year(profiles: np.ndarray, weights: np.ndarray) -> RepresentativeYe
                               cluster_weights=weights.copy())
 
 
-def reduce_to_representative_year(ts: TimeSeriesSet, k: int, method: str = "medoid",
-                                  seed=0, normalization: str = "zscore") -> RepresentativeYear:
-    """Full pipeline: day matrix -> k-means -> profiles -> weighted year."""
-    return _reduce(build_day_matrix(ts, normalization), k, method, seed)
-
-
-def _reduce(dm: DayMatrix, k: int, method: str, seed) -> RepresentativeYear:
-    """Cluster on the RNG stream of (seed, k, method), so the days saved
-    for a k and the metrics scored for the same k describe one clustering,
-    and k values may be computed in any order."""
-    code = {"medoid": 0, "centroid": 1}.get(method)
-    if code is None:
-        raise InputError(f"unknown representative method '{method}'")
-    clustering = kmeans(dm, int(k), seed=[_seed_int(seed), int(k), code])
-    return assemble_year(select_representative(clustering, dm, method), clustering.weights)
-
-
 # ---------------------------------------------------------------------------
-# Duration curves and metrics
+# Approximation metrics
 
 
 @dataclass(frozen=True)
-class WeightedSeries:
-    """Sample values with the number of hours each sample represents."""
+class SeriesSummary:
+    """What the metrics read of a weighted set of series, so the observed
+    side is summarised once however many approximations it scores."""
 
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != len(self.weights):
-            raise InputError("values and weights must align")
-        if len(self.values) == 0:
-            raise InputError("empty series")
+    means: np.ndarray         # (series,) weighted mean per hour
+    curves: np.ndarray        # (series, 8760) duration curve on the year grid
+    ranges: np.ndarray        # (series,) largest minus smallest value
+    correlations: np.ndarray  # (pairs,) weighted Pearson of pairs (i, j), i < j
 
 
-@dataclass(frozen=True)
-class DurationCurve:
-    """Values sorted descending with the duration each value persists."""
+def summarize(values, weights) -> SeriesSummary:
+    """Summarise a (series, n) value block whose column j stands for
+    weights[j] hours.
 
-    values: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.weights)
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-
-def duration_curve(values, weights=None) -> DurationCurve:
+    Each duration curve sorts the values descending (stable) and reads
+    them at the midpoints of 8760 evenly spaced duration fractions with
+    step interpolation.
+    """
     values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.asarray(weights, dtype=float)
-    if len(values) == 0:
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 2 or weights.shape != values.shape[1:]:
+        raise InputError("values must be a (series, n) block with one weight per column")
+    if values.shape[1] == 0:
         raise InputError("empty series")
-    order = np.argsort(-values, kind="stable")
-    return DurationCurve(values=values[order], weights=weights[order])
+    n_series = len(values)
+    grid = (np.arange(HOURS_PER_YEAR) + 0.5) / HOURS_PER_YEAR
+    means = np.empty(n_series)
+    curves = np.empty((n_series, HOURS_PER_YEAR))
+    ranges = np.empty(n_series)
+    for s, v in enumerate(values):
+        means[s] = float(v @ weights) / weights.sum()
+        order = np.argsort(-v, kind="stable")
+        desc, w = v[order], weights[order]
+        idx = np.searchsorted(np.cumsum(w) / w.sum(), grid, side="left")
+        curves[s] = desc[np.minimum(idx, len(desc) - 1)]
+        ranges[s] = desc[0] - desc[-1]
+    correlations = np.array([pearson(values[i], values[j], weights)
+                             for i in range(n_series) for j in range(i + 1, n_series)])
+    return SeriesSummary(means=means, curves=curves, ranges=ranges, correlations=correlations)
 
 
-def resample_duration_curve(dc: DurationCurve, points: int = HOURS_PER_YEAR) -> np.ndarray:
-    """Sample a duration curve at `points` evenly spaced duration fractions
-    (midpoints) with step interpolation."""
-    frac = dc.cumulative / dc.total
-    grid = (np.arange(points) + 0.5) / points
-    idx = np.searchsorted(frac, grid, side="left")
-    return dc.values[np.minimum(idx, len(dc.values) - 1)]
-
-
-def ts_series_set(ts: TimeSeriesSet) -> dict[str, WeightedSeries]:
-    """Observed chronological hours, one hour of duration each."""
-    return {
-        name: WeightedSeries(ts.series(name), np.ones(ts.n_hours))
-        for name in SERIES_NAMES
-    }
-
-
-def rep_series_set(rep: RepresentativeYear) -> dict[str, WeightedSeries]:
-    """The weighted representative hours of an assembled year."""
-    return {
-        name: WeightedSeries(rep.series(name), rep.hour_weights)
-        for name in SERIES_NAMES
-    }
-
-
-def _check_same_series(observed, approx):
-    if set(observed) != set(approx):
+def _check_same_series(observed: SeriesSummary, approx: SeriesSummary) -> None:
+    if len(observed.means) != len(approx.means):
         raise InputError("observed and approximated sets cover different series")
 
 
-def ree_av(observed: dict[str, WeightedSeries], approx: dict[str, WeightedSeries]) -> float:
+def ree_av(observed: SeriesSummary, approx: SeriesSummary) -> float:
     """Average relative energy error over series.
 
     Sums of the duration curves are compared after normalizing each side
@@ -391,38 +327,24 @@ def ree_av(observed: dict[str, WeightedSeries], approx: dict[str, WeightedSeries
     approximated year are on the same footing.
     """
     _check_same_series(observed, approx)
-    terms = []
-    for name, obs in observed.items():
-        apx = approx[name]
-        obs_sum = float(obs.values @ obs.weights)
-        if obs_sum == 0.0:
-            raise InputError(f"observed series '{name}' sums to zero")
-        mean_obs = obs_sum / obs.weights.sum()
-        mean_apx = float(apx.values @ apx.weights) / apx.weights.sum()
-        terms.append(abs(mean_obs - mean_apx) / abs(mean_obs))
-    return float(np.mean(terms))
+    zero = np.flatnonzero(observed.means == 0.0)
+    if len(zero):
+        raise InputError(f"observed series {zero[0]} sums to zero")
+    return float(np.mean(np.abs(observed.means - approx.means) / np.abs(observed.means)))
 
 
-def nrmse_av(observed: dict[str, WeightedSeries], approx: dict[str, WeightedSeries],
-             points: int = HOURS_PER_YEAR) -> float:
+def nrmse_av(observed: SeriesSummary, approx: SeriesSummary) -> float:
     """Average normalized RMSE between duration curves.
 
-    Both curves are resampled onto `points` evenly spaced duration
-    fractions; the per-series RMSE is normalized by the observed curve's
-    value range.
+    Both curves are read on the 8760-point duration grid; the per-series
+    RMSE is normalized by the observed curve's value range.
     """
     _check_same_series(observed, approx)
     terms = []
-    for name, obs in observed.items():
-        apx = approx[name]
-        dc_obs = duration_curve(obs.values, obs.weights)
-        dc_apx = duration_curve(apx.values, apx.weights)
-        value_range = float(dc_obs.values[0] - dc_obs.values[-1])
+    for s, value_range in enumerate(observed.ranges):
         if value_range == 0.0:
-            raise InputError(f"observed series '{name}' has zero value range")
-        g_obs = resample_duration_curve(dc_obs, points)
-        g_apx = resample_duration_curve(dc_apx, points)
-        rmse = float(np.sqrt(np.mean((g_obs - g_apx) ** 2)))
+            raise InputError(f"observed series {s} has zero value range")
+        rmse = float(np.sqrt(np.mean((observed.curves[s] - approx.curves[s]) ** 2)))
         terms.append(rmse / value_range)
     return float(np.mean(terms))
 
@@ -444,7 +366,7 @@ def pearson(x, y, weights=None) -> float:
     return float((w @ (dx * dy)) / np.sqrt(vx * vy))
 
 
-def ce_av(observed: dict[str, WeightedSeries], approx: dict[str, WeightedSeries]) -> float:
+def ce_av(observed: SeriesSummary, approx: SeriesSummary) -> float:
     """Average absolute error of pairwise correlations.
 
     Observed correlations use the chronological hourly values;
@@ -452,40 +374,43 @@ def ce_av(observed: dict[str, WeightedSeries], approx: dict[str, WeightedSeries]
     durations.
     """
     _check_same_series(observed, approx)
-    names = list(observed)
-    if len(names) < 2:
+    n = len(observed.means)
+    if n < 2:
         raise InputError("correlation error needs at least two series")
     total = 0.0
-    pairs = 0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            obs_corr = pearson(observed[names[i]].values, observed[names[j]].values,
-                               observed[names[i]].weights)
-            apx_corr = pearson(approx[names[i]].values, approx[names[j]].values,
-                               approx[names[i]].weights)
-            total += abs(obs_corr - apx_corr)
-            pairs += 1
-    n = len(names)
+    for obs_corr, apx_corr in zip(observed.correlations, approx.correlations):
+        total += abs(obs_corr - apx_corr)
     return float(2.0 / (n * (n - 1)) * total)
 
 
-def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0,
-                     normalization: str = "zscore") -> list[dict]:
-    """Score a range of cluster counts; one row per k, each clustered as
-    `reduce_to_representative_year` clusters that k."""
-    dm = build_day_matrix(ts, normalization)
-    if max(k_list) > dm.n_days:
-        raise InputError(f"max k {max(k_list)} exceeds day count {dm.n_days}")
-    observed = ts_series_set(ts)
+def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) -> list[dict]:
+    """Cluster and score each distinct k of `k_list` once, in ascending order.
+
+    Each row holds k, the method, the three metrics and, under "year", the
+    representative year they score. A k is clustered on the RNG stream of
+    (seed, k, method), so its days do not depend on the other k listed.
+    """
+    code = {"medoid": 0, "centroid": 1}.get(method)
+    if code is None:
+        raise InputError(f"unknown representative method '{method}'")
+    ks = sorted({int(k) for k in k_list})
+    dm = build_day_matrix(ts)
+    if ks[-1] > dm.n_days:
+        raise InputError(f"max k {ks[-1]} exceeds day count {dm.n_days}")
+    observed = summarize(np.stack([ts.series(name) for name in SERIES_NAMES]),
+                         np.ones(ts.n_hours))
     rows = []
-    for k in k_list:
-        approx = rep_series_set(_reduce(dm, k, method, seed))
+    for k in ks:
+        clustering = kmeans(dm, k, seed=[_seed_int(seed), k, code])
+        year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
+        approx = summarize(year.values, year.hour_weights)
         rows.append({
-            "k": int(k),
+            "k": k,
             "method": method,
             "ce_av": ce_av(observed, approx),
             "nrmse_av": nrmse_av(observed, approx),
             "ree_av": ree_av(observed, approx),
+            "year": year,
         })
         log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", k, method,
                  rows[-1]["ce_av"], rows[-1]["nrmse_av"], rows[-1]["ree_av"])

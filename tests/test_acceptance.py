@@ -23,7 +23,7 @@ from emsim.calibrate import (
 )
 from emsim.cli import main
 from emsim.engine import init_world, run, step_year
-from emsim.ingest import PlantRegistry, ScenarioConfig, bundled_cost_table
+from emsim.ingest import SERIES_NAMES, PlantRegistry, ScenarioConfig, bundled_cost_table
 from emsim.market import Bid, clear_market
 from emsim.agents import npv
 from emsim.repdays import (
@@ -35,9 +35,8 @@ from emsim.repdays import (
     nrmse_av,
     pearson,
     ree_av,
-    rep_series_set,
     select_representative,
-    ts_series_set,
+    summarize,
     save_representative_days,
 )
 from toys import (
@@ -92,7 +91,8 @@ def test_criterion_01_hour_count_identity():
 def test_criterion_02_metric_zeroes_and_identities():
     with Budget(2, 1.0, "metrics vanish on exact approximation; pearson identities"):
         ts = synthetic_ts(40, seed=6)
-        observed = ts_series_set(ts)
+        observed = summarize(np.stack([ts.series(n) for n in SERIES_NAMES]),
+                             np.ones(ts.n_hours))
         assert ree_av(observed, observed) == 0.0
         assert nrmse_av(observed, observed) == 0.0
         assert ce_av(observed, observed) == 0.0

@@ -3,11 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from emsim import repdays
 from emsim.cli import main
-from emsim.ingest import load_hourly_series
+from emsim.ingest import SERIES_NAMES, load_hourly_series
 from emsim.repdays import save_representative_days
 from toys import (
     invest_scenario,
@@ -63,13 +64,43 @@ def test_repdays_metrics_row_describes_written_days(tmp_path):
     out = tmp_path / "out"
     assert main(["repdays", "--input", str(data), "--k", "4", "--seed", "3",
                  "--sweep", "2,4", "--out", str(out)]) == 0
-    observed = repdays.ts_series_set(load_hourly_series(data))
-    approx = repdays.rep_series_set(
-        repdays.load_representative_days(out / "representative_days.csv"))
+    ts = load_hourly_series(data)
+    observed = repdays.summarize(np.stack([ts.series(n) for n in SERIES_NAMES]),
+                                 np.ones(ts.n_hours))
+    rep = repdays.load_representative_days(out / "representative_days.csv")
+    approx = repdays.summarize(rep.values, rep.hour_weights)
     row = next(r for r in read_csv(out / "metrics.csv") if r["k"] == "4")
     assert float(row["ce_av"]) == repdays.ce_av(observed, approx)
     assert float(row["nrmse_av"]) == repdays.nrmse_av(observed, approx)
     assert float(row["ree_av"]) == repdays.ree_av(observed, approx)
+
+
+def test_repdays_clusters_each_k_once(tmp_path, monkeypatch):
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, synthetic_ts(60, seed=1))
+    calls = []
+    kmeans = repdays.kmeans
+
+    def counted(dm, k, seed=0):
+        calls.append(k)
+        return kmeans(dm, k, seed=seed)
+
+    monkeypatch.setattr(repdays, "kmeans", counted)
+    assert main(["repdays", "--input", str(data), "--k", "4", "--sweep", "2,4,6",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [2, 4, 6]
+
+
+def test_repdays_k_outside_sweep(tmp_path):
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, synthetic_ts(60, seed=1))
+    out = tmp_path / "out"
+    assert main(["repdays", "--input", str(data), "--k", "5", "--sweep", "2,3",
+                 "--out", str(out)]) == 0
+    assert [r["k"] for r in read_csv(out / "metrics.csv")] == ["2", "3"]
+    rows = read_csv(out / "representative_days.csv")
+    assert len(rows) == 5 * 24
+    assert sorted({r["cluster"] for r in rows}) == [str(c) for c in range(5)]
 
 
 def test_repdays_missing_input(tmp_path, capsys):
@@ -160,6 +191,20 @@ def test_simulate_non_numeric_input_exits_one(tmp_path, capsys, name, old, new, 
     assert rc == 1
     err = capsys.readouterr().err
     assert str(paths[name]) in err and message in err
+
+
+def test_simulate_gap_year_curve_exits_before_output(tmp_path, capsys):
+    paths = _write_sim_inputs(tmp_path, end_year=2022,
+                              price_curve_by_year={2020: (0.002, 40.0), 2022: (0.002, 45.0)})
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(paths["scenario"]) in err
+    assert "price_curve_by_year has no entry for year 2021" in err
+    assert not (out / "mix_by_year.csv").exists()
 
 
 def test_calibrate_end_to_end(tmp_path):

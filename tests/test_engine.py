@@ -243,3 +243,20 @@ def test_evaluate_mix_is_pure():
     assert mix == {"Nuclear": 1.0}
     assert world.year == before
     assert world.gencos["g1"].funds == 0.0
+
+
+def test_energy_balance_every_year_with_scaled_demand_and_shortfall():
+    scenario, registry, rep, table = invest_scenario()
+    scale = {2020: 0.8, 2021: 1.0, 2022: 1.7, 2023: 1.25}
+    scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 40.0),
+                                 "demand_scale": scale})
+    world = init_world(scenario, registry, rep, table, seed=5)
+    sim = run(world, 4)
+    assert [r.year for r in sim.years] == [2020, 2021, 2022, 2023]
+    assert any(r.unserved_mwh > 0.0 for r in sim.years), "no shortfall year"
+    assert any(r.unserved_mwh == 0.0 for r in sim.years), "no fully served year"
+    base = float(rep.series("demand") @ rep.hour_weights)
+    for result in sim.years:
+        served = sum(result.energy_mwh.values())
+        expected = scenario.demand_scale_at(result.year) * base
+        assert served + result.unserved_mwh == pytest.approx(expected, rel=1e-9)

@@ -432,6 +432,51 @@ def test_scenario_non_numeric_value_names_file_and_key(tmp_path, old, new, key):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("start_year: 2013", "start_year: 2013.7", "start_year"),
+    ("end_year: 2018", "end_year: 2018.5", "end_year"),
+    ("rng_seed: 7", "rng_seed: 7.5", "rng_seed"),
+    ("2015: 18.0", "2015.5: 18.0", "carbon_price year"),
+    ("gas: {2013: 20.0", "gas: {2013.2: 20.0", r"fuel_price\.gas year"),
+    ("{plant_id: coal-a, year: 2016}", "{plant_id: coal-a, year: 2016.5}",
+     "scheduled_retirements year"),
+])
+def test_scenario_fractional_year_names_file_and_key(tmp_path, old, new, key):
+    path = tmp_path / "scen.yaml"
+    assert old in SCENARIO_YAML
+    path.write_text(SCENARIO_YAML.replace(old, new, 1))
+    with pytest.raises(InputError, match=r"scen\.yaml: " + key + " must be a whole number"):
+        load_scenario(path)
+
+
+def test_scenario_integral_float_year_loads(tmp_path):
+    path = tmp_path / "scen.yaml"
+    path.write_text(SCENARIO_YAML.replace("start_year: 2013", "start_year: 2013.0")
+                    .replace("{plant_id: coal-a, year: 2016}", "{plant_id: coal-a, year: 2016.0}"))
+    scenario = load_scenario(path)
+    assert scenario.start_year == 2013 and type(scenario.start_year) is int
+    assert ("coal-a", 2016) in scenario.scheduled_retirements
+
+
+@pytest.mark.parametrize("old, new, key, year", [
+    ("2014: 9.0, ", "", "carbon_price", 2014),
+    ("2014: 20.5, ", "", r"fuel_price\.gas", 2014),
+    ("carbon_price: {", "carbon_price: {2010: 1.0, ", "carbon_price", 2011),
+    ("price_curve: {", "demand_scale: {2013: 1.0, 2015: 1.1}\nprice_curve: {",
+     "demand_scale", 2014),
+    ("price_curve: {", "price_curve_by_year: {2013: {m: 0.001, c: 10.0}, "
+     "2016: {m: 0.002, c: 20.0}}\nprice_curve: {", "price_curve_by_year", 2014),
+])
+def test_scenario_gap_year_table_names_file_and_key(tmp_path, old, new, key, year):
+    # a gap fails at load, also outside the simulated years (2010-2011)
+    # and before the check for a price missing in a simulated year
+    path = tmp_path / "scen.yaml"
+    assert old in SCENARIO_YAML
+    path.write_text(SCENARIO_YAML.replace(old, new, 1))
+    with pytest.raises(InputError, match=fr"scen\.yaml: {key} has no entry for year {year}"):
+        load_scenario(path)
+
+
 def test_price_curve_gap_year_rejected():
     carbon = {2018: 0.0, 2019: 0.0, 2020: 0.0}
     scenario = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,

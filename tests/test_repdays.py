@@ -3,25 +3,21 @@
 import numpy as np
 import pytest
 
-from emsim.ingest import InputError, TimeSeriesSet
+from emsim.ingest import SERIES_NAMES, InputError, TimeSeriesSet
 from emsim.repdays import (
     DayMatrix,
-    WeightedSeries,
     assemble_year,
     build_day_matrix,
     ce_av,
-    duration_curve,
     evaluate_k_range,
     kmeans,
     load_representative_days,
     nrmse_av,
     pearson,
     ree_av,
-    rep_series_set,
-    resample_duration_curve,
     save_representative_days,
     select_representative,
-    ts_series_set,
+    summarize,
 )
 from toys import synthetic_ts
 
@@ -46,30 +42,14 @@ def test_day_matrix_shape():
 
 
 def test_zscore_constant_series_guarded():
-    dm = build_day_matrix(constant_ts(5), "zscore")
+    dm = build_day_matrix(constant_ts(5))
     assert np.all(dm.normalized == 0.0)
-
-
-def test_two_day_minmax_hits_zero_and_one():
-    # two constant-per-day levels: the per-series min and max appear in
-    # every column, so each normalized column is exactly {0, 1}
-    lo = constant_ts(1, demand=100.0, cf=0.2)
-    hours = 2 * 24
-    start = np.datetime64("2011-01-01T00:00:00", "s")
-    stamps = start + np.arange(hours).astype("timedelta64[h]").astype("timedelta64[s]")
-    demand = np.concatenate([lo.demand, np.full(24, 200.0)])
-    cf = np.concatenate([np.full(24, 0.2), np.full(24, 0.8)])
-    ts = TimeSeriesSet(stamps, demand, cf, cf, cf)
-    dm = build_day_matrix(ts, "minmax")
-    assert np.all(dm.normalized[0] == 0.0)
-    assert np.all(dm.normalized[1] == 1.0)
 
 
 def test_day_matrix_denormalize_round_trip():
     ts = synthetic_ts(40, seed=5)
-    for norm in ("zscore", "minmax", "none"):
-        dm = build_day_matrix(ts, norm)
-        assert np.allclose(dm.denormalize(dm.normalized), dm.raw, atol=1e-9)
+    dm = build_day_matrix(ts)
+    assert np.allclose(dm.denormalize(dm.normalized), dm.raw, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +88,7 @@ def _blob_matrix(seed=0):
         center_a + 0.5 * rng.standard_normal((100, 96)),
         center_b + 0.5 * rng.standard_normal((300, 96)),
     ])
-    dm = DayMatrix(
-        normalized=rows, raw=rows.copy(),
-        day_dates=np.arange(400).astype("datetime64[D]"),
-        normalization="none", offsets=np.zeros(4), scales=np.ones(4),
-    )
+    dm = DayMatrix(normalized=rows, raw=rows.copy(), offsets=np.zeros(4), scales=np.ones(4))
     return dm, center_a, center_b
 
 
@@ -164,13 +140,6 @@ def test_kmeans_deterministic_per_seed():
     assert np.array_equal(a.centroids, b.centroids)
 
 
-def test_kmeans_forgy_init_supported():
-    dm = build_day_matrix(synthetic_ts(50, seed=19))
-    clustering = kmeans(dm, 3, seed=5, init="forgy")
-    assert clustering.k == 3
-    assert np.all(np.bincount(clustering.assignment, minlength=3) > 0)
-
-
 # ---------------------------------------------------------------------------
 # representative selection
 
@@ -187,8 +156,7 @@ def test_single_member_cluster_medoid_equals_centroid():
 def test_medoid_tie_breaks_to_lower_row():
     # a two-member cluster: both members are equidistant from the mean
     rows = np.vstack([np.zeros(96), np.ones(96)])
-    dm = DayMatrix(rows, rows.copy(), np.arange(2).astype("datetime64[D]"),
-                   "none", np.zeros(4), np.ones(4))
+    dm = DayMatrix(rows, rows.copy(), np.zeros(4), np.ones(4))
     clustering = kmeans(dm, 1, seed=0)
     assert clustering.medoid_rows[0] == 0
 
@@ -239,24 +207,33 @@ def test_assemble_rejects_bad_weights():
 
 
 def test_duration_curve_sorts_descending():
-    dc = duration_curve([3.0, 1.0, 2.0])
-    assert dc.values.tolist() == [3.0, 2.0, 1.0]
-    assert dc.total == 3.0
+    summary = summarize([[3.0, 1.0, 2.0]], np.ones(3))
+    curve = summary.curves[0]
+    assert curve[[0, 4380, 8759]].tolist() == [3.0, 2.0, 1.0]
+    assert np.all(np.diff(curve) <= 0.0)
+    # each unit-weight value holds a third of the year's duration grid
+    assert np.unique(curve, return_counts=True)[1].tolist() == [2920] * 3
 
 
 def test_duration_curve_constant_series_is_flat():
-    dc = duration_curve([4.0] * 10)
-    assert np.all(dc.values == 4.0)
+    summary = summarize([[4.0] * 10], np.ones(10))
+    assert np.all(summary.curves[0] == 4.0)
 
 
 def test_duration_curve_weighted_steps():
-    dc = duration_curve([2.0, 5.0], weights=[200.0, 100.0])
-    assert dc.values.tolist() == [5.0, 2.0]
-    assert dc.cumulative.tolist() == [100.0, 300.0]
-    # resampled: the first third of the duration axis reads 5, the rest 2
-    grid = resample_duration_curve(dc, 300)
-    assert np.all(grid[:99] == 5.0)
-    assert np.all(grid[101:] == 2.0)
+    summary = summarize([[2.0, 5.0]], [200.0, 100.0])
+    assert summary.ranges.tolist() == [3.0]
+    # the first third of the duration axis reads 5, the rest 2
+    grid = summary.curves[0]
+    assert np.all(grid[:2919] == 5.0)
+    assert np.all(grid[2921:] == 2.0)
+
+
+def test_summarize_rejects_misaligned_or_empty_block():
+    with pytest.raises(InputError, match="one weight per column"):
+        summarize([[1.0, 2.0]], np.ones(3))
+    with pytest.raises(InputError, match="empty"):
+        summarize(np.empty((2, 0)), np.empty(0))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +241,9 @@ def test_duration_curve_weighted_steps():
 
 
 def _unit_set(values_by_name):
-    return {
-        name: WeightedSeries(np.asarray(v, dtype=float), np.ones(len(v)))
-        for name, v in values_by_name.items()
-    }
+    """Summary of equally long unit-weight series, one row per name."""
+    block = np.array([np.asarray(v, dtype=float) for v in values_by_name.values()])
+    return summarize(block, np.ones(block.shape[1]))
 
 
 def test_ree_exact_approximation_is_zero():
@@ -308,7 +284,7 @@ def test_nrmse_constant_offset():
     eps = 2.0
     apx = _unit_set({"a": vals + eps})
     value_range = vals.max() - vals.min()
-    assert nrmse_av(obs, apx, points=500) == pytest.approx(eps / value_range, rel=1e-12)
+    assert nrmse_av(obs, apx) == pytest.approx(eps / value_range, rel=1e-12)
 
 
 def test_nrmse_average_over_series():
@@ -437,13 +413,22 @@ def test_representative_days_fractional_hour_rejected(tmp_path):
         load_representative_days(path)
 
 
-def test_rep_series_set_weights():
+def test_year_summary_weights():
     ts = synthetic_ts(30, seed=43)
     dm = build_day_matrix(ts)
     clustering = kmeans(dm, 3, seed=0)
     rep = assemble_year(select_representative(clustering, dm), clustering.weights)
-    series = rep_series_set(rep)
-    for ws in series.values():
-        assert ws.weights.sum() == pytest.approx(8760.0, abs=1e-6)
-    observed = ts_series_set(ts)
-    assert set(observed) == set(series)
+    assert rep.hour_weights.sum() == pytest.approx(8760.0, abs=1e-6)
+    observed = summarize(np.stack([ts.series(n) for n in SERIES_NAMES]), np.ones(ts.n_hours))
+    approx = summarize(rep.values, rep.hour_weights)
+    assert observed.means.shape == approx.means.shape == (len(SERIES_NAMES),)
+    assert observed.correlations.shape == approx.correlations.shape == (6,)
+
+
+def test_metrics_reject_mismatched_series():
+    obs = _unit_set({"a": [1.0, 2.0, 3.0], "b": [3.0, 1.0, 2.0]})
+    apx = _unit_set({"a": [1.0, 2.0, 3.0]})
+    for metric in (ree_av, nrmse_av, ce_av):
+        with pytest.raises(InputError, match="different series"):
+            metric(obs, apx)
+
