@@ -36,13 +36,11 @@ from .repdays import (  # noqa: F401
 from .market import (Bid, ClearingResult, clear_hours, clear_market,  # noqa: F401
                      dispatch_year, srmc)
 from .agents import (  # noqa: F401
-    GenCo,
     InvestmentCandidate,
-    PriceCurve,
+    belief_curves,
     expected_cashflow,
     invest_step,
     npv,
-    sample_belief,
 )
 from .engine import (  # noqa: F401
     SimulationResult,

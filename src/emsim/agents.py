@@ -10,7 +10,7 @@ best positive-NPV candidate a company can afford is committed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,64 +21,29 @@ from .repdays import RepresentativeYear
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PriceCurve:
-    """Linear predicted price duration curve: price(x) = m*x + c."""
+def belief_curves(scenario: ScenarioConfig, root_seed: int, genco_index: int,
+                  sim_year: int, horizon: int) -> np.ndarray:
+    """One GenCo's predicted price curves (price = m x demand + c) for the
+    target years sim_year, sim_year + 1, ...: a (2, horizon) array of m
+    and c.
 
-    m: float  # currency/MWh per MW of demand
-    c: float  # currency/MWh intercept
-
-    def price(self, demand_mw):
-        return self.m * np.asarray(demand_mw, dtype=float) + self.c
-
-
-def predicted_price(curve: PriceCurve, demand_mw: float) -> float:
-    if demand_mw < 0:
-        raise InputError("demand must be >= 0")
-    return float(curve.price(demand_mw))
-
-
-def sample_belief(base: PriceCurve, sigma_m: float, sigma_c: float,
-                  rng: np.random.Generator) -> PriceCurve:
-    """Perturb a base curve with independent normal noise on m and c.
-
-    Zero sigmas reproduce the base curve exactly (no RNG draw), so a
-    deterministic scenario stays bit-reproducible.
+    Each target year perturbs its base curve with normal noise on m, then
+    on c, drawn from the stream (root seed, simulated year, genco index,
+    target year), so a draw never depends on which years are asked for.
+    A zero sigma draws nothing, and zero sigmas build no generator.
     """
-    if sigma_m < 0 or sigma_c < 0:
-        raise InputError("sigmas must be >= 0")
-    m = base.m if sigma_m == 0 else float(rng.normal(base.m, sigma_m))
-    c = base.c if sigma_c == 0 else float(rng.normal(base.c, sigma_c))
-    return PriceCurve(m, c)
-
-
-class BeliefSet:
-    """One GenCo's per-year price expectations for one simulated year.
-
-    Curves are sampled lazily but deterministically: the draw for a
-    target year depends only on (root seed, simulated year, genco index,
-    target year), so evaluation order never changes results.
-    """
-
-    def __init__(self, scenario: ScenarioConfig, root_seed: int, genco_index: int,
-                 sim_year: int):
-        self._scenario = scenario
-        self._root = root_seed
-        self._genco = genco_index
-        self._sim_year = sim_year
-        self._cache: dict[int, PriceCurve] = {}
-
-    def curve(self, year: int) -> PriceCurve:
-        if year not in self._cache:
-            m, c = self._scenario.curve_params_at(year)
-            base = PriceCurve(m, c)
-            rng = np.random.default_rng(
-                [self._root, self._sim_year, self._genco, year]
-            )
-            self._cache[year] = sample_belief(
-                base, self._scenario.sigma_m, self._scenario.sigma_c, rng
-            )
-        return self._cache[year]
+    years = range(sim_year, sim_year + horizon)
+    curves = np.array([scenario.curve_params_at(y) for y in years], dtype=float)
+    curves = curves.reshape(horizon, 2).T
+    sigma_m, sigma_c = scenario.sigma_m, scenario.sigma_c
+    if sigma_m or sigma_c:
+        for t, year in enumerate(years):
+            rng = np.random.default_rng([root_seed, sim_year, genco_index, year])
+            if sigma_m:
+                curves[0, t] = rng.normal(curves[0, t], sigma_m)
+            if sigma_c:
+                curves[1, t] = rng.normal(curves[1, t], sigma_c)
+    return curves
 
 
 @dataclass(frozen=True)
@@ -120,51 +85,50 @@ def candidate_menu(cost_table, year: int, plant_types=None) -> list[InvestmentCa
     return menu
 
 
-def expected_cashflow(candidate: InvestmentCandidate, beliefs: BeliefSet,
+def expected_cashflow(candidate: InvestmentCandidate, curves: np.ndarray,
                       rep_year: RepresentativeYear, scenario: ScenarioConfig,
                       commit_year: int) -> np.ndarray:
     """Per-year net cash flows of a candidate committed this year.
 
     Capital is charged over the lead years; every operating year pays
     fixed O&M and earns the expected margin: for each weighted
-    representative hour the predicted price (curve evaluated at that
-    hour's scaled demand, plus the nuclear subsidy for nuclear) is
-    compared with the candidate's marginal cost — intermittent plants
-    sell capacity x capacity factor regardless, dispatchable plants sell
-    full capacity only in hours where the expected price covers cost.
-    Scenario prices beyond the configured horizon hold their last value.
+    representative hour the predicted price (the year's column of
+    `belief_curves` evaluated at that hour's scaled demand, plus the
+    nuclear subsidy for nuclear) is compared with the candidate's
+    marginal cost — intermittent plants sell capacity x capacity factor
+    regardless, dispatchable plants sell full capacity only in hours
+    where the expected price covers cost. Scenario prices beyond the
+    configured horizon hold their last value.
     """
     if not scenario.start_year <= commit_year <= scenario.end_year:
         raise InputError(f"commitment year {commit_year} outside scenario years")
     lead = candidate.lead_years
     n_years = lead + candidate.operating_years
+    if curves.shape[1] < n_years:
+        raise ValueError(f"belief curves cover {curves.shape[1]} years, need {n_years}")
     cashflow = np.zeros(n_years if n_years > 0 else 1)
 
     tranche = candidate.capital_total / candidate.capital_tranches
     cashflow[:candidate.capital_tranches] -= tranche
 
-    demand = rep_year.series("demand")
+    # one row per operating year, one column per representative hour
+    years = range(commit_year + lead, commit_year + n_years)
+    scale = np.array([scenario.demand_scale_at(y) for y in years], dtype=float)[:, None]
+    cost = np.array([marginal_cost(candidate.plant_type, candidate.costs.efficiency,
+                                   candidate.costs.variable_om, scenario, y) for y in years],
+                    dtype=float)[:, None]
+    m, c = curves[:, lead:n_years, None]
+    prices = m * (rep_year.series("demand") * scale) + c
+    if candidate.plant_type == "Nuclear":
+        prices = prices + scenario.nuclear_subsidy
+    if candidate.plant_type in CF_SERIES:
+        sold = candidate.capacity_mw * rep_year.series(CF_SERIES[candidate.plant_type])
+    else:
+        sold = np.where(prices >= cost, candidate.capacity_mw, 0.0)
+    # one 1-D dot per year: a matrix-vector product may round differently
     weights = rep_year.hour_weights
-    is_intermittent = candidate.plant_type in CF_SERIES
-    if is_intermittent:
-        cf = rep_year.series(CF_SERIES[candidate.plant_type])
-
-    fixed = candidate.costs.fixed_om * candidate.capacity_mw
-    for t in range(lead, n_years):
-        year = commit_year + t
-        curve = beliefs.curve(year)
-        scale = scenario.demand_scale_at(year)
-        prices = curve.price(demand * scale)
-        if candidate.plant_type == "Nuclear":
-            prices = prices + scenario.nuclear_subsidy
-        cost = marginal_cost(candidate.plant_type, candidate.costs.efficiency,
-                             candidate.costs.variable_om, scenario, year)
-        if is_intermittent:
-            sold = candidate.capacity_mw * cf
-        else:
-            sold = np.where(prices >= cost, candidate.capacity_mw, 0.0)
-        margin = float(((prices - cost) * sold) @ weights)
-        cashflow[t] += margin - fixed
+    margin = np.array([row @ weights for row in (prices - cost) * sold], dtype=float)
+    cashflow[lead:n_years] += margin - candidate.costs.fixed_om * candidate.capacity_mw
     return cashflow
 
 
@@ -180,14 +144,6 @@ def npv(cashflows, discount_rate: float) -> float:
         return float(r.sum())
     discounts = (1.0 + discount_rate) ** -np.arange(len(r))
     return float(r @ discounts)
-
-
-@dataclass
-class GenCo:
-    """A generation company: an id and a funds ledger."""
-
-    genco_id: str
-    funds: float
 
 
 @dataclass
@@ -213,15 +169,15 @@ class InvestmentEvaluation:
     affordable: bool
 
 
-def invest_step(genco: GenCo, year: int, menu: list[InvestmentCandidate],
-                beliefs: BeliefSet, rep_year: RepresentativeYear,
+def invest_step(genco_id: str, funds: float, year: int, menu: list[InvestmentCandidate],
+                beliefs: np.ndarray, rep_year: RepresentativeYear,
                 scenario: ScenarioConfig) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
     """Evaluate the candidate menu and commit to at most one plant.
 
     The highest-NPV candidate is committed if its NPV is positive and
-    the company can pay the first capital tranche; the tranche is
-    deducted immediately and the remainder falls due over the lead
-    years.
+    `funds` cover the first capital tranche; the company's settlement pays
+    that tranche this year and the rest over the lead years. Nothing
+    passed in is changed.
     """
     evaluations: list[InvestmentEvaluation] = []
     best: InvestmentCandidate | None = None
@@ -231,7 +187,7 @@ def invest_step(genco: GenCo, year: int, menu: list[InvestmentCandidate],
         flows = expected_cashflow(cand, beliefs, rep_year, scenario, year)
         value = npv(flows, scenario.discount_rate)
         evaluations.append(InvestmentEvaluation(
-            genco.genco_id, year, cand.plant_type, cand.capacity_mw, value,
+            genco_id, year, cand.plant_type, cand.capacity_mw, value,
             committed=False, online_year=year + cand.lead_years, affordable=True,
         ))
         if value > best_npv:
@@ -240,30 +196,29 @@ def invest_step(genco: GenCo, year: int, menu: list[InvestmentCandidate],
     if best is None:
         return None, evaluations
     tranche = best.capital_total / best.capital_tranches
-    if genco.funds < tranche:
+    if funds < tranche:
         log.info("%s: cannot afford %s (needs %.0f, has %.0f)",
-                 genco.genco_id, best.plant_type, tranche, genco.funds)
+                 genco_id, best.plant_type, tranche, funds)
         evaluations[idx] = InvestmentEvaluation(
-            genco.genco_id, year, best.plant_type, best.capacity_mw, best_npv,
+            genco_id, year, best.plant_type, best.capacity_mw, best_npv,
             committed=False, online_year=year + best.lead_years, affordable=False,
         )
         return None, evaluations
 
     online = year + best.lead_years
     plant = PowerPlant(
-        plant_id=f"{genco.genco_id}-{best.plant_type}-{year}",
-        owner_id=genco.genco_id,
+        plant_id=f"{genco_id}-{best.plant_type}-{year}",
+        owner_id=genco_id,
         plant_type=best.plant_type,
         capacity_mw=best.capacity_mw,
         construction_year=online,
         costs=best.costs,
         status="under_construction",
     )
-    genco.funds -= tranche
     evaluations[idx] = InvestmentEvaluation(
-        genco.genco_id, year, best.plant_type, best.capacity_mw, best_npv,
+        genco_id, year, best.plant_type, best.capacity_mw, best_npv,
         committed=True, online_year=online, affordable=True,
     )
     log.info("%s commits to %s %.0f MW (npv %.0f, online %d)",
-             genco.genco_id, best.plant_type, best.capacity_mw, best_npv, online)
+             genco_id, best.plant_type, best.capacity_mw, best_npv, online)
     return Commitment(plant, year, online, tranche, best.capital_tranches - 1), evaluations

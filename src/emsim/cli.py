@@ -99,6 +99,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _k_list(text: str) -> list[int]:
+    """Comma separated cluster counts, for --sweep."""
+    ks = []
+    for item in text.split(","):
+        try:
+            ks.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {item!r}") from None
+    return ks
+
+
 # ---------------------------------------------------------------------------
 # repdays
 
@@ -112,9 +123,12 @@ def cmd_repdays(args) -> int:
     log.info("loaded %d complete days (%d hours, %d dropped)",
              ts.n_days, ts.n_hours, ts.dropped_hours)
 
-    sweep = sorted({int(k) for k in (args.sweep.split(",") if args.sweep else [args.k])})
-    rows = {r["k"]: r for r in repdays.evaluate_k_range(ts, [*sweep, args.k], args.method,
-                                                         seed=args.seed)}
+    sweep = sorted(set(args.sweep or [args.k]))
+    try:
+        rows = {r["k"]: r for r in repdays.evaluate_k_range(ts, [*sweep, args.k], args.method,
+                                                             seed=args.seed)}
+    except InputError as exc:
+        raise InputError(f"{input_path}: {exc}") from None
     repdays.save_representative_days(rows[args.k]["year"], out / "representative_days.csv")
     _write_csv(
         out / "metrics.csv",
@@ -328,7 +342,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=8, help="number of clusters")
     p.add_argument("--method", choices=["medoid", "centroid"], default="medoid")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweep", help="comma separated k values for metrics.csv")
+    p.add_argument("--sweep", type=_k_list,
+                   help="comma separated k values for metrics.csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_repdays)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import BeliefSet, Commitment, GenCo, candidate_menu, invest_step
+from .agents import Commitment, belief_curves, candidate_menu, invest_step
 from .ingest import CostTable, InputError, PlantRegistry, PowerPlant, ScenarioConfig
 from .market import DayDispatch, annual_totals, dispatch_year, srmc
 from .repdays import RepresentativeYear
@@ -105,7 +105,7 @@ class World:
     rep_year: RepresentativeYear
     cost_table: CostTable
     plants: list[PowerPlant]
-    gencos: dict[str, GenCo]
+    funds: dict[str, float]             # genco id -> funds, the one ledger
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
 
@@ -113,7 +113,7 @@ class World:
         return [p for p in self.plants if p.status == "operating"]
 
     def genco_order(self) -> list[str]:
-        return sorted(self.gencos)
+        return sorted(self.funds)
 
 
 def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
@@ -132,7 +132,6 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         if year - plant.construction_year >= plant.costs.operating_period:
             plant.status = "retired"
             log.info("plant %s already past operating period at init; retired", plant.plant_id)
-    gencos = {owner: GenCo(owner, funds) for owner, funds in registry.funds.items()}
     for pid, _ in scenario.scheduled_retirements:
         if pid not in {p.plant_id for p in plants}:
             raise InputError(f"scheduled retirement names unknown plant '{pid}'")
@@ -142,7 +141,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         rep_year=rep_year,
         cost_table=cost_table,
         plants=plants,
-        gencos=gencos,
+        funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
     )
 
@@ -198,8 +197,7 @@ def step_year(world: World) -> YearResult:
     # 3. settle
     settlements: dict[str, Settlement] = {}
     for gid in world.genco_order():
-        genco = world.gencos[gid]
-        s = Settlement(funds_start=genco.funds)
+        s = Settlement(funds_start=world.funds[gid])
         for i, plant in enumerate(operating):
             if plant.owner_id != gid:
                 continue
@@ -212,8 +210,6 @@ def step_year(world: World) -> YearResult:
                 continue
             s.capital_existing += commitment.tranche
             commitment.tranches_left -= 1
-        genco.funds = s.funds_start + s.delta
-        s.funds_end = genco.funds
         settlements[gid] = s
 
     # 4. invest (the final simulated year makes no new commitments)
@@ -221,22 +217,21 @@ def step_year(world: World) -> YearResult:
     investment_log = []
     if year < scenario.end_year:
         menu = candidate_menu(world.cost_table, year)
+        horizon = max((c.lead_years + c.operating_years for c in menu), default=0)
         for index, gid in enumerate(world.genco_order()):
-            genco = world.gencos[gid]
-            beliefs = BeliefSet(scenario, world.seed, index, year)
+            s = settlements[gid]
+            beliefs = belief_curves(scenario, world.seed, index, year, horizon)
             commitment, evaluations = invest_step(
-                genco, year, menu, beliefs, world.rep_year, scenario)
+                gid, s.funds_start + s.delta, year, menu, beliefs, world.rep_year, scenario)
             investment_log.extend(evaluations)
             if commitment is not None:
-                s = settlements[gid]
                 s.capital_new += commitment.tranche
-                # funds recomputed from the ledger so the money-conservation
-                # identity funds_end == funds_start + delta holds exactly
-                genco.funds = s.funds_start + s.delta
-                s.funds_end = genco.funds
                 world.commitments.append(commitment)
                 world.plants.append(commitment.plant)
                 investments.append(commitment)
+    # funds change only here, so funds_end == funds_start + delta exactly
+    for gid, s in settlements.items():
+        s.funds_end = world.funds[gid] = s.funds_start + s.delta
 
     # 5. activate finished construction
     activated = []
@@ -256,7 +251,7 @@ def step_year(world: World) -> YearResult:
         mix=mix,
         unserved_mwh=unserved,
         settlements=settlements,
-        funds={gid: world.gencos[gid].funds for gid in world.genco_order()},
+        funds={gid: s.funds_end for gid, s in settlements.items()},
         plant_ids=[p.plant_id for p in operating],
         bid_prices=costs,
         days=days,

@@ -397,12 +397,14 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
     dm = build_day_matrix(ts)
     if ks[-1] > dm.n_days:
         raise InputError(f"max k {ks[-1]} exceeds day count {dm.n_days}")
-    observed = summarize(np.stack([ts.series(name) for name in SERIES_NAMES]),
-                         np.ones(ts.n_hours))
+    observed_values = np.stack([ts.series(name) for name in SERIES_NAMES])
+    _check_varies(observed_values, "the observed data")
+    observed = summarize(observed_values, np.ones(ts.n_hours))
     rows = []
     for k in ks:
         clustering = kmeans(dm, k, seed=[_seed_int(seed), k, code])
         year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
+        _check_varies(year.values, f"the k={k} representative days")
         approx = summarize(year.values, year.hour_weights)
         rows.append({
             "k": k,
@@ -415,6 +417,14 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
         log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", k, method,
                  rows[-1]["ce_av"], rows[-1]["nrmse_av"], rows[-1]["ree_av"])
     return rows
+
+
+def _check_varies(values: np.ndarray, where: str) -> None:
+    """Correlation errors need every series to vary; name the first that does not."""
+    for name, v in zip(SERIES_NAMES, values):
+        if v.min() == v.max():
+            raise InputError(f"correlation undefined for zero-variance series "
+                             f"'{name}' (constant in {where})")
 
 
 def _seed_int(seed) -> int:

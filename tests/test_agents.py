@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from emsim.agents import (
-    BeliefSet,
-    GenCo,
     InvestmentCandidate,
-    PriceCurve,
+    belief_curves,
     candidate_menu,
     expected_cashflow,
     invest_step,
     npv,
-    predicted_price,
-    sample_belief,
 )
-from emsim.ingest import InputError, PlantCosts, ScenarioConfig
+from emsim.ingest import CF_SERIES, InputError, PlantCosts, ScenarioConfig
+from emsim.market import marginal_cost
+from emsim.repdays import assemble_year
 from toys import flat_rep_year, invest_cost_table, simple_costs
 
 
@@ -31,67 +29,71 @@ def plain_scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-# ---------------------------------------------------------------------------
-# price curve
+def horizon(candidate):
+    return candidate.lead_years + candidate.operating_years
 
 
-def test_flat_curve():
-    assert predicted_price(PriceCurve(0.0, 50.0), 12345.0) == 50.0
-
-
-def test_curve_crosses_zero():
-    assert predicted_price(PriceCurve(0.001, -30.0), 30000.0) == pytest.approx(0.0)
-
-
-def test_curve_at_calibration_ceiling():
-    # the upper corner of the calibration bounds: 300 currency at 50 GW
-    assert predicted_price(PriceCurve(0.004, 100.0), 50000.0) == pytest.approx(300.0)
+def cashflow(candidate, scenario, rep_year, year=2020):
+    """expected_cashflow on the beliefs of genco 0 under root seed 0."""
+    curves = belief_curves(scenario, 0, 0, year, horizon(candidate))
+    return expected_cashflow(candidate, curves, rep_year, scenario, year)
 
 
 # ---------------------------------------------------------------------------
-# belief sampling
+# belief curves
 
 
 def test_zero_sigma_reproduces_base():
-    base = PriceCurve(0.002, 25.0)
-    rng = np.random.default_rng(0)
-    assert sample_belief(base, 0.0, 0.0, rng) == base
+    scenario = plain_scenario(price_curve=(0.002, 25.0))
+    curves = belief_curves(scenario, 0, 0, 2020, 6)
+    assert curves.shape == (2, 6)
+    assert curves.tolist() == [[0.002] * 6, [25.0] * 6]
 
 
 def test_sigma_c_only_perturbs_intercept():
-    base = PriceCurve(0.002, 25.0)
-    rng = np.random.default_rng(1)
-    sampled = sample_belief(base, 0.0, 0.0006, rng)
-    assert sampled.m == base.m
-    assert sampled.c != base.c
-    assert abs(sampled.c - base.c) < 0.01
+    scenario = plain_scenario(price_curve=(0.002, 25.0), sigma_c=0.0006)
+    m, c = belief_curves(scenario, 1, 0, 2020, 8)
+    assert np.all(m == 0.002)
+    assert np.all(c != 25.0)
+    assert np.all(np.abs(c - 25.0) < 0.01)
 
 
-def test_sample_mean_converges():
-    base = PriceCurve(0.001, 40.0)
-    rng = np.random.default_rng(2)
-    cs = [sample_belief(base, 0.0, 1.0, rng).c for _ in range(10000)]
+def test_belief_mean_converges():
+    scenario = plain_scenario(price_curve=(0.001, 40.0), sigma_c=1.0)
+    c = belief_curves(scenario, 2, 0, 2020, 10000)[1]
     # CLT: standard error is 0.01, so 0.05 is a five-sigma band
-    assert abs(np.mean(cs) - 40.0) < 0.05
+    assert abs(np.mean(c) - 40.0) < 0.05
 
 
-def test_belief_set_deterministic_and_cached():
+def test_belief_curves_deterministic_and_independent():
     scenario = plain_scenario(sigma_m=0.0005, sigma_c=0.5, price_curve=(0.001, 30.0))
-    a = BeliefSet(scenario, root_seed=7, genco_index=0, sim_year=2020)
-    b = BeliefSet(scenario, root_seed=7, genco_index=0, sim_year=2020)
-    assert a.curve(2025) == b.curve(2025)
-    assert a.curve(2025) == a.curve(2025)
-    # different genco or year gives an independent draw
-    c = BeliefSet(scenario, root_seed=7, genco_index=1, sim_year=2020)
-    assert c.curve(2025) != a.curve(2025)
+    a = belief_curves(scenario, 7, 0, 2020, 12)
+    assert np.array_equal(a, belief_curves(scenario, 7, 0, 2020, 12))
+    # a target year's draw does not depend on how many years are asked for
+    assert np.array_equal(a[:, :5], belief_curves(scenario, 7, 0, 2020, 5))
+    # another genco, simulated year or root seed gives independent draws
+    for other in (belief_curves(scenario, 7, 1, 2020, 12),
+                  belief_curves(scenario, 8, 0, 2020, 12)):
+        assert np.all(other != a)
+    assert np.all(belief_curves(scenario, 7, 0, 2021, 11) != a[:, 1:])
 
 
-def test_belief_set_uses_per_year_curves():
+def test_belief_curves_use_per_year_curves():
     scenario = plain_scenario(price_curve_by_year={2020: (0.0, 10.0), 2021: (0.0, 20.0)})
-    beliefs = BeliefSet(scenario, 0, 0, 2020)
-    assert beliefs.curve(2020).c == 10.0
-    assert beliefs.curve(2021).c == 20.0
-    assert beliefs.curve(2030).c == 20.0  # hold last beyond the table
+    # held at the last year beyond the table
+    assert belief_curves(scenario, 0, 0, 2020, 4)[1].tolist() == [10.0, 20.0, 20.0, 20.0]
+    assert belief_curves(scenario, 0, 0, 2020, 0).shape == (2, 0)
+
+
+def test_zero_sigmas_build_no_generator(monkeypatch):
+    built = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+    belief_curves(plain_scenario(price_curve=(0.001, 30.0)), 0, 0, 2020, 40)
+    assert built == []
+    # the counter sees the generators a nonzero sigma builds, one per target year
+    belief_curves(plain_scenario(price_curve=(0.001, 30.0), sigma_m=1e-4), 0, 0, 2020, 40)
+    assert len(built) == 40
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +152,7 @@ def test_cashflow_never_dispatched():
     # flat price 1.0 sits far below the candidate's marginal cost (42)
     scenario = plain_scenario(price_curve=(0.0, 1.0))
     cand = never_dispatched_candidate()
-    beliefs = BeliefSet(scenario, 0, 0, 2020)
-    flows = expected_cashflow(cand, beliefs, flat_rep_year(1000.0), scenario, 2020)
+    flows = cashflow(cand, scenario, flat_rep_year(1000.0))
     capital = (100.0 + 900.0) * 100.0 + 50.0
     assert len(flows) == 2 + 3
     assert flows[0] == flows[1] == -capital / 2.0
@@ -168,11 +169,20 @@ def test_cashflow_flat_margin_hand_value():
         fixed_om=7.0, variable_om=0.0, insurance_cost=0.0, connection_cost=0.0,
     )
     cand = InvestmentCandidate("CCGT", 100.0, costs)
-    beliefs = BeliefSet(scenario, 0, 0, 2020)
-    flows = expected_cashflow(cand, beliefs, flat_rep_year(1000.0), scenario, 2020)
+    flows = cashflow(cand, scenario, flat_rep_year(1000.0))
     margin = 100.0 * 8760.0 * 10.0
     assert flows[1] == pytest.approx(margin - 7.0 * 100.0, rel=1e-12)
     assert flows[2] == pytest.approx(margin - 7.0 * 100.0, rel=1e-12)
+
+
+def test_cashflow_sloped_curve_hand_value():
+    # the upper corner of the calibration bounds: m = 0.004, c = 100 prices
+    # 50 GW of demand at 300, which a 100 MW unit at capacity factor 0.5 sells
+    scenario = plain_scenario(price_curve=(0.004, 100.0))
+    cand = InvestmentCandidate("Onshore", 100.0, simple_costs(operating_period=1,
+                                                              construction_period=0))
+    flows = cashflow(cand, scenario, flat_rep_year(50000.0, onshore=0.5))
+    assert flows[1] == pytest.approx(100.0 * 0.5 * 8760.0 * 300.0, rel=1e-12)
 
 
 def test_cashflow_nuclear_subsidy_adds_per_mwh():
@@ -183,11 +193,8 @@ def test_cashflow_nuclear_subsidy_adds_per_mwh():
     )
     cand = InvestmentCandidate("Nuclear", 100.0, costs)
     rep = flat_rep_year(1000.0)
-    base = plain_scenario(price_curve=(0.0, 50.0))
-    with_subsidy = plain_scenario(price_curve=(0.0, 50.0), nuclear_subsidy=120.0)
-    flows0 = expected_cashflow(cand, BeliefSet(base, 0, 0, 2020), rep, base, 2020)
-    flows1 = expected_cashflow(cand, BeliefSet(with_subsidy, 0, 0, 2020), rep,
-                               with_subsidy, 2020)
+    flows0 = cashflow(cand, plain_scenario(price_curve=(0.0, 50.0)), rep)
+    flows1 = cashflow(cand, plain_scenario(price_curve=(0.0, 50.0), nuclear_subsidy=120.0), rep)
     mwh = 100.0 * 8760.0
     assert flows1[1] - flows0[1] == pytest.approx(120.0 * mwh, rel=1e-12)
 
@@ -200,8 +207,7 @@ def test_cashflow_intermittent_sells_capacity_times_cf():
     )
     cand = InvestmentCandidate("PV", 100.0, costs)
     scenario = plain_scenario(price_curve=(0.0, 30.0))
-    rep = flat_rep_year(demand=1000.0, solar=0.25)
-    flows = expected_cashflow(cand, BeliefSet(scenario, 0, 0, 2020), rep, scenario, 2020)
+    flows = cashflow(cand, scenario, flat_rep_year(demand=1000.0, solar=0.25))
     assert flows[1] == pytest.approx(100.0 * 0.25 * 8760.0 * 30.0, rel=1e-12)
 
 
@@ -209,8 +215,110 @@ def test_cashflow_commit_year_outside_scenario():
     scenario = plain_scenario()
     cand = never_dispatched_candidate()
     with pytest.raises(InputError, match="outside scenario"):
-        expected_cashflow(cand, BeliefSet(scenario, 0, 0, 2019),
-                          flat_rep_year(1000.0), scenario, 2019)
+        cashflow(cand, scenario, flat_rep_year(1000.0), year=2019)
+
+
+def test_cashflow_needs_curves_for_every_year():
+    scenario = plain_scenario()
+    cand = never_dispatched_candidate()
+    curves = belief_curves(scenario, 0, 0, 2020, horizon(cand) - 1)
+    with pytest.raises(ValueError, match="cover 4 years, need 5"):
+        expected_cashflow(cand, curves, flat_rep_year(1000.0), scenario, 2020)
+
+
+def _reference_cashflow(candidate, scenario, root_seed, genco_index, rep_year, commit_year):
+    """The appraisal as a loop over operating years, with each target
+    year's curve drawn lazily on its own stream: the oracle that the
+    array form must equal exactly."""
+    drawn = {}
+
+    def curve(year):
+        if year not in drawn:
+            m, c = scenario.curve_params_at(year)
+            rng = np.random.default_rng([root_seed, commit_year, genco_index, year])
+            if scenario.sigma_m != 0:
+                m = float(rng.normal(m, scenario.sigma_m))
+            if scenario.sigma_c != 0:
+                c = float(rng.normal(c, scenario.sigma_c))
+            drawn[year] = (m, c)
+        return drawn[year]
+
+    lead = candidate.lead_years
+    n_years = lead + candidate.operating_years
+    flows = np.zeros(n_years if n_years > 0 else 1)
+    flows[:candidate.capital_tranches] -= candidate.capital_total / candidate.capital_tranches
+    demand = rep_year.series("demand")
+    weights = rep_year.hour_weights
+    fixed = candidate.costs.fixed_om * candidate.capacity_mw
+    for t in range(lead, n_years):
+        year = commit_year + t
+        m, c = curve(year)
+        prices = m * np.asarray(demand * scenario.demand_scale_at(year), dtype=float) + c
+        if candidate.plant_type == "Nuclear":
+            prices = prices + scenario.nuclear_subsidy
+        cost = marginal_cost(candidate.plant_type, candidate.costs.efficiency,
+                             candidate.costs.variable_om, scenario, year)
+        if candidate.plant_type in CF_SERIES:
+            sold = candidate.capacity_mw * rep_year.series(CF_SERIES[candidate.plant_type])
+        else:
+            sold = np.where(prices >= cost, candidate.capacity_mw, 0.0)
+        flows[t] += float(((prices - cost) * sold) @ weights) - fixed
+    return flows
+
+
+def _random_case(rng):
+    """A random candidate, scenario, representative year and commit year."""
+    years = range(2020, 2025)
+    sigma = rng.integers(4)  # none, m only, c only, both
+    first = int(rng.integers(2018, 2024))
+    scenario = ScenarioConfig(
+        start_year=2020, end_year=2024,
+        fuel_price={f: {y: float(rng.uniform(5.0, 40.0)) for y in years}
+                    for f in ("gas", "coal")},
+        carbon_price={y: float(rng.uniform(0.0, 30.0)) for y in years},
+        emission_factor={"gas": 0.2, "coal": 0.35},
+        fuel_map={"CCGT": "gas", "Coal": "coal"},
+        nuclear_subsidy=float(rng.uniform(0.0, 50.0)),
+        sigma_m=float(rng.uniform(0.0, 5e-4)) if sigma in (1, 3) else 0.0,
+        sigma_c=float(rng.uniform(0.0, 5.0)) if sigma in (2, 3) else 0.0,
+        price_curve=(float(rng.uniform(0.0, 0.004)), float(rng.uniform(-50.0, 100.0))),
+        price_curve_by_year={y: (float(rng.uniform(0.0, 0.004)), float(rng.uniform(-50.0, 100.0)))
+                             for y in range(first, first + int(rng.integers(0, 8)))},
+        demand_scale={y: float(rng.uniform(0.5, 1.5))
+                      for y in range(first, first + int(rng.integers(0, 6)))},
+    )
+    costs = PlantCosts(
+        efficiency=float(rng.uniform(0.3, 1.0)), operating_period=int(rng.integers(0, 31)),
+        predev_period=int(rng.integers(0, 3)), construction_period=int(rng.integers(0, 4)),
+        predev_cost=float(rng.uniform(0.0, 1e5)), construction_cost=float(rng.uniform(0.0, 2e6)),
+        infrastructure_cost=float(rng.uniform(0.0, 2e4)), fixed_om=float(rng.uniform(0.0, 3e4)),
+        variable_om=float(rng.uniform(0.0, 5.0)), insurance_cost=0.0, connection_cost=0.0,
+    )
+    ptype = str(rng.choice(["PV", "Onshore", "Offshore", "CCGT", "Coal", "Nuclear"]))
+    candidate = InvestmentCandidate(ptype, float(rng.uniform(10.0, 3000.0)), costs)
+    k = int(rng.integers(1, 9))
+    profiles = rng.uniform(0.0, 1.0, size=(k, 4, 24))
+    profiles[:, 0] *= 60000.0
+    rep_year = assemble_year(profiles, rng.dirichlet(np.ones(k)))
+    return candidate, scenario, rep_year, int(rng.integers(2020, 2025))
+
+
+def test_cashflow_equals_reference_loop():
+    rng = np.random.default_rng(20)
+    kinds = set()
+    for case in range(400):
+        candidate, scenario, rep_year, year = _random_case(rng)
+        root, genco = int(rng.integers(1000)), int(rng.integers(6))
+        curves = belief_curves(scenario, root, genco, year, horizon(candidate))
+        flows = expected_cashflow(candidate, curves, rep_year, scenario, year)
+        oracle = _reference_cashflow(candidate, scenario, root, genco, rep_year, year)
+        assert np.array_equal(flows, oracle), case
+        kinds.add((candidate.plant_type, scenario.sigma_m > 0, scenario.sigma_c > 0,
+                   candidate.lead_years == 0, candidate.operating_years == 0))
+    # every plant type, every sigma pattern, zero lead and zero operating years
+    assert {k[0] for k in kinds} == {"PV", "Onshore", "Offshore", "CCGT", "Coal", "Nuclear"}
+    assert {k[1:3] for k in kinds} == {(False, False), (True, False), (False, True), (True, True)}
+    assert any(k[3] for k in kinds) and any(k[4] for k in kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +332,18 @@ def test_candidate_menu_largest_capacity_per_type():
         {"CCGT": 1500.0, "Coal": 1500.0, "PV": 1000.0}
 
 
+def invest(menu, scenario, funds, rep_year=None, genco_id="g1"):
+    curves = belief_curves(scenario, 0, 0, 2020, max(horizon(c) for c in menu))
+    return invest_step(genco_id, funds, 2020, menu, curves,
+                       rep_year or flat_rep_year(1000.0), scenario)
+
+
 def test_invest_step_no_positive_npv():
     scenario = plain_scenario(price_curve=(0.0, 1.0))
-    genco = GenCo("g1", 1e12)
-    menu = [never_dispatched_candidate()]
-    commitment, evals = invest_step(genco, 2020, menu, BeliefSet(scenario, 0, 0, 2020),
-                                    flat_rep_year(1000.0), scenario)
+    commitment, evals = invest([never_dispatched_candidate()], scenario, 1e12)
     assert commitment is None
     assert len(evals) == 1
     assert evals[0].npv < 0
-    assert genco.funds == 1e12
 
 
 def test_invest_step_unaffordable_candidate():
@@ -241,17 +351,16 @@ def test_invest_step_unaffordable_candidate():
     costs = simple_costs(efficiency=0.5, operating_period=10, predev_period=1,
                          construction_period=1, construction_cost=1000.0)
     menu = [InvestmentCandidate("CCGT", 100.0, costs)]
-    genco = GenCo("g1", 10.0)  # tranche is 50,000
-    commitment, evals = invest_step(genco, 2020, menu, BeliefSet(scenario, 0, 0, 2020),
-                                    flat_rep_year(1000.0), scenario)
+    commitment, evals = invest(menu, scenario, 10.0)  # tranche is 50,000
     assert commitment is None
     assert evals[0].npv > 0
     assert not evals[0].affordable
-    assert genco.funds == 10.0
+    # funds that just cover the tranche afford it
+    commitment, evals = invest(menu, scenario, 50000.0)
+    assert commitment is not None and evals[0].affordable
 
 
 def test_invest_step_picks_argmax_npv():
-    scenario = plain_scenario(price_curve=(0.0, 80.0))
     cheap = simple_costs(efficiency=0.5, operating_period=10, predev_period=1,
                          construction_period=1, construction_cost=100.0)
     rich = simple_costs(efficiency=0.8, operating_period=10, predev_period=1,
@@ -264,21 +373,18 @@ def test_invest_step_picks_argmax_npv():
                     "coal": {y: 20.0 for y in range(2020, 2025)}},
         fuel_map={"CCGT": "gas", "Coal": "coal"},
     )
-    genco = GenCo("g1", 1e9)
-    commitment, evals = invest_step(genco, 2020, menu, BeliefSet(scenario, 0, 0, 2020),
-                                    flat_rep_year(1000.0), scenario)
+    commitment, evals = invest(menu, scenario, 1e9)
     by_type = {e.plant_type: e.npv for e in evals}
     assert by_type["Coal"] > by_type["CCGT"] > 0  # higher efficiency, same capital
     assert commitment is not None
     assert commitment.plant.plant_type == "Coal"
+    assert commitment.plant.owner_id == "g1"
     assert commitment.online_year == 2022
     assert commitment.tranches_left == 1
-    # first tranche deducted at commitment
-    assert genco.funds == 1e9 - commitment.tranche
+    assert commitment.tranche == menu[1].capital_total / 2
 
 
 def test_invest_step_deterministic_across_identical_gencos():
-    scenario = plain_scenario(price_curve=(0.0, 80.0))
     menu = candidate_menu(invest_cost_table(), 2020)
     scenario = plain_scenario(
         price_curve=(0.0, 80.0),
@@ -290,8 +396,7 @@ def test_invest_step_deterministic_across_identical_gencos():
     rep = flat_rep_year(1000.0, solar=0.3)
     results = []
     for gid in ("g1", "g2"):
-        genco = GenCo(gid, 5e8)
-        beliefs = BeliefSet(scenario, 0, 0, 2020)  # sigma = 0: all beliefs equal
-        commitment, _ = invest_step(genco, 2020, menu, beliefs, rep, scenario)
+        # sigma = 0: all beliefs equal
+        commitment, _ = invest(menu, scenario, 5e8, rep, genco_id=gid)
         results.append(None if commitment is None else commitment.plant.plant_type)
     assert results[0] == results[1]

@@ -103,6 +103,31 @@ def test_repdays_k_outside_sweep(tmp_path):
     assert sorted({r["cluster"] for r in rows}) == [str(c) for c in range(5)]
 
 
+@pytest.mark.parametrize("sweep, bad", [("1,,2", "''"), ("1,x", "'x'"), ("2.5", "'2.5'")])
+def test_repdays_bad_sweep_exits_one(tmp_path, capsys, sweep, bad):
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, synthetic_ts(3, seed=1))
+    out = tmp_path / "out"
+    assert main(["repdays", "--input", str(data), "--sweep", sweep, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err
+    assert f"argument --sweep: not an integer: {bad}" in err
+    assert not out.exists()
+
+
+def test_repdays_constant_series_named(tmp_path, capsys):
+    ts = synthetic_ts(20, seed=1)
+    ts.offshore_cf[:] = 0.0
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, ts)
+    out = tmp_path / "out"
+    assert main(["repdays", "--input", str(data), "--k", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(data) in err
+    assert "zero-variance series 'offshore_cf'" in err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_repdays_missing_input(tmp_path, capsys):
     rc = main(["repdays", "--input", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "o")])

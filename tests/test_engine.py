@@ -5,6 +5,7 @@ import pytest
 
 from emsim.engine import evaluate_mix, init_world, run, step_year
 from emsim.ingest import InputError, PlantRegistry, ScenarioConfig
+from emsim.repdays import DAYS_PER_YEAR
 from toys import (
     flat_rep_year,
     invest_scenario,
@@ -197,6 +198,56 @@ def test_money_conservation_ledger():
             assert result.funds[gid] == s.funds_end
 
 
+@pytest.mark.parametrize("sigma_c, seed, opening, price_cap", [
+    (0.0, 7, None, 300.0),        # registry funds, scarcity prices
+    (4.0, 3, (0.0, 0.0), 50.0),   # no opening funds: the year's settlement pays
+    (4.0, 3, (4e8, 1e8), 45.0),   # some years a GenCo cannot afford its best plant
+])
+def test_money_conservation_per_genco(sigma_c, seed, opening, price_cap):
+    scenario, registry, rep, table = invest_scenario(end_year=2027)
+    scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 50.0),
+                                 "sigma_c": sigma_c, "price_cap": price_cap})
+    if opening is not None:
+        registry = PlantRegistry(plants=registry.plants, funds=dict(zip(("g1", "g2"), opening)))
+    world = init_world(scenario, registry, rep, table, seed=seed)
+    sim = run(world, 8)
+    assert len({c.plant.owner_id for r in sim.years for c in r.investments}) == 2
+    funds = dict(registry.funds)
+    for result in sim.years:
+        # each year opens with the funds the previous year closed with
+        assert {gid: s.funds_start for gid, s in result.settlements.items()} == funds
+        funds = {gid: s.funds_end for gid, s in result.settlements.items()}
+        assert result.funds == funds
+        # every unit of market revenue is a cleared MWh at its clearing price
+        paid = sum(float(np.sum(day.clearings[:, None] * day.dispatch))
+                   * day.weight * DAYS_PER_YEAR for day in result.days)
+        earned = sum(s.market_revenue for s in result.settlements.values())
+        assert earned == pytest.approx(paid, rel=1e-9)
+        # a commitment's first tranche is paid in its commit year, out of
+        # funds that the year's settlement already covers
+        new = {gid: 0.0 for gid in result.settlements}
+        for commitment in result.investments:
+            s = result.settlements[commitment.plant.owner_id]
+            assert s.funds_end + s.capital_new >= commitment.tranche
+            new[commitment.plant.owner_id] += commitment.tranche
+        assert {gid: s.capital_new for gid, s in result.settlements.items()} == new
+    assert world.funds == funds
+
+
+def test_affordability_counts_the_years_settlement():
+    # no opening funds: a first-year commitment is paid out of that year's margin
+    scenario, registry, rep, table = invest_scenario(end_year=2027)
+    scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 50.0),
+                                 "sigma_c": 4.0, "price_cap": 50.0})
+    registry = PlantRegistry(plants=registry.plants, funds={"g1": 0.0, "g2": 0.0})
+    result = step_year(init_world(scenario, registry, rep, table, seed=3))
+    assert result.investments
+    for commitment in result.investments:
+        s = result.settlements[commitment.plant.owner_id]
+        assert s.funds_start == 0.0
+        assert s.capital_new == commitment.tranche
+
+
 def test_investment_lifecycle():
     scenario, registry, rep, table = invest_scenario()
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 60.0)})
@@ -242,7 +293,7 @@ def test_evaluate_mix_is_pure():
     mix = evaluate_mix(world)
     assert mix == {"Nuclear": 1.0}
     assert world.year == before
-    assert world.gencos["g1"].funds == 0.0
+    assert world.funds == {"g1": 0.0}
 
 
 def test_energy_balance_every_year_with_scaled_demand_and_shortfall():

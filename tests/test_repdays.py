@@ -361,6 +361,20 @@ def test_evaluate_k_range_rejects_oversized_k():
         evaluate_k_range(ts, [11], seed=0)
 
 
+def test_evaluate_k_range_names_a_constant_series():
+    ts = synthetic_ts(3, seed=0)
+    ts.solar_cf[:] = 0.0
+    with pytest.raises(InputError, match="'solar_cf' \\(constant in the observed data\\)"):
+        evaluate_k_range(ts, [1], seed=0)
+    # offshore varies only on a day the single medoid does not pick
+    ts = synthetic_ts(3, seed=0)
+    for name in SERIES_NAMES:
+        ts.series(name)[24:48] = ts.series(name)[:24]
+    ts.offshore_cf[:48] = 0.2
+    with pytest.raises(InputError, match="'offshore_cf' \\(constant in the k=1 representative"):
+        evaluate_k_range(ts, [1], seed=0)
+
+
 def test_full_pipeline_metrics_finite():
     ts = synthetic_ts(150, seed=37)
     rows = evaluate_k_range(ts, [1, 4], method="centroid", seed=1)
