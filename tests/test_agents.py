@@ -58,14 +58,14 @@ def test_sigma_c_only_perturbs_intercept():
     assert np.all(np.abs(c - 25.0) < 0.01)
 
 
-def test_belief_mean_converges():
+def test_sample_mean_converges():
     scenario = plain_scenario(price_curve=(0.001, 40.0), sigma_c=1.0)
     c = belief_curves(scenario, 2, 0, 2020, 10000)[1]
     # CLT: standard error is 0.01, so 0.05 is a five-sigma band
     assert abs(np.mean(c) - 40.0) < 0.05
 
 
-def test_belief_curves_deterministic_and_independent():
+def test_belief_set_deterministic_and_cached():
     scenario = plain_scenario(sigma_m=0.0005, sigma_c=0.5, price_curve=(0.001, 30.0))
     a = belief_curves(scenario, 7, 0, 2020, 12)
     assert np.array_equal(a, belief_curves(scenario, 7, 0, 2020, 12))
@@ -78,7 +78,7 @@ def test_belief_curves_deterministic_and_independent():
     assert np.all(belief_curves(scenario, 7, 0, 2021, 11) != a[:, 1:])
 
 
-def test_belief_curves_use_per_year_curves():
+def test_belief_set_uses_per_year_curves():
     scenario = plain_scenario(price_curve_by_year={2020: (0.0, 10.0), 2021: (0.0, 20.0)})
     # held at the last year beyond the table
     assert belief_curves(scenario, 0, 0, 2020, 4)[1].tolist() == [10.0, 20.0, 20.0, 20.0]
@@ -175,14 +175,27 @@ def test_cashflow_flat_margin_hand_value():
     assert flows[2] == pytest.approx(margin - 7.0 * 100.0, rel=1e-12)
 
 
-def test_cashflow_sloped_curve_hand_value():
-    # the upper corner of the calibration bounds: m = 0.004, c = 100 prices
-    # 50 GW of demand at 300, which a 100 MW unit at capacity factor 0.5 sells
-    scenario = plain_scenario(price_curve=(0.004, 100.0))
+def appraised_price(price_curve, demand):
+    """The price a cost-free 100 MW onshore unit at capacity factor 0.5
+    is paid in its one operating year, read back from its cash flow."""
+    scenario = plain_scenario(price_curve=price_curve)
     cand = InvestmentCandidate("Onshore", 100.0, simple_costs(operating_period=1,
                                                               construction_period=0))
-    flows = cashflow(cand, scenario, flat_rep_year(50000.0, onshore=0.5))
-    assert flows[1] == pytest.approx(100.0 * 0.5 * 8760.0 * 300.0, rel=1e-12)
+    flows = cashflow(cand, scenario, flat_rep_year(demand, onshore=0.5))
+    return flows[1] / (100.0 * 0.5 * 8760.0)
+
+
+def test_flat_curve():
+    assert appraised_price((0.0, 50.0), 12345.0) == 50.0
+
+
+def test_curve_crosses_zero():
+    assert appraised_price((0.001, -30.0), 30000.0) == pytest.approx(0.0)
+
+
+def test_curve_at_calibration_ceiling():
+    # the upper corner of the calibration bounds: 300 currency at 50 GW
+    assert appraised_price((0.004, 100.0), 50000.0) == pytest.approx(300.0, rel=1e-12)
 
 
 def test_cashflow_nuclear_subsidy_adds_per_mwh():
