@@ -169,10 +169,20 @@ class InvestmentEvaluation:
     affordable: bool
 
 
+def appraise(menu: list[InvestmentCandidate], beliefs: np.ndarray,
+             rep_year: RepresentativeYear, scenario: ScenarioConfig,
+             year: int) -> list[float]:
+    """NPV of each menu candidate committed in `year` under one set of
+    belief curves. Nothing about a company but its beliefs enters, so
+    companies holding byte-equal beliefs share one appraisal."""
+    return [npv(expected_cashflow(cand, beliefs, rep_year, scenario, year),
+                scenario.discount_rate) for cand in menu]
+
+
 def invest_step(genco_id: str, funds: float, year: int, menu: list[InvestmentCandidate],
-                beliefs: np.ndarray, rep_year: RepresentativeYear,
-                scenario: ScenarioConfig) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
-    """Evaluate the candidate menu and commit to at most one plant.
+                npvs: list[float]) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
+    """Commit to at most one plant of the appraised menu (`npvs[i]` is the
+    NPV of `menu[i]`, as `appraise` returns it).
 
     The highest-NPV candidate is committed if its NPV is positive and
     `funds` cover the first capital tranche; the company's settlement pays
@@ -183,9 +193,7 @@ def invest_step(genco_id: str, funds: float, year: int, menu: list[InvestmentCan
     best: InvestmentCandidate | None = None
     best_npv = 0.0
     idx = -1
-    for i, cand in enumerate(menu):
-        flows = expected_cashflow(cand, beliefs, rep_year, scenario, year)
-        value = npv(flows, scenario.discount_rate)
+    for i, (cand, value) in enumerate(zip(menu, npvs)):
         evaluations.append(InvestmentEvaluation(
             genco_id, year, cand.plant_type, cand.capacity_mw, value,
             committed=False, online_year=year + cand.lead_years, affordable=True,

@@ -14,7 +14,6 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -185,6 +184,14 @@ class Objective:
         entry = objective_validation if self.layout.kind == "validation" else objective_longterm
         return entry(genome, self.bundle, eval_seed, self.layout)
 
+    def seed_matters(self, genome) -> bool:
+        """Whether the fitness of `genome` can depend on the evaluation
+        seed. The seed reaches only the belief noise, which draws nothing
+        when both sigmas of the decoded scenario are zero."""
+        decoded = {"sigma_m": self.bundle.scenario.sigma_m,
+                   "sigma_c": self.bundle.scenario.sigma_c, **self.layout.decode(genome)}
+        return bool(decoded["sigma_m"] or decoded["sigma_c"])
+
 
 # ---------------------------------------------------------------------------
 # Genetic algorithm
@@ -207,6 +214,10 @@ class GAConfig:
     stall_tol: float = 1e-6
 
     def __post_init__(self):
+        if self.max_generations < 0:
+            raise InputError(f"max_generations must be >= 0 (got {self.max_generations})")
+        if self.parallel_workers < 1:
+            raise InputError(f"parallel_workers must be >= 1 (got {self.parallel_workers})")
         if not 0.0 <= self.crossover_prob <= 1.0:
             raise InputError("crossover_prob must be in [0, 1]")
         if not 0.0 <= self.mutation_prob <= 1.0:
@@ -284,17 +295,52 @@ def _fitness(objective, genome, seed) -> float:
         return math.inf
 
 
-def _evaluate(objective, genomes: np.ndarray, seeds, workers: int, generation: int) -> np.ndarray:
-    """Fitness per genome, the same under any worker count; raises
-    RuntimeError when no genome of the generation scores a finite value."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fitness = np.array(list(pool.map(_fitness, repeat(objective), list(genomes), seeds)))
-    else:
-        fitness = np.array([_fitness(objective, g, s) for g, s in zip(genomes, seeds)])
+# The objective of a pool worker process, set once by the pool's initializer.
+_worker_objective = None
+
+
+def _init_worker(objective) -> None:
+    global _worker_objective
+    _worker_objective = objective
+
+
+def _pooled_fitness(genome, seed) -> float:
+    return _fitness(_worker_objective, genome, seed)
+
+
+def _fitness_key(objective, genome: np.ndarray, seed):
+    """What a fitness depends on: the genome, and the evaluation seed
+    unless the objective is an `Objective` that says the seed cannot
+    matter. A plain callable is always keyed with its seed."""
+    if isinstance(objective, Objective) and not objective.seed_matters(genome):
+        return genome.tobytes(), None
+    return genome.tobytes(), int(seed)
+
+
+def _evaluate(objective, pool, fitness_of: dict, genomes: np.ndarray, seeds,
+              generation: int) -> tuple[np.ndarray, int]:
+    """Fitness per genome and the number of genomes actually evaluated.
+
+    `fitness_of` holds every fitness this run has computed, by
+    `_fitness_key`; a key already in it, or repeated within `genomes`, is
+    evaluated once, in the pool when there is one. The result is the same
+    under any worker count. Raises RuntimeError when no genome of the
+    generation scores a finite value."""
+    keys = [_fitness_key(objective, g, s) for g, s in zip(genomes, seeds)]
+    todo: dict = {}
+    for key, genome, seed in zip(keys, genomes, seeds):
+        if key not in fitness_of:
+            todo.setdefault(key, (genome, seed))
+    if todo:
+        if pool is None:
+            values = (_fitness(objective, g, s) for g, s in todo.values())
+        else:
+            values = pool.map(_pooled_fitness, *zip(*todo.values()))
+        fitness_of.update(zip(todo, values))
+    fitness = np.array([fitness_of[key] for key in keys])
     if not np.isfinite(fitness).any():
         raise RuntimeError(f"generation {generation}: no genome scored a finite fitness")
-    return fitness
+    return fitness, len(todo)
 
 
 def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
@@ -304,7 +350,9 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
     per-gene gaussian mutation clamped to bounds; survivors are the best
     of parents plus offspring. Evaluation seeds derive from (seed,
     generation, index) so results are reproducible under any worker
-    scheduling.
+    scheduling. One worker pool serves the whole run when
+    `parallel_workers` > 1, and each distinct genome (with its seed, when
+    that can matter) is evaluated once per run.
     """
     rng = np.random.default_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])
@@ -323,21 +371,32 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
 
     population = rng.uniform(lo, hi, size=(pop_size, n_genes))
     pop_seeds = seeds_for(0)
-    fitness = _evaluate(objective, population, list(pop_seeds), cfg.parallel_workers, 0)
 
-    writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
+    pool = (ProcessPoolExecutor(cfg.parallel_workers, initializer=_init_worker,
+                                initargs=(objective,))
+            if cfg.parallel_workers > 1 else None)
+    fitness_of: dict = {}  # at most pop_size x (max_generations + 1) entries
+    writer = None
     records: list[GenerationRecord] = []
     best_history: list[float] = []
 
-    def record_generation(gen: int):
+    def record_generation(gen: int, scored: np.ndarray, n_evaluated: int):
+        """Keep and log the population after scoring `scored`, the
+        generation's new genomes, of which `n_evaluated` were simulated."""
         rec = GenerationRecord(gen, population.copy(), fitness.copy())
         records.append(rec)
         best_history.append(rec.best_fitness)
         if writer:
             writer.write(rec)
+        log.info("generation %d: %d genomes evaluated, %d reused, %d failed (inf), "
+                 "best fitness %r", gen, n_evaluated, len(scored) - n_evaluated,
+                 int(np.isinf(scored).sum()), rec.best_fitness)
 
     try:
-        record_generation(0)
+        fitness, n_evaluated = _evaluate(objective, pool, fitness_of, population,
+                                         list(pop_seeds), 0)
+        writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
+        record_generation(0, fitness, n_evaluated)
         for gen in range(1, cfg.max_generations + 1):
             # tournament selection from the current population
             contenders = rng.integers(0, pop_size, size=(pop_size, TOURNAMENT_SIZE))
@@ -363,8 +422,8 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
             np.clip(offspring, lo, hi, out=offspring)
 
             child_seeds = seeds_for(gen)
-            child_fitness = _evaluate(objective, offspring, list(child_seeds),
-                                      cfg.parallel_workers, gen)
+            child_fitness, n_evaluated = _evaluate(objective, pool, fitness_of, offspring,
+                                                   list(child_seeds), gen)
 
             merged = np.vstack([population, offspring])
             merged_fit = np.concatenate([fitness, child_fitness])
@@ -374,7 +433,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
             fitness = merged_fit[order]
             pop_seeds = merged_seeds[order]
 
-            record_generation(gen)
+            record_generation(gen, child_fitness, n_evaluated)
 
             if len(best_history) > cfg.stall_generations:
                 recent = best_history[-(cfg.stall_generations + 1)]
@@ -382,6 +441,8 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
                     log.info("fitness stalled after generation %d; stopping", gen)
                     break
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if writer:
             writer.close()
 

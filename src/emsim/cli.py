@@ -256,6 +256,12 @@ def _load_target(path: Path) -> dict[int, dict[str, float]]:
     return target
 
 
+# GAConfig field -> the calibrate option that sets it
+_GA_OPTIONS = {"population_size": "--pop", "crossover_prob": "--cxpb",
+               "mutation_prob": "--mutpb", "max_generations": "--gens",
+               "parallel_workers": "--workers"}
+
+
 def cmd_calibrate(args) -> int:
     out = _prepare_out(args)
     inputs = {"scenario": _require_file(args.scenario),
@@ -276,15 +282,19 @@ def cmd_calibrate(args) -> int:
               else cal.longterm_layout(scenario.start_year, scenario.end_year))
     cal.check_target(bundle, layout, inputs["target"])
 
-    cfg = cal.GAConfig(
-        population_size=args.pop,
-        crossover_prob=args.cxpb,
-        mutation_prob=args.mutpb,
-        max_generations=args.gens,
-        bounds=layout.bounds,
-        seed=args.seed,
-        parallel_workers=args.workers,
-    )
+    try:
+        cfg = cal.GAConfig(
+            population_size=args.pop,
+            crossover_prob=args.cxpb,
+            mutation_prob=args.mutpb,
+            max_generations=args.gens,
+            bounds=layout.bounds,
+            seed=args.seed,
+            parallel_workers=args.workers,
+        )
+    except InputError as exc:  # GAConfig names the field; name the option too
+        option = _GA_OPTIONS.get(str(exc).split(" ", 1)[0])
+        raise CLIError(f"{option}: {exc}" if option else str(exc)) from None
     result = cal.ga_run(cfg, cal.Objective(bundle, layout),
                         log_path=out / "generation_log.csv")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import Commitment, belief_curves, candidate_menu, invest_step
+from .agents import Commitment, appraise, belief_curves, candidate_menu, invest_step
 from .ingest import CostTable, InputError, PlantRegistry, PowerPlant, ScenarioConfig
 from .market import DayDispatch, annual_totals, dispatch_year, srmc
 from .repdays import RepresentativeYear
@@ -218,11 +218,15 @@ def step_year(world: World) -> YearResult:
     if year < scenario.end_year:
         menu = candidate_menu(world.cost_table, year)
         horizon = max((c.lead_years + c.operating_years for c in menu), default=0)
+        npvs_of: dict[bytes, list[float]] = {}  # one appraisal per distinct belief set
         for index, gid in enumerate(world.genco_order()):
             s = settlements[gid]
             beliefs = belief_curves(scenario, world.seed, index, year, horizon)
+            key = beliefs.tobytes()
+            if key not in npvs_of:
+                npvs_of[key] = appraise(menu, beliefs, world.rep_year, scenario, year)
             commitment, evaluations = invest_step(
-                gid, s.funds_start + s.delta, year, menu, beliefs, world.rep_year, scenario)
+                gid, s.funds_start + s.delta, year, menu, npvs_of[key])
             investment_log.extend(evaluations)
             if commitment is not None:
                 s.capital_new += commitment.tranche

@@ -5,6 +5,7 @@ import pytest
 
 from emsim.agents import (
     InvestmentCandidate,
+    appraise,
     belief_curves,
     candidate_menu,
     expected_cashflow,
@@ -347,8 +348,8 @@ def test_candidate_menu_largest_capacity_per_type():
 
 def invest(menu, scenario, funds, rep_year=None, genco_id="g1"):
     curves = belief_curves(scenario, 0, 0, 2020, max(horizon(c) for c in menu))
-    return invest_step(genco_id, funds, 2020, menu, curves,
-                       rep_year or flat_rep_year(1000.0), scenario)
+    npvs = appraise(menu, curves, rep_year or flat_rep_year(1000.0), scenario, 2020)
+    return invest_step(genco_id, funds, 2020, menu, npvs)
 
 
 def test_invest_step_no_positive_npv():

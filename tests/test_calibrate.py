@@ -1,12 +1,20 @@
 """Mix objectives, GA behavior and forecast-metric tests."""
 
 import csv
+import logging
+import multiprocessing
+import os
 import pickle
-from dataclasses import replace
+import re
+import subprocess
+import sys
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emsim import calibrate
 from emsim.calibrate import (
     GAConfig,
     Objective,
@@ -227,6 +235,7 @@ def always_fails(genome, seed):
 def test_ga_input_error_propagates(workers):
     with pytest.raises(InputError, match="ghost"):
         ga_run(small_cfg(max_generations=2, parallel_workers=workers), input_fault)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -235,6 +244,92 @@ def test_ga_generation_without_finite_fitness_raises(workers, tmp_path):
     with pytest.raises(RuntimeError, match="generation 0"):
         ga_run(small_cfg(max_generations=2, parallel_workers=workers), always_fails,
                log_path=path)
+    assert multiprocessing.active_children() == []
+
+
+@dataclass(frozen=True)
+class FiniteForSeeds:
+    """Picklable objective that fails for every evaluation seed not listed."""
+
+    seeds: frozenset
+
+    def __call__(self, genome, seed):
+        if int(seed) not in self.seeds:
+            raise RuntimeError("boom")
+        return quadratic(genome, seed)
+
+
+def test_ga_pooled_later_generation_without_finite_fitness_raises():
+    cfg = small_cfg(max_generations=3, parallel_workers=2)
+    generation_zero = frozenset(
+        int(np.random.SeedSequence((cfg.seed, 0, i)).generate_state(1)[0])
+        for i in range(cfg.population_size))
+    with pytest.raises(RuntimeError, match="generation 1"):
+        ga_run(cfg, FiniteForSeeds(generation_zero))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+def test_ga_run_opens_at_most_one_pool(monkeypatch, workers, pools):
+    opened = []
+
+    class CountingPool(calibrate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", CountingPool)
+    result = ga_run(small_cfg(max_generations=4, stall_generations=1000,
+                              parallel_workers=workers), quadratic)
+    assert result.n_generations == 5
+    assert len(opened) == pools
+    assert multiprocessing.active_children() == []
+
+
+SPAWN_RUN = """
+import multiprocessing, pickle, sys
+import numpy as np
+from emsim.calibrate import ga_run
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    with open(sys.argv[1], "rb") as fh:
+        cfg, objective = pickle.load(fh)
+    result = ga_run(cfg, objective)
+    np.save(sys.argv[2], np.array([rec.fitnesses for rec in result.generations]))
+"""
+
+
+def test_ga_spawned_workers_match_serial(toy_bundle, tmp_path):
+    # spawn (the macOS default) starts workers from a fresh import, so
+    # they see only what the pool's initializer hands them
+    objective = Objective(toy_bundle, validation_layout())
+    cfg = small_cfg(population_size=6, max_generations=2, stall_generations=1000)
+    serial = ga_run(cfg, objective)
+    with open(tmp_path / "run.pkl", "wb") as fh:
+        pickle.dump((replace(cfg, parallel_workers=2), objective), fh)
+    src = str(Path(calibrate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    subprocess.run([sys.executable, "-c", SPAWN_RUN, str(tmp_path / "run.pkl"),
+                    str(tmp_path / "fitness.npy")], env=env, check=True, timeout=120)
+    spawned = np.load(tmp_path / "fitness.npy")
+    assert np.array_equal(spawned, np.array([rec.fitnesses for rec in serial.generations]))
+
+
+def test_ga_logs_progress_per_generation(caplog):
+    cfg = small_cfg(max_generations=4, stall_generations=1000)
+    with caplog.at_level(logging.INFO, logger="emsim.calibrate"):
+        result = ga_run(cfg, fails_above_60)
+    pattern = re.compile(r"generation (\d+): (\d+) genomes evaluated, (\d+) reused, "
+                         r"(\d+) failed \(inf\), best fitness (\S+)$")
+    lines = [pattern.match(r.getMessage()) for r in caplog.records]
+    lines = [m for m in lines if m]
+    assert [int(m[1]) for m in lines] == list(range(result.n_generations))
+    for m, rec in zip(lines, result.generations):
+        assert int(m[2]) + int(m[3]) == cfg.population_size
+        assert float(m[5]) == rec.best_fitness
+    assert int(lines[0][4]) == int(np.isinf(result.generations[0].fitnesses).sum()) > 0
 
 
 def test_ga_later_generation_without_finite_fitness_raises():
@@ -373,6 +468,56 @@ def test_objective_zero_sigma_means_shared_beliefs(toy_bundle):
     v1 = objective_longterm(genome, toy_bundle, eval_seed=1, layout=layout)
     v2 = objective_longterm(genome, toy_bundle, eval_seed=999, layout=layout)
     assert v1 == v2
+
+
+def test_objective_seed_matters_only_with_belief_noise(toy_bundle):
+    genome = np.array([0.002, 40.0])
+    objective = Objective(toy_bundle, validation_layout())
+    assert not objective.seed_matters(genome)
+    assert objective(genome, 1) == objective(genome, 999)
+    layout = longterm_layout(2020, 2023)
+    genome = np.zeros(len(layout))
+    genome[3:6] = 45.0
+    assert not Objective(toy_bundle, layout).seed_matters(genome)
+    genome[-3] = 0.0005  # sigma_m
+    assert Objective(toy_bundle, layout).seed_matters(genome)
+    noisy = replace(toy_bundle, scenario=replace(toy_bundle.scenario, sigma_c=4.0))
+    assert Objective(noisy, validation_layout()).seed_matters(np.array([0.002, 40.0]))
+
+
+def test_ga_evaluates_each_distinct_genome_once_at_zero_sigma(toy_bundle, monkeypatch):
+    calls = []
+
+    def counting(genome, bundle, eval_seed=0, layout=None):
+        calls.append(np.asarray(genome).tobytes())
+        return objective_validation(genome, bundle, eval_seed, layout)
+
+    monkeypatch.setattr(calibrate, "objective_validation", counting)
+    cfg = small_cfg(population_size=8, max_generations=5, stall_generations=1000)
+    result = ga_run(cfg, Objective(toy_bundle, validation_layout()))
+    assert len(calls) == len(set(calls))
+    assert len(calls) < cfg.population_size * (cfg.max_generations + 1)
+    for rec in result.generations:
+        for genome, fitness in zip(rec.genomes, rec.fitnesses):
+            assert fitness == objective_validation(genome, toy_bundle, 12345)
+
+
+def test_ga_evaluates_a_noisy_genome_under_each_seed(toy_bundle, monkeypatch):
+    calls = []
+
+    def counting(genome, bundle, eval_seed=0, layout=None):
+        calls.append(np.asarray(genome).tobytes())
+        return objective_longterm(genome, bundle, eval_seed, layout)
+
+    monkeypatch.setattr(calibrate, "objective_longterm", counting)
+    layout = longterm_layout(2020, 2023)
+    cfg = small_cfg(population_size=4, max_generations=2, crossover_prob=0.0,
+                    mutation_prob=0.0, bounds=layout.bounds, stall_generations=1000)
+    result = ga_run(cfg, Objective(toy_bundle, layout))
+    assert (result.generations[0].genomes[:, -3:-1] > 0).all()  # both sigma genes
+    # pure selection only copies genomes, and every copy comes with a new seed
+    assert len(set(calls)) <= cfg.population_size
+    assert len(calls) == cfg.population_size * (cfg.max_generations + 1)
 
 
 # ---------------------------------------------------------------------------

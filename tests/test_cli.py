@@ -322,6 +322,26 @@ def test_calibrate_without_a_finite_fitness_exits_two(tmp_path, capsys, monkeypa
     assert not (out / "best.csv").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--workers", "0", "parallel_workers must be >= 1 (got 0)"),
+    ("--workers", "-2", "parallel_workers must be >= 1 (got -2)"),
+    ("--gens", "-3", "max_generations must be >= 0 (got -3)"),
+])
+def test_calibrate_invalid_ga_size_exits_one(tmp_path, capsys, option, value, message):
+    paths = _write_sim_inputs(tmp_path)
+    target = tmp_path / "target.csv"
+    write_target_csv(target, {2023: ALL_TYPES})
+    out = tmp_path / "out"
+    args = {"--pop": "4", "--gens": "1", "--workers": "1", option: value}
+    rc = main(["calibrate", "validation", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--target", str(target),
+               *[item for pair in args.items() for item in pair], "--out", str(out)])
+    assert rc == 1
+    assert f"error: {option}: {message}" in capsys.readouterr().err
+    assert not (out / "generation_log.csv").exists()
+
+
 @pytest.mark.parametrize("bad_row", ["2023,coal,lots", "twenty,coal,0.3"])
 def test_calibrate_non_numeric_target_exits_one(tmp_path, capsys, bad_row):
     rc, _ = _calibrate(tmp_path, f"year,type,share\n2023,CCGT,0.3\n{bad_row}\n",

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from emsim import agents
+from emsim.agents import belief_curves, candidate_menu, expected_cashflow, npv
 from emsim.engine import evaluate_mix, init_world, run, step_year
 from emsim.ingest import InputError, PlantRegistry, ScenarioConfig
 from emsim.repdays import DAYS_PER_YEAR
@@ -232,6 +234,39 @@ def test_money_conservation_per_genco(sigma_c, seed, opening, price_cap):
             new[commitment.plant.owner_id] += commitment.tranche
         assert {gid: s.capital_new for gid, s in result.settlements.items()} == new
     assert world.funds == funds
+
+
+@pytest.mark.parametrize("sigma_c, appraisals_per_year", [(0.0, 1), (4.0, 2)])
+def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_per_year):
+    calls = []
+
+    def counting(candidate, curves, rep_year, scenario, commit_year):
+        calls.append(commit_year)
+        return expected_cashflow(candidate, curves, rep_year, scenario, commit_year)
+
+    monkeypatch.setattr(agents, "expected_cashflow", counting)
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 50.0),
+                                 "sigma_c": sigma_c})
+    world = init_world(scenario, registry, rep, table, seed=3)
+    sim = run(world, 5)
+    menu_size = len(candidate_menu(table, 2020))
+    investing = range(2020, 2024)
+    # two GenCos: byte-equal beliefs at zero sigma share one appraisal
+    assert calls == [y for y in investing for _ in range(menu_size * appraisals_per_year)]
+    assert any(r.investments for r in sim.years)
+    # every logged NPV is the GenCo's own appraisal, bit for bit
+    for result in sim.years[:-1]:
+        menu = candidate_menu(table, result.year)
+        horizon = max(c.lead_years + c.operating_years for c in menu)
+        gencos = sorted(result.settlements)
+        assert len(result.investment_log) == len(gencos) * len(menu)
+        for ev in result.investment_log:
+            beliefs = belief_curves(scenario, 3, gencos.index(ev.genco_id), result.year,
+                                    horizon)
+            cand = next(c for c in menu if c.plant_type == ev.plant_type)
+            assert ev.npv == npv(expected_cashflow(cand, beliefs, rep, scenario, result.year),
+                                 scenario.discount_rate)
 
 
 def test_affordability_counts_the_years_settlement():
