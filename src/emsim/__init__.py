@@ -44,7 +44,6 @@ from .agents import (  # noqa: F401
     npv,
 )
 from .engine import (  # noqa: F401
-    SimulationResult,
     World,
     YearResult,
     init_world,

@@ -141,7 +141,12 @@ def _mix_error(genome, bundle: ScenarioBundle, eval_seed: int, layout: GenomeLay
     scenario = replace(bundle.scenario, **layout.decode(genome))
     world = init_world(scenario, bundle.registry, bundle.rep_year,
                        bundle.cost_table, seed=eval_seed)
-    trajectory = run(world, scenario.end_year - scenario.start_year + 1).mix_trajectory()
+    trajectory: dict[int, dict[str, float]] = {}
+
+    def keep_mix(result) -> None:
+        trajectory[result.year] = result.objective_mix()
+
+    run(world, scenario.end_year - scenario.start_year + 1, keep_mix)
     years = layout.scored_years(scenario, bundle.include_first_year)
     return mix_error_longterm({y: trajectory[y] for y in years},
                               {y: bundle.target[y] for y in years})

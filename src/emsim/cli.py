@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -250,7 +251,13 @@ def _load_target(path: Path) -> dict[int, dict[str, float]]:
                 year, share = int(row["year"]), float(row["share"])
             except (TypeError, ValueError):
                 raise InputError(f"{path}: non-numeric year or share (row {row_no})") from None
-            target.setdefault(year, {})[row["type"]] = share
+            if not (math.isfinite(share) and share >= 0.0):
+                raise InputError(f"{path}: share must be finite and >= 0 (row {row_no})")
+            shares = target.setdefault(year, {})
+            if row["type"] in shares:
+                raise InputError(
+                    f"{path}: duplicate year {year} type {row['type']!r} (row {row_no})")
+            shares[row["type"]] = share
     if not target:
         raise InputError(f"{path}: empty target trajectory")
     return target

@@ -90,15 +90,6 @@ class YearResult:
 
 
 @dataclass
-class SimulationResult:
-    years: list[YearResult]
-    initial_mix: dict[str, float] | None = None
-
-    def mix_trajectory(self) -> dict[int, dict[str, float]]:
-        return {yr.year: yr.objective_mix() for yr in self.years}
-
-
-@dataclass
 class World:
     year: int
     scenario: ScenarioConfig
@@ -146,15 +137,6 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     )
 
 
-def _dispatch(world: World, plants: list[PowerPlant], year: int):
-    """Bid prices of `plants` and their clearings on every representative
-    day of `year`."""
-    scenario = world.scenario
-    costs = [srmc(p, scenario, year) for p in plants]
-    return costs, dispatch_year(plants, costs, world.rep_year, scenario.price_cap,
-                                scenario.demand_scale_at(year))
-
-
 def _mix(plants: list[PowerPlant], energy: list[float]):
     """Served energy per plant type and each type's share of the total
     (no shares when nothing was served)."""
@@ -190,7 +172,9 @@ def step_year(world: World) -> YearResult:
 
     # 2. dispatch
     operating = world.operating_plants()
-    costs, days = _dispatch(world, operating, year)
+    costs = [srmc(p, scenario, year) for p in operating]
+    days = dispatch_year(operating, costs, world.rep_year, scenario.price_cap,
+                         scenario.demand_scale_at(year))
     energy, revenue, subsidy, unserved = annual_totals(operating, days,
                                                        scenario.nuclear_subsidy)
 
@@ -266,26 +250,10 @@ def step_year(world: World) -> YearResult:
     )
 
 
-def evaluate_mix(world: World) -> dict[str, float]:
-    """Current-fleet mix from a pure dispatch pass (no settlement, no
-    mutation)."""
-    operating = world.operating_plants()
-    _, days = _dispatch(world, operating, world.year)
-    return _mix(operating, annual_totals(operating, days)[0])[1]
-
-
-def run(world: World, horizon: int, sink=None) -> SimulationResult:
-    """Simulate `horizon` years, persisting each YearResult through the
-    optional sink callback as soon as it is complete. A zero horizon
-    reports only the initial fleet's mix."""
-    if horizon < 0:
-        raise InputError("horizon must be >= 0")
-    if horizon == 0:
-        return SimulationResult(years=[], initial_mix=evaluate_mix(world))
-    results = []
+def run(world: World, horizon: int, sink) -> None:
+    """Simulate `horizon` years, handing each YearResult to `sink` as
+    soon as it is complete; nothing else keeps it."""
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1 (got {horizon})")
     for _ in range(horizon):
-        result = step_year(world)
-        results.append(result)
-        if sink is not None:
-            sink(result)
-    return SimulationResult(years=results)
+        sink(step_year(world))

@@ -32,9 +32,7 @@ PLANT_TYPES = frozenset({
     "CCGT", "Coal", "Nuclear", "OCGT", "Offshore", "Onshore", "PV",
     "Hydro", "RecipDiesel", "RecipGas",
 })
-# Plants whose hourly availability follows a capacity-factor series.
-INTERMITTENT_TYPES = frozenset({"Offshore", "Onshore", "PV"})
-# Series that drives each intermittent type.
+# Capacity-factor series that drives each intermittent plant type.
 CF_SERIES = {"Offshore": "offshore_cf", "Onshore": "onshore_cf", "PV": "solar_cf"}
 
 
@@ -425,10 +423,6 @@ class PowerPlant:
             raise InputError(f"plant {self.plant_id}: capacity must be > 0")
 
     @property
-    def is_intermittent(self) -> bool:
-        return self.plant_type in INTERMITTENT_TYPES
-
-    @property
     def cf_series(self) -> str | None:
         return CF_SERIES.get(self.plant_type)
 
@@ -437,10 +431,6 @@ class PowerPlant:
 class PlantRegistry:
     plants: tuple[PowerPlant, ...]
     funds: dict[str, float]  # owner id -> opening funds
-
-    @property
-    def owner_ids(self) -> list[str]:
-        return sorted(self.funds)
 
 
 def load_plant_registry(path, cost_table: CostTable) -> PlantRegistry:

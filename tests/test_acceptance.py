@@ -216,10 +216,11 @@ def test_criterion_10_transition_behavior():
     with Budget(10, 120.0, "rising carbon price moves coal share to gas from year 3"):
         scenario, registry, rep = transition_scenario()
         world = init_world(scenario, registry, rep, bundled_cost_table())
-        sim = run(world, 6)
-        coal = [r.objective_mix()["coal"] for r in sim.years]
-        gas = [r.objective_mix()["CCGT"] for r in sim.years]
-        for i in range(2, len(sim.years)):
+        years = []
+        run(world, 6, years.append)
+        coal = [r.objective_mix()["coal"] for r in years]
+        gas = [r.objective_mix()["CCGT"] for r in years]
+        for i in range(2, len(years)):
             assert coal[i] < coal[i - 1]
             assert gas[i] > gas[i - 1]
 

@@ -430,7 +430,9 @@ def test_objective_validation_scores_final_year(toy_bundle):
     scenario = replace(toy_bundle.scenario, **validation_layout().decode(genome))
     world = init_world(scenario, toy_bundle.registry, toy_bundle.rep_year,
                        toy_bundle.cost_table, seed=9)
-    final = run(world, 4).years[-1]
+    years = []
+    run(world, 4, years.append)
+    final = years[-1]
     expected = mix_error_validation(final.objective_mix(), toy_bundle.target[final.year])
     assert objective_validation(genome, toy_bundle, eval_seed=9) == expected
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emsim
 from emsim import repdays
 from emsim.cli import main
 from emsim.ingest import SERIES_NAMES, load_hourly_series
@@ -312,7 +317,7 @@ def test_calibrate_input_error_inside_evaluation_exits_one(tmp_path, capsys, wor
 
 
 def test_calibrate_without_a_finite_fitness_exits_two(tmp_path, capsys, monkeypatch):
-    def broken_run(world, horizon, sink=None):
+    def broken_run(world, horizon, sink):
         raise RuntimeError("engine broke")
 
     monkeypatch.setattr("emsim.calibrate.run", broken_run)
@@ -351,6 +356,22 @@ def test_calibrate_non_numeric_target_exits_one(tmp_path, capsys, bad_row):
     assert "target.csv" in err and "row 3" in err
 
 
+@pytest.mark.parametrize("coal_rows, message", [
+    ("2023,coal,nan", "share must be finite and >= 0 (row 6)"),
+    ("2023,coal,inf", "share must be finite and >= 0 (row 6)"),
+    ("2023,coal,-5", "share must be finite and >= 0 (row 6)"),
+    ("2023,coal,0.3\n2023,coal,0.4", "duplicate year 2023 type 'coal' (row 7)"),
+])
+def test_calibrate_bad_target_share_exits_one(tmp_path, capsys, coal_rows, message):
+    rows = [f"2023,{t},{v}" for t, v in ALL_TYPES.items() if t != "coal"]
+    rc, out = _calibrate(tmp_path, "\n".join(["year,type,share", *rows, coal_rows, ""]),
+                         "validation")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "target.csv" in err and message in err
+    assert not (out / "best.csv").exists()
+
+
 def test_metrics_end_to_end(tmp_path):
     observed = {2013: {"coal": 0.5, "CCGT": 0.3}, 2014: {"coal": 0.4, "CCGT": 0.35},
                 2015: {"coal": 0.3, "CCGT": 0.4}}
@@ -368,19 +389,28 @@ def test_metrics_end_to_end(tmp_path):
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
+    # the second run is a separate process with another string-hash seed
     paths = _write_sim_inputs(tmp_path)
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = main(["simulate", "--scenario", str(paths["scenario"]),
-                   "--registry", str(paths["registry"]),
-                   "--repdays", str(paths["repdays"]),
-                   "--costs", str(paths["costs"]),
-                   "--seed", "9", "--out", str(out)])
+        args = ["simulate", "--scenario", str(paths["scenario"]),
+                "--registry", str(paths["registry"]),
+                "--repdays", str(paths["repdays"]),
+                "--costs", str(paths["costs"]),
+                "--seed", "9", "--dispatch-log", "--out", str(out)]
+        if name == "a":
+            rc = main(args)
+        else:
+            hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+            path = os.pathsep.join([str(Path(emsim.__file__).parents[1]),
+                                    os.environ.get("PYTHONPATH", "")])
+            rc = subprocess.run([sys.executable, "-m", "emsim.cli", *args],
+                                env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                                     "PYTHONPATH": path}).returncode
         assert rc == 0
-        outputs.append((out / "mix_by_year.csv").read_bytes()
-                       + (out / "funds_by_year.csv").read_bytes()
-                       + (out / "investments.csv").read_bytes())
+        outputs.append([(out / f).read_bytes() for f in (
+            "mix_by_year.csv", "funds_by_year.csv", "investments.csv", "dispatch_log.csv")])
     assert outputs[0] == outputs[1]
 
 

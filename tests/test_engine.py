@@ -1,11 +1,13 @@
 """World lifecycle, settlement and yearly-loop tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from emsim import agents
 from emsim.agents import belief_curves, candidate_menu, expected_cashflow, npv
-from emsim.engine import evaluate_mix, init_world, run, step_year
+from emsim.engine import init_world, run, step_year
 from emsim.ingest import InputError, PlantRegistry, ScenarioConfig
 from emsim.repdays import DAYS_PER_YEAR
 from toys import (
@@ -159,16 +161,30 @@ def test_missing_scenario_year():
 
 def test_run_six_years():
     world = nuclear_world(years=(2013, 2018))
-    sim = run(world, 6)
-    assert [r.year for r in sim.years] == list(range(2013, 2019))
+    years = []
+    run(world, 6, years.append)
+    assert [r.year for r in years] == list(range(2013, 2019))
 
 
-def test_run_zero_horizon_initial_mix_only():
+def test_run_rejects_a_horizon_below_one():
     world = nuclear_world()
-    sim = run(world, 0)
-    assert sim.years == []
-    assert sim.initial_mix == {"Nuclear": 1.0}
+    with pytest.raises(InputError, match="horizon must be >= 1"):
+        run(world, 0, lambda result: None)
     assert world.year == 2020  # untouched
+
+
+def test_run_keeps_no_year():
+    world = nuclear_world(years=(2020, 2023))
+    previous = []
+
+    def sink(result):
+        # the loop drops each year once its sink returns
+        if previous:
+            assert previous[-1]() is None
+        previous.append(weakref.ref(result))
+
+    run(world, 4, sink)
+    assert len(previous) == 4
 
 
 def test_run_deterministic_replay():
@@ -178,11 +194,12 @@ def test_run_deterministic_replay():
                                      "price_curve": (0.001, 40.0),
                                      "sigma_c": 0.5})
         world = init_world(scenario, registry, rep, table, seed=11)
-        sim = run(world, 4)
+        years = []
+        run(world, 4, years.append)
         return [
             (r.year, sorted(r.energy_mwh.items()), sorted(r.funds.items()),
              r.prices.tolist(), [c.plant.plant_id for c in r.investments])
-            for r in sim.years
+            for r in years
         ]
 
     assert collect() == collect()
@@ -192,8 +209,9 @@ def test_money_conservation_ledger():
     scenario, registry, rep, table = invest_scenario()
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 30.0)})
     world = init_world(scenario, registry, rep, table, seed=5)
-    sim = run(world, 4)
-    for result in sim.years:
+    years = []
+    run(world, 4, years.append)
+    for result in years:
         for gid, s in result.settlements.items():
             # exact replay: funds_end was computed as funds_start + delta
             assert s.funds_end == s.funds_start + s.delta
@@ -212,10 +230,11 @@ def test_money_conservation_per_genco(sigma_c, seed, opening, price_cap):
     if opening is not None:
         registry = PlantRegistry(plants=registry.plants, funds=dict(zip(("g1", "g2"), opening)))
     world = init_world(scenario, registry, rep, table, seed=seed)
-    sim = run(world, 8)
-    assert len({c.plant.owner_id for r in sim.years for c in r.investments}) == 2
+    years = []
+    run(world, 8, years.append)
+    assert len({c.plant.owner_id for r in years for c in r.investments}) == 2
     funds = dict(registry.funds)
-    for result in sim.years:
+    for result in years:
         # each year opens with the funds the previous year closed with
         assert {gid: s.funds_start for gid, s in result.settlements.items()} == funds
         funds = {gid: s.funds_end for gid, s in result.settlements.items()}
@@ -249,14 +268,15 @@ def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 50.0),
                                  "sigma_c": sigma_c})
     world = init_world(scenario, registry, rep, table, seed=3)
-    sim = run(world, 5)
+    years = []
+    run(world, 5, years.append)
     menu_size = len(candidate_menu(table, 2020))
     investing = range(2020, 2024)
     # two GenCos: byte-equal beliefs at zero sigma share one appraisal
     assert calls == [y for y in investing for _ in range(menu_size * appraisals_per_year)]
-    assert any(r.investments for r in sim.years)
+    assert any(r.investments for r in years)
     # every logged NPV is the GenCo's own appraisal, bit for bit
-    for result in sim.years[:-1]:
+    for result in years[:-1]:
         menu = candidate_menu(table, result.year)
         horizon = max(c.lead_years + c.operating_years for c in menu)
         gencos = sorted(result.settlements)
@@ -287,17 +307,18 @@ def test_investment_lifecycle():
     scenario, registry, rep, table = invest_scenario()
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 60.0)})
     world = init_world(scenario, registry, rep, table, seed=7)
-    sim = run(world, 4)
-    committed = [c for r in sim.years for c in r.investments]
+    years = []
+    run(world, 4, years.append)
+    committed = [c for r in years for c in r.investments]
     assert committed, "high flat price should trigger at least one investment"
     first = committed[0]
     assert first.plant.status == "operating"
     assert first.tranches_left == 0
-    assert first.plant.plant_id in {pid for r in sim.years for pid in r.activated}
+    assert first.plant.plant_id in {pid for r in years for pid in r.activated}
     # every tranche paid shows up in the settlements: total capital across
     # all companies equals the committed capital minus what is still owed
     paid = sum(s.capital_new + s.capital_existing
-               for r in sim.years for s in r.settlements.values())
+               for r in years for s in r.settlements.values())
     expected = 0.0
     for c in committed:
         costs = c.plant.costs
@@ -310,9 +331,10 @@ def test_investment_lifecycle():
 def test_transition_coal_to_gas():
     scenario, registry, rep = transition_scenario()
     world = init_world(scenario, registry, rep, _empty_cost_table())
-    sim = run(world, 6)
-    coal = [r.objective_mix()["coal"] for r in sim.years]
-    gas = [r.objective_mix()["CCGT"] for r in sim.years]
+    years = []
+    run(world, 6, years.append)
+    coal = [r.objective_mix()["coal"] for r in years]
+    gas = [r.objective_mix()["CCGT"] for r in years]
     # crossover begins in the third simulated year
     assert coal[0] == coal[1] == 1.0
     for i in range(2, 6):
@@ -322,27 +344,19 @@ def test_transition_coal_to_gas():
     assert gas[-1] == 1.0
 
 
-def test_evaluate_mix_is_pure():
-    world = nuclear_world()
-    before = world.year
-    mix = evaluate_mix(world)
-    assert mix == {"Nuclear": 1.0}
-    assert world.year == before
-    assert world.funds == {"g1": 0.0}
-
-
 def test_energy_balance_every_year_with_scaled_demand_and_shortfall():
     scenario, registry, rep, table = invest_scenario()
     scale = {2020: 0.8, 2021: 1.0, 2022: 1.7, 2023: 1.25}
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 40.0),
                                  "demand_scale": scale})
     world = init_world(scenario, registry, rep, table, seed=5)
-    sim = run(world, 4)
-    assert [r.year for r in sim.years] == [2020, 2021, 2022, 2023]
-    assert any(r.unserved_mwh > 0.0 for r in sim.years), "no shortfall year"
-    assert any(r.unserved_mwh == 0.0 for r in sim.years), "no fully served year"
+    years = []
+    run(world, 4, years.append)
+    assert [r.year for r in years] == [2020, 2021, 2022, 2023]
+    assert any(r.unserved_mwh > 0.0 for r in years), "no shortfall year"
+    assert any(r.unserved_mwh == 0.0 for r in years), "no fully served year"
     base = float(rep.series("demand") @ rep.hour_weights)
-    for result in sim.years:
+    for result in years:
         served = sum(result.energy_mwh.values())
         expected = scenario.demand_scale_at(result.year) * base
         assert served + result.unserved_mwh == pytest.approx(expected, rel=1e-9)
