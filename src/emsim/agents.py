@@ -73,11 +73,11 @@ class InvestmentCandidate:
         return max(1, self.lead_years)
 
 
-def candidate_menu(cost_table, year: int, plant_types=None) -> list[InvestmentCandidate]:
-    """One candidate per type: the largest capacity the table offers,
-    costed by lookup at the given year."""
+def candidate_menu(cost_table, year: int) -> list[InvestmentCandidate]:
+    """One candidate per type in the table: the largest capacity it
+    offers, costed by lookup at the given year."""
     menu = []
-    for ptype in sorted(plant_types) if plant_types else cost_table.types():
+    for ptype in cost_table.types():
         caps = [k[1] for k in cost_table.keys_for(ptype)]
         capacity = max(caps)
         costs = cost_table.lookup(ptype, capacity, year)

@@ -27,25 +27,23 @@ log = logging.getLogger(__name__)
 # Mix error objectives
 
 
-def mix_error_validation(simulated: dict[str, float], target: dict[str, float],
-                         types=OBJECTIVE_TYPES) -> float:
+def mix_error_validation(simulated: dict[str, float], target: dict[str, float]) -> float:
     """Mean absolute share error over the generation-type set."""
-    for t in types:
+    for t in OBJECTIVE_TYPES:
         if t not in simulated:
             raise InputError(f"simulated mix missing type '{t}'")
         if t not in target:
             raise InputError(f"target mix missing type '{t}'")
-    return sum(abs(target[t] - simulated[t]) for t in types) / len(types)
+    return sum(abs(target[t] - simulated[t]) for t in OBJECTIVE_TYPES) / len(OBJECTIVE_TYPES)
 
 
 def mix_error_longterm(simulated: dict[int, dict[str, float]],
-                       target: dict[int, dict[str, float]],
-                       types=OBJECTIVE_TYPES) -> float:
+                       target: dict[int, dict[str, float]]) -> float:
     """Sum over years of the per-year mix error."""
     if set(simulated) != set(target):
         raise InputError(
             f"simulated years {sorted(simulated)} != target years {sorted(target)}")
-    return sum(mix_error_validation(simulated[y], target[y], types) for y in sorted(simulated))
+    return sum(mix_error_validation(simulated[y], target[y]) for y in sorted(simulated))
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +93,32 @@ class GenomeLayout:
         return list(range(first, scenario.end_year + 1))
 
 
-def validation_layout(m_bounds=(0.0, 0.004), c_bounds=(-30.0, 100.0)) -> GenomeLayout:
+# Gene bounds: (lower, upper) of each gene kind.
+VALIDATION_M_BOUNDS = (0.0, 0.004)
+VALIDATION_C_BOUNDS = (-30.0, 100.0)
+LONGTERM_M_BOUNDS = (0.0, 0.003)
+LONGTERM_C_BOUNDS = (-30.0, 50.0)
+SIGMA_BOUNDS = (0.0, 0.001)
+SUBSIDY_BOUNDS = (0.0, 300.0)
+
+
+def validation_layout() -> GenomeLayout:
     """Two genes: the slope and intercept of a single price curve."""
     return GenomeLayout(
         kind="validation",
         gene_names=("m", "c"),
-        bounds=(tuple(m_bounds), tuple(c_bounds)),
+        bounds=(VALIDATION_M_BOUNDS, VALIDATION_C_BOUNDS),
     )
 
 
-def longterm_layout(start_year: int, end_year: int,
-                    m_bounds=(0.0, 0.003), c_bounds=(-30.0, 50.0),
-                    sigma_bounds=(0.0, 0.001),
-                    subsidy_bounds=(0.0, 300.0)) -> GenomeLayout:
+def longterm_layout(start_year: int, end_year: int) -> GenomeLayout:
     """One curve per investing year (every simulated year except the
     last) plus belief noise and the nuclear subsidy."""
     years = tuple(range(start_year, end_year))
     names = tuple(f"m_{y}" for y in years) + tuple(f"c_{y}" for y in years) \
         + ("sigma_m", "sigma_c", "nuclear_subsidy")
-    bounds = (tuple(m_bounds),) * len(years) + (tuple(c_bounds),) * len(years) \
-        + (tuple(sigma_bounds), tuple(sigma_bounds), tuple(subsidy_bounds))
+    bounds = (LONGTERM_M_BOUNDS,) * len(years) + (LONGTERM_C_BOUNDS,) * len(years) \
+        + (SIGMA_BOUNDS, SIGMA_BOUNDS, SUBSIDY_BOUNDS)
     return GenomeLayout(kind="longterm", gene_names=names, bounds=bounds,
                         curve_years=years)
 

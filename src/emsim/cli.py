@@ -224,6 +224,9 @@ def cmd_simulate(args) -> int:
     started = _write_manifest(out, "simulate", args, inputs)
 
     scenario, cost_table, registry, rep = _load_bundle_inputs(args)
+    if args.seed is None:
+        args.seed = scenario.rng_seed
+        _write_manifest(out, "simulate", args, inputs, started=started)
     world = engine.init_world(scenario, registry, rep, cost_table, seed=args.seed)
     horizon = scenario.end_year - scenario.start_year + 1
     sink = _DispatchLogSink(out, args.dispatch_log)
@@ -369,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--registry", required=True)
     p.add_argument("--repdays", required=True)
     p.add_argument("--costs", help="cost table CSV (default: bundled tables)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default: the scenario's rng_seed")
     p.add_argument("--dispatch-log", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

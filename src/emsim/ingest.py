@@ -48,30 +48,28 @@ class InputError(ValueError):
 class TimeSeriesSet:
     """Aligned hourly series over complete days only.
 
-    All arrays share one length which is a multiple of 24; demand is in
-    MW, the three capacity-factor series are in [0, 1].
+    `values[s]` is series `SERIES_NAMES[s]`, one column per timestamp;
+    the hour count is a multiple of 24. Demand is in MW, the three
+    capacity-factor series are in [0, 1].
     """
 
     timestamps: np.ndarray  # datetime64[s]
-    demand: np.ndarray
-    solar_cf: np.ndarray
-    onshore_cf: np.ndarray
-    offshore_cf: np.ndarray
+    values: np.ndarray      # (4, hours)
     dropped_hours: int = 0
     rejected_rows: int = 0
 
     def __post_init__(self):
         n = len(self.timestamps)
-        for name in SERIES_NAMES:
-            if len(getattr(self, name)) != n:
-                raise InputError(f"series '{name}' length != timestamp length")
+        if self.values.shape != (len(SERIES_NAMES), n):
+            raise InputError(f"series block shape {self.values.shape} != "
+                             f"({len(SERIES_NAMES)}, {n} timestamps)")
         if n % HOURS_PER_DAY != 0:
             raise InputError("series length is not a whole number of days")
         for name in ("solar_cf", "onshore_cf", "offshore_cf"):
-            v = getattr(self, name)
+            v = self.series(name)
             if len(v) and (v.min() < 0.0 or v.max() > 1.0):
                 raise InputError(f"capacity factor out of [0, 1] in '{name}'")
-        if n and self.demand.min() < 0.0:
+        if n and self.series("demand").min() < 0.0:
             raise InputError("negative demand")
 
     @property
@@ -83,9 +81,7 @@ class TimeSeriesSet:
         return self.n_hours // HOURS_PER_DAY
 
     def series(self, name: str) -> np.ndarray:
-        if name not in SERIES_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
+        return self.values[SERIES_NAMES.index(name)]
 
 
 def _parse_float(text: str, path, row_no: int, col: str) -> float:
@@ -165,10 +161,7 @@ def load_hourly_series(path) -> TimeSeriesSet:
 
     return TimeSeriesSet(
         timestamps=ts_arr[keep],
-        demand=val_arr[keep, 0],
-        solar_cf=val_arr[keep, 1],
-        onshore_cf=val_arr[keep, 2],
-        offshore_cf=val_arr[keep, 3],
+        values=np.ascontiguousarray(val_arr[keep].T),
         dropped_hours=dropped,
         rejected_rows=rejected,
     )
@@ -176,19 +169,17 @@ def load_hourly_series(path) -> TimeSeriesSet:
 
 def _complete_day_mask(timestamps: np.ndarray) -> np.ndarray:
     """True for hours belonging to a calendar day with all 24 hours present."""
-    keep = np.zeros(len(timestamps), dtype=bool)
-    if not len(timestamps):
-        return keep
+    n = len(timestamps)
+    if not n:
+        return np.zeros(0, dtype=bool)
     days = timestamps.astype("datetime64[D]")
     hours = (timestamps - days).astype("timedelta64[h]").astype(int)
-    start = 0
-    for i in range(1, len(timestamps) + 1):
-        if i == len(timestamps) or days[i] != days[start]:
-            block_hours = hours[start:i]
-            if len(block_hours) == HOURS_PER_DAY and block_hours[0] == 0 and np.all(np.diff(block_hours) == 1):
-                keep[start:i] = True
-            start = i
-    return keep
+    starts = np.flatnonzero(np.r_[True, days[1:] != days[:-1]])
+    lengths = np.diff(np.r_[starts, n])
+    # a day run is complete when it holds 24 stamps reading hours 0..23 in order
+    on_clock = hours == np.arange(n) - np.repeat(starts, lengths)
+    complete = (lengths == HOURS_PER_DAY) & np.logical_and.reduceat(on_clock, starts)
+    return np.repeat(complete, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -66,19 +66,15 @@ class DayMatrix:
 
 
 def build_day_matrix(ts: TimeSeriesSet) -> DayMatrix:
-    """Stack each complete day's 4 series into one 96-vector row."""
+    """Lay each complete day's 4 series side by side in one 96-vector row."""
     if ts.n_days == 0:
         raise InputError("time series contains no complete days")
 
-    raw = np.empty((ts.n_days, DAY_VECTOR_LEN))
-    offsets = np.empty(N_SERIES)
-    scales = np.empty(N_SERIES)
-    for s, name in enumerate(SERIES_NAMES):
-        v = ts.series(name)
-        raw[:, s * HOURS_PER_DAY:(s + 1) * HOURS_PER_DAY] = v.reshape(ts.n_days, HOURS_PER_DAY)
-        offsets[s] = v.mean()
-        sd = v.std()
-        scales[s] = sd if sd > 0 else 1.0  # zero variance: columns become 0
+    by_day = ts.values.reshape(N_SERIES, ts.n_days, HOURS_PER_DAY).transpose(1, 0, 2)
+    raw = by_day.reshape(ts.n_days, DAY_VECTOR_LEN)  # a copy: rows are days
+    offsets = ts.values.mean(axis=1)
+    sd = ts.values.std(axis=1)
+    scales = np.where(sd > 0, sd, 1.0)  # zero variance: columns become 0
 
     normalized = raw.reshape(ts.n_days, N_SERIES, HOURS_PER_DAY) - offsets[:, None]
     normalized /= scales[:, None]
@@ -98,10 +94,6 @@ class Clustering:
     weights: np.ndarray       # (k,) cluster share of days, sums to 1
     medoid_rows: np.ndarray   # (k,) day-matrix row index of each medoid
     inertia_history: tuple[float, ...]  # within-cluster SSE per Lloyd iteration
-
-    @property
-    def inertia(self) -> float:
-        return self.inertia_history[-1]
 
 
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -128,22 +120,28 @@ def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
-def _repair_empty(x, centroids, labels):
-    """Reseed each empty cluster with the point farthest from its centroid."""
+def _assign(x, centroids):
+    """Nearest-centroid labels and the distances they were read from.
+
+    Each empty cluster is reseeded (in place) with the point farthest
+    from its own centroid and every point is reassigned; the returned
+    (points, k) distances belong to the final centroids.
+    """
     k = len(centroids)
+    d2 = _sq_distances(x, centroids)
+    labels = np.argmin(d2, axis=1)
     for _ in range(k):
-        counts = np.bincount(labels, minlength=k)
-        empties = np.flatnonzero(counts == 0)
+        empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
         if not len(empties):
-            return labels
-        dist_own = _sq_distances(x, centroids)[np.arange(len(x)), labels]
+            break
+        dist_own = d2[np.arange(len(x)), labels]
         for cid in empties:
             far = int(np.argmax(dist_own))
             centroids[cid] = x[far]
-            labels[far] = cid
             dist_own[far] = -np.inf  # don't reuse for another empty cluster
-        labels = np.argmin(_sq_distances(x, centroids), axis=1)
-    return labels
+        d2 = _sq_distances(x, centroids)
+        labels = np.argmin(d2, axis=1)
+    return labels, d2
 
 
 def kmeans(dm: DayMatrix, k: int, seed=0) -> Clustering:
@@ -157,29 +155,27 @@ def kmeans(dm: DayMatrix, k: int, seed=0) -> Clustering:
     if not 1 <= k <= dm.n_days:
         raise InputError(f"k={k} outside [1, {dm.n_days}]")
     x = dm.normalized
+    rows = np.arange(len(x))
     rng = np.random.default_rng(seed)
     centroids = _init_centroids(x, k, rng)
 
-    labels = np.argmin(_sq_distances(x, centroids), axis=1)
-    labels = _repair_empty(x, centroids, labels)
-    history = [float(_sq_distances(x, centroids)[np.arange(len(x)), labels].sum())]
+    labels, d2 = _assign(x, centroids)
+    history = [float(d2[rows, labels].sum())]
 
     for _ in range(MAX_ITER):
         new_centroids = np.empty_like(centroids)
         for cid in range(k):
             new_centroids[cid] = x[labels == cid].mean(axis=0)
-        new_labels = np.argmin(_sq_distances(x, new_centroids), axis=1)
-        new_labels = _repair_empty(x, new_centroids, new_labels)
-        history.append(float(_sq_distances(x, new_centroids)[np.arange(len(x)), new_labels].sum()))
+        labels, d2 = _assign(x, new_centroids)
+        history.append(float(d2[rows, labels].sum()))
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids, labels = new_centroids, new_labels
+        centroids = new_centroids
         if shift < TOL:
             break
 
     counts = np.bincount(labels, minlength=k)
     weights = counts / dm.n_days
     medoids = np.empty(k, dtype=int)
-    d2 = _sq_distances(x, centroids)
     for cid in range(k):
         members = np.flatnonzero(labels == cid)
         medoids[cid] = members[np.argmin(d2[members, cid])]  # argmin: lowest index wins ties
@@ -397,9 +393,8 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
     dm = build_day_matrix(ts)
     if ks[-1] > dm.n_days:
         raise InputError(f"max k {ks[-1]} exceeds day count {dm.n_days}")
-    observed_values = np.stack([ts.series(name) for name in SERIES_NAMES])
-    _check_varies(observed_values, "the observed data")
-    observed = summarize(observed_values, np.ones(ts.n_hours))
+    _check_varies(ts.values, "the observed data")
+    observed = summarize(ts.values, np.ones(ts.n_hours))
     rows = []
     for k in ks:
         clustering = kmeans(dm, k, seed=[_seed_int(seed), k, code])

@@ -96,7 +96,7 @@ def test_criterion_02_metric_zeroes_and_identities():
         assert ree_av(observed, observed) == 0.0
         assert nrmse_av(observed, observed) == 0.0
         assert ce_av(observed, observed) == 0.0
-        s = ts.demand[:500]
+        s = ts.series("demand")[:500]
         assert pearson(s, s) == pytest.approx(1.0, abs=1e-12)
         assert pearson(s, -s) == pytest.approx(-1.0, abs=1e-12)
 

@@ -122,7 +122,7 @@ def test_repdays_bad_sweep_exits_one(tmp_path, capsys, sweep, bad):
 
 def test_repdays_constant_series_named(tmp_path, capsys):
     ts = synthetic_ts(20, seed=1)
-    ts.offshore_cf[:] = 0.0
+    ts.series("offshore_cf")[:] = 0.0
     data = tmp_path / "hourly.csv"
     write_hourly_csv(data, ts)
     out = tmp_path / "out"
@@ -175,6 +175,23 @@ def test_simulate_end_to_end(tmp_path):
     assert {r["genco_id"] for r in funds} == {"g1", "g2"}
     assert (out / "investments.csv").exists()
     assert not (out / "dispatch_log.csv").exists()
+
+
+def test_simulate_seed_defaults_to_scenario_rng_seed(tmp_path):
+    paths = _write_sim_inputs(tmp_path, sigma_c=5.0, rng_seed=7)
+    common = ["simulate", "--scenario", str(paths["scenario"]),
+              "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+              "--costs", str(paths["costs"])]
+    runs = {}
+    for name, seed_args in (("default", []), ("seed7", ["--seed", "7"]),
+                            ("seed0", ["--seed", "0"])):
+        out = tmp_path / name
+        assert main([*common, *seed_args, "--out", str(out)]) == 0
+        runs[name] = (out / "investments.csv").read_bytes()
+        assert json.loads((out / "manifest.json").read_text())["seed"] == (
+            0 if name == "seed0" else 7)
+    assert runs["default"] == runs["seed7"]
+    assert runs["default"] != runs["seed0"]
 
 
 def test_simulate_dispatch_log(tmp_path):

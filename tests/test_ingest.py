@@ -10,6 +10,7 @@ from emsim.ingest import (
     InputError,
     PlantCosts,
     ScenarioConfig,
+    _complete_day_mask,
     bundled_cost_table,
     load_cost_table,
     load_hourly_series,
@@ -49,7 +50,7 @@ def test_single_complete_day(tmp_path):
     assert ts.n_hours == 24
     assert ts.n_days == 1
     assert ts.dropped_hours == 0
-    assert np.all(ts.demand == 30000.0)
+    assert np.all(ts.series("demand") == 30000.0)
 
 
 def test_partial_day_dropped(tmp_path):
@@ -127,6 +128,59 @@ def test_non_increasing_timestamps(tmp_path):
     _write_rows(path, rows)
     with pytest.raises(InputError, match="increasing"):
         load_hourly_series(path)
+
+
+def _reference_complete_day_mask(timestamps):
+    """The per-row loop the run-length mask replaces."""
+    keep = np.zeros(len(timestamps), dtype=bool)
+    if not len(timestamps):
+        return keep
+    days = timestamps.astype("datetime64[D]")
+    hours = (timestamps - days).astype("timedelta64[h]").astype(int)
+    start = 0
+    for i in range(1, len(timestamps) + 1):
+        if i == len(timestamps) or days[i] != days[start]:
+            block_hours = hours[start:i]
+            if len(block_hours) == 24 and block_hours[0] == 0 and np.all(np.diff(block_hours) == 1):
+                keep[start:i] = True
+            start = i
+    return keep
+
+
+def random_stamps(rng):
+    """Increasing stamps over 1-5 days, mostly whole days, sometimes with
+    half-hour stamps, missing hours, partial first or last days or an
+    offset off the hour."""
+    n_days = int(rng.integers(1, 6))
+    minutes = np.arange(n_days * 24) * 60
+    if rng.random() < 0.2:
+        minutes = np.union1d(minutes, minutes[rng.random(len(minutes)) < 0.05] + 30)
+    if rng.random() < 0.2:
+        minutes = minutes[rng.random(len(minutes)) > 0.03]
+    if rng.random() < 0.2:
+        minutes = minutes[int(rng.integers(1, 30)):]
+    if rng.random() < 0.2:
+        minutes = minutes[:len(minutes) - int(rng.integers(1, 30))]
+    if rng.random() < 0.1:
+        minutes = minutes + int(rng.choice([30, 60, 23 * 60]))
+    start = np.datetime64("2012-02-27T00:00:00", "s") + np.timedelta64(int(rng.integers(400)), "D")
+    return start + (minutes * 60).astype("timedelta64[s]")
+
+
+def test_complete_day_mask_equals_reference_loop():
+    rng = np.random.default_rng(77)
+    cases = [np.array([], dtype="datetime64[s]"),
+             np.datetime64("2013-01-01T00:00:00", "s") + np.arange(24).astype("timedelta64[h]")]
+    cases += [random_stamps(rng) for _ in range(3000)]
+    kept = dropped = 0
+    for stamps in cases:
+        mask = _complete_day_mask(stamps)
+        expected = _reference_complete_day_mask(stamps)
+        assert mask.dtype == bool and mask.shape == expected.shape
+        assert (mask == expected).all()
+        kept += int(mask.sum())
+        dropped += int((~mask).sum())
+    assert kept > dropped > 0  # mostly complete days, and some hours dropped
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from emsim import repdays
 from emsim.ingest import SERIES_NAMES, InputError, TimeSeriesSet
 from emsim.repdays import (
+    MAX_ITER,
+    TOL,
+    Clustering,
     DayMatrix,
+    _init_centroids,
+    _sq_distances,
     assemble_year,
     build_day_matrix,
     ce_av,
@@ -27,7 +33,7 @@ def constant_ts(n_days, demand=30000.0, cf=0.5):
     start = np.datetime64("2011-01-01T00:00:00", "s")
     stamps = start + np.arange(hours).astype("timedelta64[h]").astype("timedelta64[s]")
     ones = np.ones(hours)
-    return TimeSeriesSet(stamps, ones * demand, ones * cf, ones * cf, ones * cf)
+    return TimeSeriesSet(stamps, np.stack([ones * demand, ones * cf, ones * cf, ones * cf]))
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +45,15 @@ def test_day_matrix_shape():
     dm = build_day_matrix(ts)
     assert dm.normalized.shape == (2772, 96)
     assert dm.raw.shape == (2772, 96)
+
+
+def test_day_matrix_scaling_equals_per_series_reductions():
+    # the block-wide reductions must match each series' own mean and std
+    # bit for bit, or every z-scored feature (and the chosen days) moves
+    ts = synthetic_ts(365, seed=8)
+    dm = build_day_matrix(ts)
+    assert dm.offsets.tolist() == [ts.series(name).mean() for name in SERIES_NAMES]
+    assert dm.scales.tolist() == [ts.series(name).std() for name in SERIES_NAMES]
 
 
 def test_zscore_constant_series_guarded():
@@ -70,7 +85,7 @@ def test_kmeans_k_equals_day_count():
     dm = build_day_matrix(ts)
     clustering = kmeans(dm, 15, seed=2)
     assert sorted(clustering.assignment.tolist()) == sorted(range(15))
-    assert clustering.inertia == pytest.approx(0.0, abs=1e-9)
+    assert clustering.inertia_history[-1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_kmeans_k_too_large():
@@ -130,6 +145,116 @@ def test_clustering_invariants():
         assert np.all(counts > 0)
         for cid in range(k):
             assert clustering.assignment[clustering.medoid_rows[cid]] == cid
+
+
+def _reference_kmeans(dm, k, seed, reseeds):
+    """The Lloyd loop that recomputed each distance matrix for the
+    inertia and the medoids; appends to `reseeds` per reseeded cluster."""
+    def repair_empty(x, centroids, labels):
+        for _ in range(k):
+            counts = np.bincount(labels, minlength=k)
+            empties = np.flatnonzero(counts == 0)
+            if not len(empties):
+                return labels
+            dist_own = _sq_distances(x, centroids)[np.arange(len(x)), labels]
+            for cid in empties:
+                far = int(np.argmax(dist_own))
+                centroids[cid] = x[far]
+                labels[far] = cid
+                dist_own[far] = -np.inf
+                reseeds.append(cid)
+            labels = np.argmin(_sq_distances(x, centroids), axis=1)
+        return labels
+
+    x = dm.normalized
+    centroids = _init_centroids(x, k, np.random.default_rng(seed))
+    labels = repair_empty(x, centroids, np.argmin(_sq_distances(x, centroids), axis=1))
+    history = [float(_sq_distances(x, centroids)[np.arange(len(x)), labels].sum())]
+    for _ in range(MAX_ITER):
+        new_centroids = np.empty_like(centroids)
+        for cid in range(k):
+            new_centroids[cid] = x[labels == cid].mean(axis=0)
+        new_labels = np.argmin(_sq_distances(x, new_centroids), axis=1)
+        new_labels = repair_empty(x, new_centroids, new_labels)
+        history.append(float(_sq_distances(x, new_centroids)[np.arange(len(x)), new_labels].sum()))
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids, labels = new_centroids, new_labels
+        if shift < TOL:
+            break
+    medoids = np.empty(k, dtype=int)
+    d2 = _sq_distances(x, centroids)
+    for cid in range(k):
+        members = np.flatnonzero(labels == cid)
+        medoids[cid] = members[np.argmin(d2[members, cid])]
+    return Clustering(k=k, assignment=labels, centroids=centroids,
+                      weights=np.bincount(labels, minlength=k) / dm.n_days,
+                      medoid_rows=medoids, inertia_history=tuple(history))
+
+
+def _repeated_days_ts(day_rows, seed):
+    """Hourly series whose day i copies day `day_rows[i]` of a small
+    synthetic set."""
+    base = synthetic_ts(max(day_rows) + 1, seed=seed).values.reshape(len(SERIES_NAMES), -1, 24)
+    values = base[:, day_rows, :].reshape(len(SERIES_NAMES), -1)
+    start = np.datetime64("2011-01-01T00:00:00", "s")
+    stamps = start + np.arange(values.shape[1]).astype("timedelta64[h]").astype("timedelta64[s]")
+    return TimeSeriesSet(stamps, np.ascontiguousarray(values))
+
+
+def _grid_matrix(repeats):
+    """Seven points of a small integer grid, point i repeated repeats[i]
+    times. From the seed-496 start with k=4, the first Lloyd update
+    empties a cluster: (3, 5, 0) drags its centroid away from the points
+    that shared it."""
+    points = np.array([[5, 4, 1], [1, 1, 3], [5, 3, 5], [1, 0, 4], [3, 5, 0], [0, 1, 4],
+                       [5, 1, 3]], dtype=float)
+    rows = np.zeros((sum(repeats), 96))
+    rows[:, :3] = np.repeat(points, repeats, axis=0)
+    return DayMatrix(normalized=rows, raw=rows.copy(), offsets=np.zeros(4), scales=np.ones(4))
+
+
+def test_kmeans_equals_reference_loop_exactly():
+    rng = np.random.default_rng(31)
+    cases = [(_grid_matrix([1, 1, 1, 2, 1, 1, 1]), 4, 496),
+             (_grid_matrix([2] * 7), 4, 496),
+             (build_day_matrix(synthetic_ts(15, seed=11)), 15, 2),
+             (build_day_matrix(synthetic_ts(40, seed=2)), 40, [7, 40, 1])]
+    for _ in range(40):
+        n_days = int(rng.integers(2, 60))
+        dm = build_day_matrix(synthetic_ts(n_days, seed=int(rng.integers(1000))))
+        k = int(rng.integers(1, min(n_days, 12) + 1))
+        cases.append((dm, n_days if rng.random() < 0.2 else k, [int(rng.integers(1000)), k, 0]))
+    for _ in range(10):
+        # duplicate days, with k up to the number of distinct days
+        day_rows = rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(4, 12)))
+        dm = build_day_matrix(_repeated_days_ts(day_rows.tolist(), seed=int(rng.integers(1000))))
+        cases.append((dm, int(rng.integers(1, len(set(day_rows.tolist())) + 1)),
+                      int(rng.integers(1000))))
+    reseeds = []
+    for dm, k, seed in cases:
+        got = kmeans(dm, k, seed=seed)
+        want = _reference_kmeans(dm, k, seed, reseeds)
+        assert got.k == want.k
+        for name in ("assignment", "centroids", "weights", "medoid_rows"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.inertia_history == want.inertia_history
+    assert len(reseeds) >= 2  # the grid cases reseeded an emptied cluster
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_kmeans_computes_one_distance_matrix_per_assignment(monkeypatch, k):
+    dm = build_day_matrix(synthetic_ts(200))
+    calls = []
+
+    def counted(x, centroids):
+        calls.append(len(centroids))
+        return _sq_distances(x, centroids)
+
+    monkeypatch.setattr(repdays, "_sq_distances", counted)
+    clustering = kmeans(dm, k, seed=0)
+    assert np.all(np.bincount(clustering.assignment, minlength=k) > 0)
+    # k-means++ seeding takes k - 1; each assignment one, none repeated
+    assert len(calls) == (k - 1) + len(clustering.inertia_history)
 
 
 def test_kmeans_deterministic_per_seed():
@@ -363,14 +488,14 @@ def test_evaluate_k_range_rejects_oversized_k():
 
 def test_evaluate_k_range_names_a_constant_series():
     ts = synthetic_ts(3, seed=0)
-    ts.solar_cf[:] = 0.0
+    ts.series("solar_cf")[:] = 0.0
     with pytest.raises(InputError, match="'solar_cf' \\(constant in the observed data\\)"):
         evaluate_k_range(ts, [1], seed=0)
     # offshore varies only on a day the single medoid does not pick
     ts = synthetic_ts(3, seed=0)
     for name in SERIES_NAMES:
         ts.series(name)[24:48] = ts.series(name)[:24]
-    ts.offshore_cf[:48] = 0.2
+    ts.series("offshore_cf")[:48] = 0.2
     with pytest.raises(InputError, match="'offshore_cf' \\(constant in the k=1 representative"):
         evaluate_k_range(ts, [1], seed=0)
 

@@ -51,10 +51,7 @@ def synthetic_ts(n_days: int, seed: int = 0) -> TimeSeriesSet:
     stamps = start + np.arange(n_days * 24).astype("timedelta64[h]").astype("timedelta64[s]")
     return TimeSeriesSet(
         timestamps=stamps,
-        demand=demand.ravel(),
-        solar_cf=solar.ravel(),
-        onshore_cf=onshore.ravel(),
-        offshore_cf=offshore.ravel(),
+        values=np.stack([demand.ravel(), solar.ravel(), onshore.ravel(), offshore.ravel()]),
     )
 
 
@@ -64,8 +61,7 @@ def write_hourly_csv(path, ts: TimeSeriesSet) -> None:
         writer.writerow(["timestamp", "demand_mw", "solar_cf", "onshore_cf", "offshore_cf"])
         for i in range(ts.n_hours):
             stamp = np.datetime_as_string(ts.timestamps[i], unit="s")
-            writer.writerow([stamp, repr(float(ts.demand[i])), repr(float(ts.solar_cf[i])),
-                             repr(float(ts.onshore_cf[i])), repr(float(ts.offshore_cf[i]))])
+            writer.writerow([stamp] + [repr(float(v)) for v in ts.values[:, i]])
 
 
 def flat_rep_year(demand=1000.0, solar=0.0, onshore=0.0, offshore=0.0,
