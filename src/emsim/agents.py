@@ -32,9 +32,8 @@ def belief_curves(scenario: ScenarioConfig, root_seed: int, genco_index: int,
     target year), so a draw never depends on which years are asked for.
     A zero sigma draws nothing, and zero sigmas build no generator.
     """
-    years = range(sim_year, sim_year + horizon)
-    curves = np.array([scenario.curve_params_at(y) for y in years], dtype=float)
-    curves = curves.reshape(horizon, 2).T
+    years = np.arange(sim_year, sim_year + horizon)
+    curves = np.array(scenario.curve_params_at(years)).T
     sigma_m, sigma_c = scenario.sigma_m, scenario.sigma_c
     if sigma_m or sigma_c:
         for t, year in enumerate(years):
@@ -112,11 +111,10 @@ def expected_cashflow(candidate: InvestmentCandidate, curves: np.ndarray,
     cashflow[:candidate.capital_tranches] -= tranche
 
     # one row per operating year, one column per representative hour
-    years = range(commit_year + lead, commit_year + n_years)
-    scale = np.array([scenario.demand_scale_at(y) for y in years], dtype=float)[:, None]
-    cost = np.array([marginal_cost(candidate.plant_type, candidate.costs.efficiency,
-                                   candidate.costs.variable_om, scenario, y) for y in years],
-                    dtype=float)[:, None]
+    years = np.arange(commit_year + lead, commit_year + n_years)
+    scale = scenario.demand_scale_at(years)[:, None]
+    cost = np.reshape(marginal_cost(candidate.plant_type, candidate.costs.efficiency,
+                                    candidate.costs.variable_om, scenario, years), (-1, 1))
     m, c = curves[:, lead:n_years, None]
     prices = m * (rep_year.series("demand") * scale) + c
     if candidate.plant_type == "Nuclear":

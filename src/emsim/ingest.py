@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +88,12 @@ class TimeSeriesSet:
 
 def _parse_float(text: str, path, row_no: int, col: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except (TypeError, ValueError):
         raise InputError(f"{path}: non-numeric value {text!r} in column '{col}' (row {row_no})")
+    if not math.isfinite(value):
+        raise InputError(f"{path}: non-finite value {text!r} in column '{col}' (row {row_no})")
+    return value
 
 
 def _parse_int(text: str, path, row_no: int, col: str) -> int:
@@ -494,6 +499,11 @@ class ScenarioConfig:
     price_curve_by_year: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for what, table in self._year_tables().items():  # held outside, never filled inside
+            gaps = sorted(set(range(min(table), max(table) + 1)) - set(table)) if table else []
+            if gaps:
+                raise InputError(f"{what} has no entry for year {gaps[0]} "
+                                 f"(its years run {min(table)}-{max(table)})")
         if self.end_year < self.start_year:
             raise InputError("end_year must be >= start_year")
         if self.sigma_m < 0 or self.sigma_c < 0:
@@ -506,46 +516,42 @@ class ScenarioConfig:
             for fuel in set(self.fuel_map.values()):
                 if year not in self.fuel_price.get(fuel, {}):
                     raise InputError(f"fuel price for '{fuel}' missing for simulated year {year}")
-        for scale in self.demand_scale.values():
-            if scale < 0:
-                raise InputError("demand_scale must be >= 0")
+        if any(scale < 0 for scale in self.demand_scale.values()):
+            raise InputError("demand_scale must be >= 0")
+
+    def _year_tables(self) -> dict[str, dict]:
+        """Every year table by the name `held` reads it under; an empty demand
+        scale holds 1.0 and no per-year curves hold the single price curve."""
+        return {**{f"fuel_price.{fuel}": t for fuel, t in self.fuel_price.items()},
+                "price_curve_by_year": self.price_curve_by_year or {0: self.price_curve},
+                "carbon_price": self.carbon_price, "demand_scale": self.demand_scale or {0: 1.0}}
+
+    @cached_property
+    def _tables(self) -> dict[str, tuple[int, np.ndarray]]:
+        """Each non-empty year table as its first year and its values in
+        year order, built on first use."""
+        return {what: (min(t), np.array([t[y] for y in sorted(t)], dtype=float))
+                for what, t in self._year_tables().items() if t}
 
     def years(self) -> range:
         return range(self.start_year, self.end_year + 1)
 
-    def fuel_of(self, plant_type: str) -> str | None:
-        return self.fuel_map.get(plant_type)
+    def held(self, what: str, years):
+        """Values of the named year table for an int or an array of years;
+        a year before or after the table holds its first or last value."""
+        if what not in self._tables:
+            raise InputError(f"{what} has no entries")
+        first, values = self._tables[what]
+        return values[np.minimum(np.maximum(np.asarray(years) - first, 0), len(values) - 1)]
 
-    def fuel_price_at(self, fuel: str, year: int) -> float:
-        return _held(self.fuel_price.get(fuel, {}), year, f"fuel price '{fuel}'")
+    def demand_scale_at(self, years):
+        """Held demand scale per year; 1.0 when the table is empty."""
+        return self.held("demand_scale", years)
 
-    def carbon_price_at(self, year: int) -> float:
-        return _held(self.carbon_price, year, "carbon price")
-
-    def demand_scale_at(self, year: int) -> float:
-        """An empty table scales nothing (1.0); otherwise the fuel-price rule."""
-        return _held(self.demand_scale, year, "demand scale") if self.demand_scale else 1.0
-
-    def curve_params_at(self, year: int) -> tuple[float, float]:
-        """Base price-curve (m, c) for a year: the single curve when no
-        per-year curves are given, otherwise the fuel-price rule."""
-        if not self.price_curve_by_year:
-            return self.price_curve
-        return _held(self.price_curve_by_year, year, "price curve")
-
-
-def _held(table: dict, year: int, what: str):
-    """Value for a year, holding the last (or first) known year outside the table."""
-    if not table:
-        raise InputError(f"{what} has no entries")
-    if year in table:
-        return table[year]
-    keys = sorted(table)
-    if year > keys[-1]:
-        return table[keys[-1]]
-    if year < keys[0]:
-        return table[keys[0]]
-    raise InputError(f"{what} missing for year {year}")
+    def curve_params_at(self, years) -> np.ndarray:
+        """Held base price curve (m, c) per year, on the last axis; the
+        single `price_curve` when no per-year curves are given."""
+        return self.held("price_curve_by_year", years)
 
 
 _SCENARIO_KEYS = {
@@ -575,9 +581,12 @@ def load_scenario(path) -> ScenarioConfig:
 
     def number(value, key: str) -> float:
         try:
-            return float(value)
+            x = float(value)
         except (TypeError, ValueError):
             raise InputError(f"{path}: {key} must be numeric (got {value!r})") from None
+        if not math.isfinite(x):
+            raise InputError(f"{path}: {key} must be finite (got {value!r})")
+        return x
 
     def whole(value, key: str) -> int:
         """2020 and 2020.0 load as 2020; 2020.7 is an error, not 2020."""
@@ -588,21 +597,12 @@ def load_scenario(path) -> ScenarioConfig:
             raise InputError(f"{path}: {key} must be a whole number (got {value!r})")
         return int(x)
 
-    def no_gaps(table: dict, what: str) -> dict:
-        """Years are held outside a table but never filled inside it."""
-        gaps = sorted(set(range(min(table), max(table) + 1)) - set(table)) if table else []
-        if gaps:
-            raise InputError(f"{path}: {what} has no entry for year {gaps[0]} "
-                             f"(its years run {min(table)}-{max(table)})")
-        return table
-
     def year_table(obj, what) -> dict[int, float]:
         if obj is None:
             return {}
         if not isinstance(obj, dict):
             raise InputError(f"{path}: {what} must be a year -> value mapping")
-        return no_gaps({whole(y, f"{what} year"): number(v, f"{what}.{y}")
-                        for y, v in obj.items()}, what)
+        return {whole(y, f"{what} year"): number(v, f"{what}.{y}") for y, v in obj.items()}
 
     fuel_price = {
         str(fuel): year_table(tbl, f"fuel_price.{fuel}")
@@ -621,10 +621,10 @@ def load_scenario(path) -> ScenarioConfig:
         return (number(obj["m"], f"{what}.m"), number(obj["c"], f"{what}.c"))
 
     curve = curve_pair(raw["price_curve"], "price_curve") if "price_curve" in raw else (0.0, 0.0)
-    curve_by_year = no_gaps({
+    curve_by_year = {
         whole(y, "price_curve_by_year year"): curve_pair(v, f"price_curve_by_year.{y}")
         for y, v in (raw.get("price_curve_by_year") or {}).items()
-    }, "price_curve_by_year")
+    }
 
     config = dict(
         start_year=whole(raw["start_year"], "start_year"),

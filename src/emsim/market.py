@@ -17,26 +17,26 @@ from .repdays import DAYS_PER_YEAR, HOURS_PER_DAY, RepresentativeYear
 
 
 def marginal_cost(plant_type: str, efficiency: float, variable_om: float,
-                  scenario: ScenarioConfig, year: int) -> float:
-    """Short-run marginal cost in currency/MWh.
+                  scenario: ScenarioConfig, years):
+    """Short-run marginal cost in currency/MWh for an int or an array of years.
 
     fuel/eta + carbon x emissions/eta + variable O&M. Types absent from
     the scenario's fuel map burn nothing and cost only their variable
     O&M (wind, solar, hydro).
     """
-    fuel = scenario.fuel_of(plant_type)
+    fuel = scenario.fuel_map.get(plant_type)
     if fuel is None:
         return variable_om
     if efficiency <= 0.0:
         raise InputError(f"fuel-burning plant type '{plant_type}' needs efficiency > 0")
-    fuel_price = scenario.fuel_price_at(fuel, year)
-    carbon = scenario.carbon_price_at(year) * scenario.emission_factor.get(fuel, 0.0)
+    fuel_price = scenario.held(f"fuel_price.{fuel}", years)
+    carbon = scenario.held("carbon_price", years) * scenario.emission_factor.get(fuel, 0.0)
     return fuel_price / efficiency + carbon / efficiency + variable_om
 
 
 def srmc(plant: PowerPlant, scenario: ScenarioConfig, year: int) -> float:
-    return marginal_cost(plant.plant_type, plant.costs.efficiency,
-                         plant.costs.variable_om, scenario, year)
+    return float(marginal_cost(plant.plant_type, plant.costs.efficiency,
+                               plant.costs.variable_om, scenario, year))
 
 
 @dataclass(frozen=True)

@@ -391,8 +391,10 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
         raise InputError(f"unknown representative method '{method}'")
     ks = sorted({int(k) for k in k_list})
     dm = build_day_matrix(ts)
-    if ks[-1] > dm.n_days:
-        raise InputError(f"max k {ks[-1]} exceeds day count {dm.n_days}")
+    distinct = len(np.unique(dm.normalized, axis=0))
+    if ks[-1] > distinct:
+        raise InputError(f"max k {ks[-1]} exceeds the {distinct} distinct days "
+                         f"of {dm.n_days} (lower --k or --sweep)")
     _check_varies(ts.values, "the observed data")
     observed = summarize(ts.values, np.ones(ts.n_hours))
     rows = []

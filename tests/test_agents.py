@@ -240,6 +240,22 @@ def test_cashflow_needs_curves_for_every_year():
         expected_cashflow(cand, curves, flat_rep_year(1000.0), scenario, 2020)
 
 
+def test_cashflow_reads_each_scenario_table_once(monkeypatch):
+    tables = {y: 1.0 + (y - 2020) / 10 for y in range(2020, 2025)}
+    scenario = plain_scenario(demand_scale=tables, carbon_price=tables,
+                              emission_factor={"gas": 0.2}, price_curve=(0.001, 30.0))
+    cand = InvestmentCandidate("CCGT", 500.0, simple_costs(
+        efficiency=0.5, operating_period=45, predev_period=1, construction_period=2))
+    curves = belief_curves(scenario, 0, 0, 2020, horizon(cand))
+    calls = []
+    held = type(scenario).held
+    monkeypatch.setattr(type(scenario), "held",
+                        lambda self, what, years: calls.append(what) or held(self, what, years))
+    flows = expected_cashflow(cand, curves, flat_rep_year(1000.0), scenario, 2020)
+    assert len(flows) == 48
+    assert sorted(calls) == ["carbon_price", "demand_scale", "fuel_price.gas"]
+
+
 def _reference_cashflow(candidate, scenario, root_seed, genco_index, rep_year, commit_year):
     """The appraisal as a loop over operating years, with each target
     year's curve drawn lazily on its own stream: the oracle that the

@@ -108,6 +108,19 @@ def test_repdays_k_outside_sweep(tmp_path):
     assert sorted({r["cluster"] for r in rows}) == [str(c) for c in range(5)]
 
 
+def test_repdays_more_clusters_than_distinct_days_exits_one(tmp_path, capsys):
+    ts = synthetic_ts(6, seed=1)
+    for name in SERIES_NAMES:  # days 0 and 1, three times over
+        ts.series(name)[48:] = np.tile(ts.series(name)[:48], 2)
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, ts)
+    assert main(["repdays", "--input", str(data), "--k", "3",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(data) in err
+    assert "max k 3 exceeds the 2 distinct days of 6" in err and "--k" in err
+
+
 @pytest.mark.parametrize("sweep, bad", [("1,,2", "''"), ("1,x", "'x'"), ("2.5", "'2.5'")])
 def test_repdays_bad_sweep_exits_one(tmp_path, capsys, sweep, bad):
     data = tmp_path / "hourly.csv"
@@ -240,9 +253,30 @@ def test_simulate_non_numeric_input_exits_one(tmp_path, capsys, name, old, new, 
     assert str(paths[name]) in err and message in err
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("registry", ",15000.0,", ",inf,", "non-finite value 'inf' in column 'capacity_mw' (row 2)"),
+    ("scenario", "discount_rate: 0.06", "discount_rate: .nan",
+     "discount_rate must be finite"),
+])
+def test_simulate_non_finite_input_exits_one(tmp_path, capsys, name, old, new, message):
+    paths = _write_sim_inputs(tmp_path)
+    text = paths[name].read_text()
+    assert old in text
+    paths[name].write_text(text.replace(old, new, 1))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(paths[name]) in err and message in err
+    assert not (out / "investments.csv").exists()
+
+
 def test_simulate_gap_year_curve_exits_before_output(tmp_path, capsys):
-    paths = _write_sim_inputs(tmp_path, end_year=2022,
-                              price_curve_by_year={2020: (0.002, 40.0), 2022: (0.002, 45.0)})
+    paths = _write_sim_inputs(tmp_path, end_year=2022)
+    with open(paths["scenario"], "a") as fh:
+        fh.write("price_curve_by_year: {2020: {m: 0.002, c: 40.0}, 2022: {m: 0.002, c: 45.0}}\n")
     out = tmp_path / "out"
     rc = main(["simulate", "--scenario", str(paths["scenario"]),
                "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),

@@ -121,6 +121,15 @@ def test_utc_suffix_timestamps_accepted(tmp_path):
     assert ts.n_days == 1
 
 
+def test_nan_cell_names_file_and_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = _hour_rows(24)
+    rows[3][1] = "nan"
+    _write_rows(path, rows)
+    with pytest.raises(InputError, match=r"bad\.csv: non-finite .*'demand_mw' \(row 5\)"):
+        load_hourly_series(path)
+
+
 def test_non_increasing_timestamps(tmp_path):
     path = tmp_path / "bad.csv"
     rows = _hour_rows(24)
@@ -383,6 +392,18 @@ def test_registry_parse_error_names_file_and_row(tmp_path, row, column):
         load_plant_registry(path, bundled_cost_table())
 
 
+@pytest.mark.parametrize("row, column", [
+    (["b", "g1", "CCGT", "inf", 2010, 5.0], "capacity_mw"),
+    (["b", "g1", "CCGT", "nan", 2010, 5.0], "capacity_mw"),
+    (["b", "g1", "CCGT", 1200, 2010, "nan"], "funds"),
+])
+def test_registry_non_finite_value_names_file_and_row(tmp_path, row, column):
+    path = tmp_path / "reg.csv"
+    _write_registry(path, [["a", "g1", "CCGT", 1200, 2010, 5.0], row])
+    with pytest.raises(InputError, match=fr"reg\.csv: non-finite .*'{column}' \(row 3\)"):
+        load_plant_registry(path, bundled_cost_table())
+
+
 def test_registry_integral_float_year_accepted(tmp_path):
     path = tmp_path / "reg.csv"
     _write_registry(path, [["a", "g1", "CCGT", 1200, "2010.0", 5.0]])
@@ -433,9 +454,8 @@ def test_scenario_load(tmp_path):
     assert len(scenario.scheduled_retirements) == 3
     assert all(year == 2016 for _, year in scenario.scheduled_retirements)
     assert scenario.price_curve == (0.002, 20.0)
-    assert scenario.fuel_price_at("gas", 2015) == 21.0
-    # hold-last beyond the horizon
-    assert scenario.fuel_price_at("gas", 2030) == 22.5
+    # 2015 from the table, 2030 holds the last value beyond the horizon
+    assert scenario.held("fuel_price.gas", [2015, 2030]).tolist() == [21.0, 22.5]
 
 
 def test_scenario_unknown_key(tmp_path):
@@ -461,12 +481,13 @@ def test_scenario_end_before_start(tmp_path):
 
 def test_demand_scale_gap_year_rejected():
     carbon = {2018: 0.0, 2019: 0.0, 2020: 0.0}
+    with pytest.raises(InputError, match="2019"):
+        ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
+                       demand_scale={2018: 1.1, 2020: 1.3})
     scenario = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
-                              demand_scale={2018: 1.1, 2020: 1.3})
+                              demand_scale={2018: 1.1, 2019: 1.2, 2020: 1.3})
     assert scenario.demand_scale_at(2020) == 1.3
     assert scenario.demand_scale_at(2025) == 1.3  # held beyond the table
-    with pytest.raises(InputError, match="2019"):
-        scenario.demand_scale_at(2019)
     unscaled = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon)
     assert unscaled.demand_scale_at(2019) == 1.0
 
@@ -503,6 +524,19 @@ def test_scenario_fractional_year_names_file_and_key(tmp_path, old, new, key):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("discount_rate: 0.06", "discount_rate: .nan", "discount_rate"),
+    ("2015: 18.0", "2015: .inf", r"carbon_price\.2015"),
+    ("price_curve: {m: 0.002", "price_curve: {m: -.inf", r"price_curve\.m"),
+])
+def test_scenario_non_finite_value_names_file_and_key(tmp_path, old, new, key):
+    path = tmp_path / "scen.yaml"
+    assert old in SCENARIO_YAML
+    path.write_text(SCENARIO_YAML.replace(old, new, 1))
+    with pytest.raises(InputError, match=r"scen\.yaml: " + key + " must be finite"):
+        load_scenario(path)
+
+
 def test_scenario_integral_float_year_loads(tmp_path):
     path = tmp_path / "scen.yaml"
     path.write_text(SCENARIO_YAML.replace("start_year: 2013", "start_year: 2013.0")
@@ -533,13 +567,62 @@ def test_scenario_gap_year_table_names_file_and_key(tmp_path, old, new, key, yea
 
 def test_price_curve_gap_year_rejected():
     carbon = {2018: 0.0, 2019: 0.0, 2020: 0.0}
+    with pytest.raises(InputError, match="price_curve_by_year has no entry for year 2019"):
+        ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
+                       price_curve_by_year={2018: (0.001, 10.0), 2020: (0.003, 30.0)})
     scenario = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
-                              price_curve_by_year={2018: (0.001, 10.0), 2020: (0.003, 30.0)})
-    assert scenario.curve_params_at(2017) == (0.001, 10.0)  # held before the table
-    assert scenario.curve_params_at(2020) == (0.003, 30.0)
-    assert scenario.curve_params_at(2025) == (0.003, 30.0)  # held beyond the table
-    with pytest.raises(InputError, match="price curve missing for year 2019"):
-        scenario.curve_params_at(2019)
+                              price_curve_by_year={2018: (0.001, 10.0), 2019: (0.002, 20.0),
+                                                   2020: (0.003, 30.0)})
+    assert tuple(scenario.curve_params_at(2017)) == (0.001, 10.0)  # held before the table
+    assert tuple(scenario.curve_params_at(2020)) == (0.003, 30.0)
+    assert tuple(scenario.curve_params_at(2025)) == (0.003, 30.0)  # held beyond the table
     single = ScenarioConfig(start_year=2018, end_year=2020, carbon_price=carbon,
                             price_curve=(0.002, 20.0))
-    assert single.curve_params_at(2019) == (0.002, 20.0)
+    assert tuple(single.curve_params_at(2019)) == (0.002, 20.0)
+
+
+def _reference_held(table: dict, year: int, what: str):
+    """The per-lookup rule `held` replaced: the oracle it must equal."""
+    if not table:
+        raise InputError(f"{what} has no entries")
+    if year in table:
+        return table[year]
+    keys = sorted(table)
+    if year > keys[-1]:
+        return table[keys[-1]]
+    if year < keys[0]:
+        return table[keys[0]]
+    raise InputError(f"{what} missing for year {year}")
+
+
+def test_held_equals_reference_lookup():
+    rng = np.random.default_rng(12)
+    sizes = set()
+    for case in range(300):
+        def table(pair=False):
+            first, n = int(rng.integers(2000, 2040)), int(rng.integers(1, 7))
+            values = rng.uniform(0.0, 100.0, size=(n, 2) if pair else n).tolist()
+            return {first + i: tuple(v) if pair else v for i, v in enumerate(values)}
+
+        carbon = table()
+        year = min(carbon)
+        scenario = ScenarioConfig(
+            start_year=year, end_year=year, carbon_price=carbon,
+            fuel_price={"gas": table(), "coal": table()}, demand_scale=table(),
+            price_curve_by_year=table(pair=True))
+        names = {"carbon_price": carbon, "demand_scale": scenario.demand_scale,
+                 "price_curve_by_year": scenario.price_curve_by_year,
+                 **{f"fuel_price.{f}": t for f, t in scenario.fuel_price.items()}}
+        for what, tbl in names.items():
+            sizes.add(len(tbl))
+            years = np.arange(min(tbl) - 3, max(tbl) + 4)
+            expected = [_reference_held(tbl, int(y), what) for y in years]
+            for y, value in zip(years, expected):
+                got = scenario.held(what, int(y))
+                assert (tuple(got) if np.ndim(got) else got) == value, (case, what, y)
+            got = scenario.held(what, years)
+            assert got.shape == np.shape(expected)
+            assert (got == np.array(expected)).all(), (case, what)
+    assert sizes == {1, 2, 3, 4, 5, 6}
+    with pytest.raises(InputError, match="fuel_price.oil has no entries"):
+        scenario.held("fuel_price.oil", 2020)
