@@ -77,8 +77,7 @@ def candidate_menu(cost_table, year: int) -> list[InvestmentCandidate]:
     offers, costed by lookup at the given year."""
     menu = []
     for ptype in cost_table.types():
-        caps = [k[1] for k in cost_table.keys_for(ptype)]
-        capacity = max(caps)
+        capacity = cost_table.largest_capacity(ptype)
         costs = cost_table.lookup(ptype, capacity, year)
         menu.append(InvestmentCandidate(ptype, capacity, costs))
     return menu

@@ -9,6 +9,7 @@ contents and return immutable-by-convention values.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 import math
@@ -240,84 +241,69 @@ CostKey = tuple[str, float, int]
 
 @dataclass(frozen=True)
 class CostTable:
-    """Cost records keyed by (type, capacity, year)."""
+    """Cost records keyed by (type, capacity, year); `rows` is not changed
+    after construction."""
 
     rows: dict[CostKey, PlantCosts]
 
+    @cached_property
+    def _index(self) -> dict[str, tuple[list[int], list[tuple[list[float], np.ndarray]]]]:
+        """type -> (its years ascending, and per year its capacities
+        ascending with their rows as one array), built on first use."""
+        grid: dict[str, dict[int, dict[float, np.ndarray]]] = {}
+        # year-major order, so each type's years (and each year's capacities) ascend
+        for ptype, cap, year in sorted(self.rows, key=lambda k: (k[0], k[2], k[1])):
+            row = self.rows[ptype, cap, year].as_array()
+            grid.setdefault(ptype, {}).setdefault(year, {})[cap] = row
+        return {ptype: (list(by_year), [(list(caps), np.array(list(caps.values())))
+                                        for caps in by_year.values()])
+                for ptype, by_year in grid.items()}
+
     def types(self) -> list[str]:
-        return sorted({k[0] for k in self.rows})
+        return list(self._index)
 
-    def keys_for(self, plant_type: str) -> list[CostKey]:
-        return sorted(k for k in self.rows if k[0] == plant_type)
-
-    def years_for(self, plant_type: str) -> list[int]:
-        return sorted({k[2] for k in self.rows if k[0] == plant_type})
-
-    def capacities_at(self, plant_type: str, year: int) -> list[float]:
-        return sorted({k[1] for k in self.rows if k[0] == plant_type and k[2] == year})
+    def largest_capacity(self, plant_type: str) -> float:
+        """The largest capacity the table lists for the type, in any year."""
+        return max(caps[-1] for caps, _ in self._index[plant_type][1])
 
     def lookup(self, plant_type: str, capacity_mw: float, year: int) -> PlantCosts:
-        costs, path = self.resolve(plant_type, capacity_mw, year)
-        log.debug("cost lookup (%s, %s, %s): %s", plant_type, capacity_mw, year, path)
-        return costs
-
-    def resolve(self, plant_type: str, capacity_mw: float, year: int) -> tuple[PlantCosts, str]:
-        """Resolve costs plus a description of how the value was obtained.
-
-        Exact keys are returned verbatim. Otherwise each field is
-        linearly interpolated across capacity at the two bracketing
-        years, then across year; queries outside the table hull are
-        clamped to the nearest row.
-        """
-        if plant_type not in {k[0] for k in self.rows}:
+        """Costs of one plant. An exact row is returned as it is; otherwise
+        each field is interpolated linearly across capacity at the two
+        bracketing years, then across year, and a query outside the table
+        is clamped to its nearest capacity and year."""
+        if plant_type not in self._index:
             raise InputError(f"unknown plant type '{plant_type}' in cost table")
-        capacity_mw = float(capacity_mw)
-        year = int(year)
-
-        key = (plant_type, capacity_mw, year)
-        if key in self.rows:
-            return self.rows[key], "exact"
-
-        years = self.years_for(plant_type)
-        y_lo, y_hi, y_note = _bracket(years, year)
-        lo_arr, lo_note = self._capacity_interp(plant_type, y_lo, capacity_mw)
-        if y_hi == y_lo:
-            return PlantCosts.from_array(lo_arr), f"year={y_note}, capacity={lo_note}"
-        hi_arr, hi_note = self._capacity_interp(plant_type, y_hi, capacity_mw)
-        frac = (year - y_lo) / (y_hi - y_lo)
-        arr = lo_arr + frac * (hi_arr - lo_arr)
-        path = f"year=interp({y_lo}..{y_hi}), capacity=[{lo_note} @ {y_lo}, {hi_note} @ {y_hi}]"
-        return PlantCosts.from_array(arr), path
-
-    def _capacity_interp(self, plant_type: str, year: int, capacity_mw: float) -> tuple[np.ndarray, str]:
-        caps = self.capacities_at(plant_type, year)
-        c_lo, c_hi, note = _bracket(caps, capacity_mw)
-        lo = self.rows[(plant_type, c_lo, year)].as_array()
-        if c_hi == c_lo:
-            return lo, note
-        hi = self.rows[(plant_type, c_hi, year)].as_array()
-        frac = (capacity_mw - c_lo) / (c_hi - c_lo)
-        return lo + frac * (hi - lo), note
+        capacity_mw, year = float(capacity_mw), int(year)
+        if math.isnan(capacity_mw):
+            raise InputError(f"capacity of a '{plant_type}' plant is not a number")
+        exact = self.rows.get((plant_type, capacity_mw, year))
+        if exact is not None:
+            return exact
+        years, by_year = self._index[plant_type]
+        lo, hi, _ = _bracket(years, year)
+        at_years = np.array([_interp(*by_year[i], capacity_mw) for i in range(lo, hi + 1)])
+        return PlantCosts.from_array(_interp(years[lo:hi + 1], at_years, year))
 
 
-def _bracket(sorted_values, x):
-    """Bracketing pair of x within sorted_values, clamped at the ends."""
-    if x <= sorted_values[0]:
-        v = sorted_values[0]
-        note = "exact" if x == v else f"clamped({v})"
-        return v, v, note
-    if x >= sorted_values[-1]:
-        v = sorted_values[-1]
-        note = "exact" if x == v else f"clamped({v})"
-        return v, v, note
-    for lo, hi in zip(sorted_values, sorted_values[1:]):
-        if lo <= x <= hi:
-            if x == lo:
-                return lo, lo, "exact"
-            if x == hi:
-                return hi, hi, "exact"
-            return lo, hi, f"interp({lo}..{hi})"
-    raise AssertionError("unreachable")
+def _bracket(values: list, x) -> tuple[int, int, float]:
+    """Indices of the entries of ascending `values` either side of x, and
+    x's fraction of the way from the first to the second; one index twice
+    when x is listed, or lies beyond an end and is clamped to it."""
+    i = bisect.bisect_left(values, x)
+    if i == len(values):
+        return i - 1, i - 1, 0.0
+    if i == 0 or values[i] == x:
+        return i, i, 0.0
+    return i - 1, i, (x - values[i - 1]) / (values[i] - values[i - 1])
+
+
+def _interp(values: list, rows: np.ndarray, x) -> np.ndarray:
+    """The row at x, interpolated between the rows of the entries of
+    ascending `values` either side of it."""
+    lo, hi, frac = _bracket(values, x)
+    if hi == lo:
+        return rows[lo]
+    return rows[lo] + frac * (rows[hi] - rows[lo])
 
 
 def _expand_year_cell(cell: str, path, row_no: int) -> list[int]:
@@ -358,8 +344,6 @@ def load_cost_table(path) -> CostTable:
                 raise InputError(f"{path}: unknown plant type {ptype!r} (row {row_no})")
             cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
             vals = [_parse_float(row[c], path, row_no, c) for c in COST_COLUMNS]
-            if vals[0] > 1.0:
-                raise InputError(f"{path}: efficiency > 1 (row {row_no})")
             try:
                 costs = PlantCosts(**dict(zip(_COST_FIELDS, vals)))
             except InputError as exc:
@@ -461,8 +445,11 @@ def load_plant_registry(path, cost_table: CostTable) -> PlantRegistry:
             ptype = row["type"].strip()
             cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
             year = _parse_int(row["construction_year"], path, row_no, "construction_year")
-            costs = cost_table.lookup(ptype, cap, year)
-            plants.append(PowerPlant(pid, owner, ptype, cap, year, costs))
+            try:
+                plants.append(PowerPlant(pid, owner, ptype, cap, year,
+                                         cost_table.lookup(ptype, cap, year)))
+            except InputError as exc:
+                raise InputError(f"{path}: {exc} (row {row_no})")
             if has_funds and row["funds"].strip():
                 f = _parse_float(row["funds"], path, row_no, "funds")
                 if owner in funds and funds[owner] != f:
@@ -499,6 +486,9 @@ class ScenarioConfig:
     price_curve_by_year: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, value in self._named_floats():
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite (got {value!r})")
         for what, table in self._year_tables().items():  # held outside, never filled inside
             gaps = sorted(set(range(min(table), max(table) + 1)) - set(table)) if table else []
             if gaps:
@@ -518,6 +508,19 @@ class ScenarioConfig:
                     raise InputError(f"fuel price for '{fuel}' missing for simulated year {year}")
         if any(scale < 0 for scale in self.demand_scale.values()):
             raise InputError("demand_scale must be >= 0")
+
+    def _named_floats(self):
+        """Every float the scenario holds, under the name an error gives it."""
+        curves = {"price_curve": self.price_curve,
+                  **{f"price_curve_by_year.{y}": mc for y, mc in self.price_curve_by_year.items()}}
+        tables = {"carbon_price": self.carbon_price, "demand_scale": self.demand_scale,
+                  "emission_factor": self.emission_factor,
+                  **{f"fuel_price.{fuel}": t for fuel, t in self.fuel_price.items()},
+                  **{what: dict(zip("mc", mc)) for what, mc in curves.items()}}
+        for name in ("discount_rate", "price_cap", "nuclear_subsidy", "sigma_m", "sigma_c"):
+            yield name, getattr(self, name)
+        for what, table in tables.items():
+            yield from ((f"{what}.{key}", value) for key, value in table.items())
 
     def _year_tables(self) -> dict[str, dict]:
         """Every year table by the name `held` reads it under; an empty demand
@@ -581,12 +584,9 @@ def load_scenario(path) -> ScenarioConfig:
 
     def number(value, key: str) -> float:
         try:
-            x = float(value)
+            return float(value)
         except (TypeError, ValueError):
             raise InputError(f"{path}: {key} must be numeric (got {value!r})") from None
-        if not math.isfinite(x):
-            raise InputError(f"{path}: {key} must be finite (got {value!r})")
-        return x
 
     def whole(value, key: str) -> int:
         """2020 and 2020.0 load as 2020; 2020.7 is an error, not 2020."""

@@ -290,9 +290,8 @@ def test_criterion_12_cost_table_fidelity():
     with Budget(12, 1.0, "every bundled cost row round-trips; midpoint interpolation exact"):
         table = bundled_cost_table()
         for (ptype, cap, year), expected in table.rows.items():
-            costs, path = table.resolve(ptype, cap, year)
-            assert path == "exact"
-            assert costs == expected
+            costs = table.lookup(ptype, cap, year)
+            assert costs is expected
         lo = table.lookup("CCGT", 1200, 1990)
         hi = table.lookup("CCGT", 1200, 2000)
         mid = table.lookup("CCGT", 1200, 1995)

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from emsim.agents import InvestmentCandidate, candidate_menu
 from emsim.ingest import (
     InputError,
     PlantCosts,
@@ -273,19 +274,17 @@ def test_cost_table_parse_error_names_file_and_row(tmp_path, row, column):
 
 def test_efficiency_above_one_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    with open(path, "w") as fh:
-        fh.write("type,capacity_mw,year,efficiency,op,pd,cd,pc,cc,ic,fc,vc,inc,conc\n")
-        fh.write("CCGT,100,2018,1.2,25,1,1,1,1,1,1,1,1,1\n")
-    with pytest.raises(InputError, match="efficiency"):
-        load_cost_table(path)
+    for efficiency in ("1.2", "-0.1"):
+        path.write_text(COST_HEADER + f"CCGT,100,2018,{efficiency},25,1,1,1,1,1,1,1,1,1\n")
+        with pytest.raises(InputError, match=r"bad\.csv: efficiency .*\(row 2\)"):
+            load_cost_table(path)
 
 
 def test_lookup_exact_exhaustive():
     table = bundled_cost_table()
     for (ptype, cap, year), expected in table.rows.items():
-        costs, path = table.resolve(ptype, cap, year)
-        assert path == "exact"
-        assert costs == expected
+        costs = table.lookup(ptype, cap, year)
+        assert costs is expected
 
 
 def test_lookup_year_midpoint_matches_hand_interpolation():
@@ -313,14 +312,79 @@ def test_lookup_clamps_outside_hull():
     table = bundled_cost_table()
     assert table.lookup("CCGT", 1200, 1950) == table.lookup("CCGT", 1200, 1980)
     assert table.lookup("CCGT", 50, 2018) == table.lookup("CCGT", 168, 2018)
-    _, path = table.resolve("CCGT", 1200, 1950)
-    assert "clamped" in path
 
 
 def test_lookup_unknown_type():
     table = bundled_cost_table()
     with pytest.raises(InputError, match="unknown plant type"):
         table.lookup("Fusion", 100, 2020)
+
+
+def test_lookup_nan_capacity_rejected():
+    # a NaN falls in no bracket; it must not clamp to a listed capacity
+    with pytest.raises(InputError, match="not a number"):
+        bundled_cost_table().lookup("CCGT", float("nan"), 2020)
+
+
+def _reference_lookup(table, plant_type: str, capacity_mw: float, year: int) -> PlantCosts:
+    """The scan-based lookup the index replaced: the oracle it must equal.
+    Each query rescans the rows for the type's years and the capacities
+    at a year."""
+    capacity_mw, year = float(capacity_mw), int(year)
+    if (plant_type, capacity_mw, year) in table.rows:
+        return table.rows[(plant_type, capacity_mw, year)]
+
+    def bracket(values, x):
+        if x <= values[0]:
+            return values[0], values[0]
+        if x >= values[-1]:
+            return values[-1], values[-1]
+        for lo, hi in zip(values, values[1:]):
+            if lo <= x <= hi:
+                if x == lo:
+                    return lo, lo
+                if x == hi:
+                    return hi, hi
+                return lo, hi
+
+    def capacity_interp(y):
+        caps = sorted({k[1] for k in table.rows if k[0] == plant_type and k[2] == y})
+        c_lo, c_hi = bracket(caps, capacity_mw)
+        lo = table.rows[(plant_type, c_lo, y)].as_array()
+        if c_hi == c_lo:
+            return lo
+        hi = table.rows[(plant_type, c_hi, y)].as_array()
+        frac = (capacity_mw - c_lo) / (c_hi - c_lo)
+        return lo + frac * (hi - lo)
+
+    y_lo, y_hi = bracket(sorted({k[2] for k in table.rows if k[0] == plant_type}), year)
+    lo_arr = capacity_interp(y_lo)
+    if y_hi == y_lo:
+        return PlantCosts.from_array(lo_arr)
+    hi_arr = capacity_interp(y_hi)
+    frac = (year - y_lo) / (y_hi - y_lo)
+    return PlantCosts.from_array(lo_arr + frac * (hi_arr - lo_arr))
+
+
+def test_lookup_equals_reference_scan():
+    table = bundled_cost_table()
+    count = 0
+    for ptype in sorted({k[0] for k in table.rows}):
+        listed = sorted({k[1] for k in table.rows if k[0] == ptype})
+        years = sorted({k[2] for k in table.rows if k[0] == ptype})
+        caps = [c * f for c in listed for f in (1.0, 0.5, 1.37)] + [1.0, 1e5]
+        for cap in caps:
+            for year in range(years[0] - 3, years[-1] + 4):
+                got = table.lookup(ptype, cap, year).as_array().tobytes()
+                want = _reference_lookup(table, ptype, cap, year).as_array().tobytes()
+                assert got == want, (ptype, cap, year)
+                count += 1
+    assert count > 4000
+    for year in range(1975, 2041):
+        reference = [InvestmentCandidate(ptype, cap, _reference_lookup(table, ptype, cap, year))
+                     for ptype in sorted({k[0] for k in table.rows})
+                     for cap in [max(k[1] for k in table.rows if k[0] == ptype)]]
+        assert candidate_menu(table, year) == reference, year
 
 
 def test_cost_table_round_trip(tmp_path):
@@ -401,6 +465,18 @@ def test_registry_non_finite_value_names_file_and_row(tmp_path, row, column):
     path = tmp_path / "reg.csv"
     _write_registry(path, [["a", "g1", "CCGT", 1200, 2010, 5.0], row])
     with pytest.raises(InputError, match=fr"reg\.csv: non-finite .*'{column}' \(row 3\)"):
+        load_plant_registry(path, bundled_cost_table())
+
+
+@pytest.mark.parametrize("row, message", [
+    (["b", "g1", "Fusion", 1200, 2010, 5.0], "unknown plant type 'Fusion'"),
+    (["b", "g1", "CCGT", 0, 2010, 5.0], "capacity must be > 0"),
+    (["b", "g1", "CCGT", -5, 2010, 5.0], "capacity must be > 0"),
+])
+def test_registry_bad_plant_names_file_and_row(tmp_path, row, message):
+    path = tmp_path / "reg.csv"
+    _write_registry(path, [["a", "g1", "CCGT", 1200, 2010, 5.0], row])
+    with pytest.raises(InputError, match=r"reg\.csv: .*" + message + r".*\(row 3\)"):
         load_plant_registry(path, bundled_cost_table())
 
 
@@ -535,6 +611,23 @@ def test_scenario_non_finite_value_names_file_and_key(tmp_path, old, new, key):
     path.write_text(SCENARIO_YAML.replace(old, new, 1))
     with pytest.raises(InputError, match=r"scen\.yaml: " + key + " must be finite"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"discount_rate": float("nan")}, "discount_rate"),
+    ({"sigma_m": float("inf")}, "sigma_m"),
+    ({"price_cap": float("inf")}, "price_cap"),
+    ({"carbon_price": {2020: float("nan")}}, r"carbon_price\.2020"),
+    ({"fuel_price": {"gas": {2020: float("inf")}}}, r"fuel_price\.gas\.2020"),
+    ({"demand_scale": {2020: float("-inf")}}, r"demand_scale\.2020"),
+    ({"emission_factor": {"gas": float("nan")}}, r"emission_factor\.gas"),
+    ({"price_curve": (float("inf"), 0.0)}, r"price_curve\.m"),
+    ({"price_curve_by_year": {2020: (0.001, float("nan"))}}, r"price_curve_by_year\.2020\.c"),
+])
+def test_scenario_in_code_non_finite_value_names_key(overrides, key):
+    with pytest.raises(InputError, match=key + " must be finite"):
+        ScenarioConfig(**{"start_year": 2020, "end_year": 2020, "carbon_price": {2020: 1.0},
+                          **overrides})
 
 
 def test_scenario_integral_float_year_loads(tmp_path):
