@@ -72,15 +72,16 @@ class InvestmentCandidate:
         return max(1, self.lead_years)
 
 
-def candidate_menu(cost_table, year: int) -> list[InvestmentCandidate]:
+def candidate_menu(cost_table, year: int) -> tuple[InvestmentCandidate, ...]:
     """One candidate per type in the table: the largest capacity it
-    offers, costed by lookup at the given year."""
-    menu = []
-    for ptype in cost_table.types():
-        capacity = cost_table.largest_capacity(ptype)
-        costs = cost_table.lookup(ptype, capacity, year)
-        menu.append(InvestmentCandidate(ptype, capacity, costs))
-    return menu
+    offers, costed by lookup at the given year. Built once per table and
+    year; every later call returns the same tuple."""
+    if year not in cost_table.menus:
+        cost_table.menus[year] = tuple(
+            InvestmentCandidate(ptype, capacity, cost_table.lookup(ptype, capacity, year))
+            for ptype in cost_table.types()
+            for capacity in [cost_table.largest_capacity(ptype)])
+    return cost_table.menus[year]
 
 
 def expected_cashflow(candidate: InvestmentCandidate, curves: np.ndarray,
@@ -166,7 +167,7 @@ class InvestmentEvaluation:
     affordable: bool
 
 
-def appraise(menu: list[InvestmentCandidate], beliefs: np.ndarray,
+def appraise(menu: tuple[InvestmentCandidate, ...], beliefs: np.ndarray,
              rep_year: RepresentativeYear, scenario: ScenarioConfig,
              year: int) -> list[float]:
     """NPV of each menu candidate committed in `year` under one set of
@@ -176,7 +177,8 @@ def appraise(menu: list[InvestmentCandidate], beliefs: np.ndarray,
                 scenario.discount_rate) for cand in menu]
 
 
-def invest_step(genco_id: str, funds: float, year: int, menu: list[InvestmentCandidate],
+def invest_step(genco_id: str, funds: float, year: int,
+                menu: tuple[InvestmentCandidate, ...],
                 npvs: list[float]) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
     """Commit to at most one plant of the appraised menu (`npvs[i]` is the
     NPV of `menu[i]`, as `appraise` returns it).

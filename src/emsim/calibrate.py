@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import OBJECTIVE_TYPES, init_world, run
+from .engine import OBJECTIVE_TYPES, DispatchStore, init_world, run
 from .ingest import InputError
 
 log = logging.getLogger(__name__)
@@ -138,13 +139,15 @@ class ScenarioBundle:
     cost_table: object
     target: dict[int, dict[str, float]]  # year -> type -> share
     include_first_year: bool = True
+    # shared by every evaluation of this bundle; None gives each its own
+    dispatch_store: DispatchStore | None = field(default=None, compare=False, repr=False)
 
 
 def _mix_error(genome, bundle: ScenarioBundle, eval_seed: int, layout: GenomeLayout) -> float:
     """Summed mix error over the scored years of one simulated trajectory."""
     scenario = replace(bundle.scenario, **layout.decode(genome))
     world = init_world(scenario, bundle.registry, bundle.rep_year,
-                       bundle.cost_table, seed=eval_seed)
+                       bundle.cost_table, seed=eval_seed, store=bundle.dispatch_store)
     trajectory: dict[int, dict[str, float]] = {}
 
     def keep_mix(result) -> None:
@@ -184,10 +187,19 @@ def check_target(bundle: ScenarioBundle, layout: GenomeLayout, source) -> None:
 @dataclass(frozen=True)
 class Objective:
     """Picklable `objective(genome, eval_seed)` for `ga_run` and its
-    worker pool: the objective entry point of the layout's kind."""
+    worker pool: the objective entry point of the layout's kind.
+
+    Its evaluations share one dispatch store, so a genome that leaves a
+    year's fleet and bids as the previous evaluation left them reuses
+    that year's dispatch. A pool worker's unpickled copy starts with its
+    own, empty store."""
 
     bundle: ScenarioBundle
     layout: GenomeLayout
+
+    def __post_init__(self):
+        object.__setattr__(self, "bundle",
+                           replace(self.bundle, dispatch_store=DispatchStore()))
 
     def __call__(self, genome, eval_seed: int) -> float:
         entry = objective_validation if self.layout.kind == "validation" else objective_longterm
@@ -326,15 +338,17 @@ def _fitness_key(objective, genome: np.ndarray, seed):
     return genome.tobytes(), int(seed)
 
 
-def _evaluate(objective, pool, fitness_of: dict, genomes: np.ndarray, seeds,
+def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarray, seeds,
               generation: int) -> tuple[np.ndarray, int]:
     """Fitness per genome and the number of genomes actually evaluated.
 
     `fitness_of` holds every fitness this run has computed, by
     `_fitness_key`; a key already in it, or repeated within `genomes`, is
-    evaluated once, in the pool when there is one. The result is the same
-    under any worker count. Raises RuntimeError when no genome of the
-    generation scores a finite value."""
+    evaluated once, in the pool when there is one. The pool gets one
+    contiguous batch per worker, so consecutive genomes share a worker's
+    dispatch store. The result is the same under any worker count.
+    Raises RuntimeError when no genome of the generation scores a finite
+    value."""
     keys = [_fitness_key(objective, g, s) for g, s in zip(genomes, seeds)]
     todo: dict = {}
     for key, genome, seed in zip(keys, genomes, seeds):
@@ -344,7 +358,8 @@ def _evaluate(objective, pool, fitness_of: dict, genomes: np.ndarray, seeds,
         if pool is None:
             values = (_fitness(objective, g, s) for g, s in todo.values())
         else:
-            values = pool.map(_pooled_fitness, *zip(*todo.values()))
+            values = pool.map(_pooled_fitness, *zip(*todo.values()),
+                              chunksize=-(-len(todo) // workers))
         fitness_of.update(zip(todo, values))
     fitness = np.array([fitness_of[key] for key in keys])
     if not np.isfinite(fitness).any():
@@ -388,22 +403,31 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
     writer = None
     records: list[GenerationRecord] = []
     best_history: list[float] = []
+    last_record = time.perf_counter()
 
     def record_generation(gen: int, scored: np.ndarray, n_evaluated: int):
         """Keep and log the population after scoring `scored`, the
-        generation's new genomes, of which `n_evaluated` were simulated."""
+        generation's new genomes, of which `n_evaluated` were simulated,
+        with the time since the previous generation was recorded."""
+        nonlocal last_record
         rec = GenerationRecord(gen, population.copy(), fitness.copy())
         records.append(rec)
         best_history.append(rec.best_fitness)
         if writer:
             writer.write(rec)
+        # the middle of the sorted finite values: np.median would import numpy.ma (2 MB)
+        finite = np.sort(rec.fitnesses[np.isfinite(rec.fitnesses)])
+        median = (finite[(len(finite) - 1) // 2] + finite[len(finite) // 2]) / 2
+        now = time.perf_counter()
         log.info("generation %d: %d genomes evaluated, %d reused, %d failed (inf), "
-                 "best fitness %r", gen, n_evaluated, len(scored) - n_evaluated,
-                 int(np.isinf(scored).sum()), rec.best_fitness)
+                 "best fitness %r, median fitness %r, %.3f s", gen, n_evaluated,
+                 len(scored) - n_evaluated, int(np.isinf(scored).sum()), rec.best_fitness,
+                 float(median), now - last_record)
+        last_record = now
 
     try:
-        fitness, n_evaluated = _evaluate(objective, pool, fitness_of, population,
-                                         list(pop_seeds), 0)
+        fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers, fitness_of,
+                                         population, list(pop_seeds), 0)
         writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
         record_generation(0, fitness, n_evaluated)
         for gen in range(1, cfg.max_generations + 1):
@@ -431,8 +455,8 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
             np.clip(offspring, lo, hi, out=offspring)
 
             child_seeds = seeds_for(gen)
-            child_fitness, n_evaluated = _evaluate(objective, pool, fitness_of, offspring,
-                                                   list(child_seeds), gen)
+            child_fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers,
+                                                   fitness_of, offspring, list(child_seeds), gen)
 
             merged = np.vstack([population, offspring])
             merged_fit = np.concatenate([fitness, child_fitness])

@@ -64,7 +64,7 @@ class YearResult:
     funds: dict[str, float]             # genco id -> funds at year end
     plant_ids: list[str]                # operating plants, in dispatch column order
     bid_prices: list[float]             # each operating plant's bid
-    days: list[DayDispatch]             # every representative day's clearings
+    days: tuple[DayDispatch, ...]       # every representative day's clearings (read-only)
     investments: list = field(default_factory=list)      # committed this year
     investment_log: list = field(default_factory=list)   # every candidate evaluated
     retired: list[str] = field(default_factory=list)
@@ -89,6 +89,50 @@ class YearResult:
         return out
 
 
+class DispatchStore:
+    """The last dispatch cleared in each simulated year, with its inputs.
+
+    A year reuses its stored days and annual totals when every input
+    equals the stored one: each operating plant's id, type and capacity
+    in column order, the bids, the demand scale, the price cap and the
+    nuclear subsidy (numbers bit for bit), and the same representative
+    year object, which the entry holds. Otherwise the market is cleared
+    and the entry replaced. With one entry per year the store never holds
+    more than one trajectory, and it holds only tuples and read-only
+    arrays, so a reused result cannot be changed. A pickled copy starts
+    empty.
+    """
+
+    def __init__(self):
+        self._last: dict[int, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._last)
+
+    def __reduce__(self):
+        return DispatchStore, ()
+
+    def dispatch(self, year: int, plants: list[PowerPlant], costs: list[float],
+                 rep_year: RepresentativeYear, scenario: ScenarioConfig):
+        """`dispatch_year`'s days and `annual_totals`' result for the inputs."""
+        price_cap, demand_scale = scenario.price_cap, scenario.demand_scale_at(year)
+        nuclear_subsidy = scenario.nuclear_subsidy
+        key = (tuple((p.plant_id, p.plant_type) for p in plants),
+               np.array([p.capacity_mw for p in plants] + list(costs)
+                        + [demand_scale, price_cap, nuclear_subsidy], dtype=float).tobytes())
+        last = self._last.get(year)
+        if last is not None and last[0] == key and last[1] is rep_year:
+            return last[2], last[3]
+        days = tuple(dispatch_year(plants, costs, rep_year, price_cap, demand_scale))
+        for day in days:
+            for array in (day.clearings, day.dispatch, day.unserved):
+                array.flags.writeable = False
+        energy, revenue, subsidy, unserved = annual_totals(plants, days, nuclear_subsidy)
+        totals = (tuple(energy), tuple(revenue), tuple(subsidy), unserved)
+        self._last[year] = (key, rep_year, days, totals)
+        return days, totals
+
+
 @dataclass
 class World:
     year: int
@@ -97,6 +141,7 @@ class World:
     cost_table: CostTable
     plants: list[PowerPlant]
     funds: dict[str, float]             # genco id -> funds, the one ledger
+    dispatch_store: DispatchStore
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
 
@@ -109,12 +154,13 @@ class World:
 
 def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
                rep_year: RepresentativeYear, cost_table: CostTable,
-               seed: int | None = None) -> World:
+               seed: int | None = None, store: DispatchStore | None = None) -> World:
     """Build a world at the scenario's start year.
 
     Registry plants start operating except those already past their
     operating period, which retire immediately. The registry itself is
-    never mutated: the world works on copies.
+    never mutated: the world works on copies. Worlds handed the same
+    `store` reuse each other's dispatches; by default a world gets its own.
     """
     plants = [copy.copy(p) for p in registry.plants]
     year = scenario.start_year
@@ -134,6 +180,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         plants=plants,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
+        dispatch_store=DispatchStore() if store is None else store,
     )
 
 
@@ -173,10 +220,8 @@ def step_year(world: World) -> YearResult:
     # 2. dispatch
     operating = world.operating_plants()
     costs = [srmc(p, scenario, year) for p in operating]
-    days = dispatch_year(operating, costs, world.rep_year, scenario.price_cap,
-                         scenario.demand_scale_at(year))
-    energy, revenue, subsidy, unserved = annual_totals(operating, days,
-                                                       scenario.nuclear_subsidy)
+    days, (energy, revenue, subsidy, unserved) = world.dispatch_store.dispatch(
+        year, operating, costs, world.rep_year, scenario)
 
     # 3. settle
     settlements: dict[str, Settlement] = {}

@@ -259,6 +259,11 @@ class CostTable:
                                         for caps in by_year.values()])
                 for ptype, by_year in grid.items()}
 
+    @cached_property
+    def menus(self) -> dict[int, tuple]:
+        """Investment menus by year, each built once by `agents.candidate_menu`."""
+        return {}
+
     def types(self) -> list[str]:
         return list(self._index)
 

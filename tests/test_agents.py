@@ -12,7 +12,7 @@ from emsim.agents import (
     invest_step,
     npv,
 )
-from emsim.ingest import CF_SERIES, InputError, PlantCosts, ScenarioConfig
+from emsim.ingest import CF_SERIES, CostTable, InputError, PlantCosts, ScenarioConfig
 from emsim.market import marginal_cost
 from emsim.repdays import assemble_year
 from toys import flat_rep_year, invest_cost_table, simple_costs
@@ -360,6 +360,30 @@ def test_candidate_menu_largest_capacity_per_type():
     assert [c.plant_type for c in menu] == ["CCGT", "Coal", "PV"]
     assert {c.plant_type: c.capacity_mw for c in menu} == \
         {"CCGT": 1500.0, "Coal": 1500.0, "PV": 1000.0}
+
+
+def test_candidate_menu_built_once_per_table_and_year(monkeypatch):
+    lookups = []
+    lookup = CostTable.lookup
+
+    def counting(self, *args):
+        lookups.append(args)
+        return lookup(self, *args)
+
+    monkeypatch.setattr(CostTable, "lookup", counting)
+    table = invest_cost_table()
+    menu = candidate_menu(table, 2020)
+    assert isinstance(menu, tuple)
+    assert len(lookups) == len(menu) == 3
+    assert candidate_menu(table, 2020) is menu
+    assert candidate_menu(table, np.int64(2020)) is menu
+    assert len(lookups) == 3
+    candidate_menu(table, 2021)
+    assert len(lookups) == 6
+    other = invest_cost_table()
+    assert candidate_menu(other, 2020) == menu
+    assert candidate_menu(other, 2020) is not menu
+    assert len(lookups) == 9
 
 
 def invest(menu, scenario, funds, rep_year=None, genco_id="g1"):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emsim import calibrate
+from emsim import calibrate, engine
 from emsim.calibrate import (
     GAConfig,
     Objective,
@@ -30,6 +30,7 @@ from emsim.calibrate import (
 )
 from emsim.engine import init_world, run
 from emsim.ingest import InputError
+from emsim.market import dispatch_year
 from toys import invest_scenario
 
 
@@ -322,13 +323,17 @@ def test_ga_logs_progress_per_generation(caplog):
     with caplog.at_level(logging.INFO, logger="emsim.calibrate"):
         result = ga_run(cfg, fails_above_60)
     pattern = re.compile(r"generation (\d+): (\d+) genomes evaluated, (\d+) reused, "
-                         r"(\d+) failed \(inf\), best fitness (\S+)$")
+                         r"(\d+) failed \(inf\), best fitness (\S+), "
+                         r"median fitness (\S+), (\S+) s$")
     lines = [pattern.match(r.getMessage()) for r in caplog.records]
     lines = [m for m in lines if m]
     assert [int(m[1]) for m in lines] == list(range(result.n_generations))
     for m, rec in zip(lines, result.generations):
         assert int(m[2]) + int(m[3]) == cfg.population_size
         assert float(m[5]) == rec.best_fitness
+        finite = rec.fitnesses[np.isfinite(rec.fitnesses)]
+        assert float(m[6]) == float(np.median(finite))
+        assert float(m[7]) >= 0.0
     assert int(lines[0][4]) == int(np.isinf(result.generations[0].fitnesses).sum()) > 0
 
 
@@ -520,6 +525,92 @@ def test_ga_evaluates_a_noisy_genome_under_each_seed(toy_bundle, monkeypatch):
     # pure selection only copies genomes, and every copy comes with a new seed
     assert len(set(calls)) <= cfg.population_size
     assert len(calls) == cfg.population_size * (cfg.max_generations + 1)
+
+
+# ---------------------------------------------------------------------------
+# dispatch reuse across evaluations
+
+
+def store_genomes(layout):
+    """Genomes that commit different plants, with repeats and near
+    repeats, so consecutive evaluations share some years' fleets."""
+    if layout.kind == "validation":
+        return [np.array([m, c]) for m in (0.0, 0.002) for c in (-30.0, 40.0, 40.0, 41.0, 90.0)]
+    genomes = []
+    for c in (20.0, 45.0, 45.0, 80.0):
+        for sigma_c in (0.0, 0.0, 3.0):
+            genome = np.zeros(len(layout))
+            genome[3:6] = c
+            genome[-2] = sigma_c
+            genomes.append(genome)
+    return genomes
+
+
+@pytest.mark.parametrize("layout", [validation_layout(), longterm_layout(2020, 2023)],
+                         ids=["validation", "longterm"])
+def test_fitness_does_not_depend_on_evaluation_order(toy_bundle, monkeypatch, layout):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dispatch_year(*args)
+
+    monkeypatch.setattr(engine, "dispatch_year", counting)
+    genomes = store_genomes(layout)
+    years = len(genomes) * 4
+    in_order = Objective(toy_bundle, layout)
+    forward = [in_order(g, 7) for g in genomes]
+    assert len(calls) < years
+    reverse = Objective(toy_bundle, layout)
+    backward = [reverse(g, 7) for g in reversed(genomes)][::-1]
+    # the bundle itself holds no store: each evaluation clears every year afresh
+    entry = objective_validation if layout.kind == "validation" else objective_longterm
+    before = len(calls)
+    fresh = [entry(g, toy_bundle, 7, layout) for g in genomes]
+    assert len(calls) - before == years
+    assert forward == backward == fresh
+
+
+@dataclass(frozen=True)
+class FailsAbove60:
+    """Picklable objective that fails for every genome whose second gene
+    is > 60 and scores the rest with `objective`."""
+
+    objective: Objective
+
+    def __call__(self, genome, seed):
+        if genome[1] > 60.0:
+            raise RuntimeError("deterministic failure")
+        return self.objective(genome, seed)
+
+
+def test_chunked_pool_matches_serial_with_failing_genomes(toy_bundle):
+    objective = FailsAbove60(Objective(toy_bundle, validation_layout()))
+    runs = [ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
+                             parallel_workers=w), objective) for w in (1, 2, 3)]
+    serial, *pooled = [np.array([rec.fitnesses for rec in r.generations]) for r in runs]
+    assert np.isinf(serial).any()
+    for fitness in pooled:
+        assert np.array_equal(fitness, serial)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ga_pool_gets_one_batch_per_worker(monkeypatch, workers):
+    batches = []
+
+    class RecordingPool(calibrate.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            items = list(zip(*iterables))
+            batches.append((len(items), chunksize))
+            return super().map(fn, *zip(*items), chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
+    ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
+                     parallel_workers=workers), quadratic)
+    assert len(batches) == 4
+    for n, chunksize in batches:
+        assert chunksize == -(-n // workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """World lifecycle, settlement and yearly-loop tests."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from emsim import agents
+from emsim import agents, engine
 from emsim.agents import belief_curves, candidate_menu, expected_cashflow, npv
-from emsim.engine import init_world, run, step_year
+from emsim.engine import DispatchStore, init_world, run, step_year
+from emsim.market import dispatch_year
 from emsim.ingest import InputError, PlantRegistry, ScenarioConfig
 from emsim.repdays import DAYS_PER_YEAR
 from toys import (
@@ -360,3 +362,91 @@ def test_energy_balance_every_year_with_scaled_demand_and_shortfall():
         served = sum(result.energy_mwh.values())
         expected = scenario.demand_scale_at(result.year) * base
         assert served + result.unserved_mwh == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# dispatch store
+
+
+def store_inputs():
+    """One simulated year of the transition toy plus a hydro plant, which
+    burns nothing and follows no capacity-factor series."""
+    scenario, registry, rep = transition_scenario()
+    hydro = make_plant("hydro", "g1", "Hydro", 300.0, 2015,
+                       simple_costs(operating_period=100, variable_om=1.0))
+    return replace(scenario, end_year=2020), list(registry.plants) + [hydro], rep
+
+
+def store_world(scenario, plants, rep, store):
+    registry = PlantRegistry(plants=tuple(plants), funds={"g1": 0.0, "g2": 0.0})
+    return init_world(scenario, registry, rep, _empty_cost_table(), store=store)
+
+
+def _renamed_hydro(plants, **change):
+    return plants[:-1] + [replace(plants[-1], **change)]
+
+
+# each changes one input of the year's dispatch and nothing else
+STORE_KEY_CHANGES = {
+    "capacity": lambda s, plants, rep: (s, [replace(plants[0], capacity_mw=999.0)]
+                                        + plants[1:], rep),
+    "bid": lambda s, plants, rep: (
+        replace(s, fuel_price={**s.fuel_price, "gas": {2020: 10.5}}), plants, rep),
+    "demand scale": lambda s, plants, rep: (replace(s, demand_scale={2020: 1.1}), plants, rep),
+    "price cap": lambda s, plants, rep: (replace(s, price_cap=250.0), plants, rep),
+    "nuclear subsidy": lambda s, plants, rep: (replace(s, nuclear_subsidy=5.0), plants, rep),
+    "plant type": lambda s, plants, rep: (
+        s, _renamed_hydro(plants, plant_type="RecipDiesel"), rep),
+    "plant id": lambda s, plants, rep: (s, _renamed_hydro(plants, plant_id="hydro2"), rep),
+    "representative year": lambda s, plants, rep: (s, plants, flat_rep_year(demand=1000.0)),
+}
+
+
+@pytest.mark.parametrize("change", sorted(STORE_KEY_CHANGES))
+def test_dispatch_store_clears_again_when_one_input_differs(monkeypatch, change):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dispatch_year(*args)
+
+    monkeypatch.setattr(engine, "dispatch_year", counting)
+    store = DispatchStore()
+    base = store_inputs()
+    first = step_year(store_world(*base, store))
+    again = step_year(store_world(*base, store))
+    assert len(calls) == 1
+    assert again.days is first.days
+    changed = STORE_KEY_CHANGES[change](*base)
+    result = step_year(store_world(*changed, store))
+    assert len(calls) == 2
+    fresh = step_year(store_world(*changed, DispatchStore()))
+    for a, b in zip(result.days, fresh.days):
+        assert a.dispatch.tobytes() == b.dispatch.tobytes()
+        assert a.clearings.tobytes() == b.clearings.tobytes()
+    # the changed year replaced the entry: the base inputs clear again
+    step_year(store_world(*base, store))
+    assert len(calls) == 4
+
+
+def test_dispatch_store_keeps_one_entry_per_simulated_year():
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    store = DispatchStore()
+    for c in (40.0, 50.0, 60.0, 45.0, 50.0):
+        world = init_world(replace(scenario, price_curve=(0.002, c)), registry, rep, table,
+                           seed=3, store=store)
+        run(world, 5, lambda result: None)
+        assert len(store) <= 5
+    assert len(store) == 5
+
+
+def test_reused_dispatch_cannot_be_changed():
+    store = DispatchStore()
+    inputs = store_inputs()
+    step_year(store_world(*inputs, store))
+    reused = step_year(store_world(*inputs, store))
+    assert isinstance(reused.days, tuple)
+    for day in reused.days:
+        for array in (day.clearings, day.dispatch, day.unserved):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0

@@ -384,7 +384,7 @@ def test_lookup_equals_reference_scan():
         reference = [InvestmentCandidate(ptype, cap, _reference_lookup(table, ptype, cap, year))
                      for ptype in sorted({k[0] for k in table.rows})
                      for cap in [max(k[1] for k in table.rows if k[0] == ptype)]]
-        assert candidate_menu(table, year) == reference, year
+        assert candidate_menu(table, year) == tuple(reference), year
 
 
 def test_cost_table_round_trip(tmp_path):
