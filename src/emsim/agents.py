@@ -188,44 +188,38 @@ def invest_step(genco_id: str, funds: float, year: int,
     that tranche this year and the rest over the lead years. Nothing
     passed in is changed.
     """
-    evaluations: list[InvestmentEvaluation] = []
-    best: InvestmentCandidate | None = None
-    best_npv = 0.0
     idx = -1
-    for i, (cand, value) in enumerate(zip(menu, npvs)):
-        evaluations.append(InvestmentEvaluation(
-            genco_id, year, cand.plant_type, cand.capacity_mw, value,
-            committed=False, online_year=year + cand.lead_years, affordable=True,
-        ))
+    best_npv = 0.0
+    for i, value in enumerate(npvs[:len(menu)]):
         if value > best_npv:
-            best, best_npv, idx = cand, value, i
+            idx, best_npv = i, value
 
-    if best is None:
-        return None, evaluations
-    tranche = best.capital_total / best.capital_tranches
-    if funds < tranche:
-        log.info("%s: cannot afford %s (needs %.0f, has %.0f)",
-                 genco_id, best.plant_type, tranche, funds)
-        evaluations[idx] = InvestmentEvaluation(
-            genco_id, year, best.plant_type, best.capacity_mw, best_npv,
-            committed=False, online_year=year + best.lead_years, affordable=False,
-        )
-        return None, evaluations
-
-    online = year + best.lead_years
-    plant = PowerPlant(
-        plant_id=f"{genco_id}-{best.plant_type}-{year}",
-        owner_id=genco_id,
-        plant_type=best.plant_type,
-        capacity_mw=best.capacity_mw,
-        construction_year=online,
-        costs=best.costs,
-        status="under_construction",
-    )
-    evaluations[idx] = InvestmentEvaluation(
-        genco_id, year, best.plant_type, best.capacity_mw, best_npv,
-        committed=True, online_year=online, affordable=True,
-    )
-    log.info("%s commits to %s %.0f MW (npv %.0f, online %d)",
-             genco_id, best.plant_type, best.capacity_mw, best_npv, online)
-    return Commitment(plant, year, online, tranche, best.capital_tranches - 1), evaluations
+    commitment = None
+    affordable = True
+    if idx >= 0:
+        best = menu[idx]
+        tranche = best.capital_total / best.capital_tranches
+        online = year + best.lead_years
+        if funds < tranche:
+            affordable = False
+            log.info("%s: cannot afford %s (needs %.0f, has %.0f)",
+                     genco_id, best.plant_type, tranche, funds)
+        else:
+            plant = PowerPlant(
+                plant_id=f"{genco_id}-{best.plant_type}-{year}",
+                owner_id=genco_id,
+                plant_type=best.plant_type,
+                capacity_mw=best.capacity_mw,
+                construction_year=online,
+                costs=best.costs,
+                status="under_construction",
+            )
+            commitment = Commitment(plant, year, online, tranche, best.capital_tranches - 1)
+            log.info("%s commits to %s %.0f MW (npv %.0f, online %d)",
+                     genco_id, best.plant_type, best.capacity_mw, best_npv, online)
+    evaluations = [InvestmentEvaluation(
+        genco_id, year, cand.plant_type, cand.capacity_mw, value,
+        committed=i == idx and commitment is not None,
+        online_year=year + cand.lead_years, affordable=i != idx or affordable,
+    ) for i, (cand, value) in enumerate(zip(menu, npvs))]
+    return commitment, evaluations

@@ -139,7 +139,7 @@ class ScenarioBundle:
     cost_table: object
     target: dict[int, dict[str, float]]  # year -> type -> share
     include_first_year: bool = True
-    # shared by every evaluation of this bundle; None gives each its own
+    # shared by every evaluation of this bundle; None clears every year afresh
     dispatch_store: DispatchStore | None = field(default=None, compare=False, repr=False)
 
 
@@ -153,7 +153,7 @@ def _mix_error(genome, bundle: ScenarioBundle, eval_seed: int, layout: GenomeLay
     def keep_mix(result) -> None:
         trajectory[result.year] = result.objective_mix()
 
-    run(world, scenario.end_year - scenario.start_year + 1, keep_mix)
+    run(world, keep_mix)
     years = layout.scored_years(scenario, bundle.include_first_year)
     return mix_error_longterm({y: trajectory[y] for y in years},
                               {y: bundle.target[y] for y in years})
@@ -220,6 +220,7 @@ class Objective:
 TOURNAMENT_SIZE = 3
 BLEND_ALPHA = 0.5          # blend crossover widens the parents' span by this on each side
 MUTATION_SIGMA_FRAC = 0.1  # gaussian mutation sigma as a fraction of each bound's width
+STALL_TOL = 1e-6           # a best fitness that improves by less than this has stalled
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,6 @@ class GAConfig:
     seed: int = 0
     parallel_workers: int = 1
     stall_generations: int = 20
-    stall_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_generations < 0:
@@ -470,7 +470,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
 
             if len(best_history) > cfg.stall_generations:
                 recent = best_history[-(cfg.stall_generations + 1)]
-                if recent - best_history[-1] < cfg.stall_tol:
+                if recent - best_history[-1] < STALL_TOL:
                     log.info("fitness stalled after generation %d; stopping", gen)
                     break
     finally:

@@ -27,6 +27,7 @@ from . import engine, repdays
 from .ingest import (
     InputError,
     bundled_cost_table,
+    csv_rows,
     load_cost_table,
     load_hourly_series,
     load_plant_registry,
@@ -228,10 +229,9 @@ def cmd_simulate(args) -> int:
         args.seed = scenario.rng_seed
         _write_manifest(out, "simulate", args, inputs, started=started)
     world = engine.init_world(scenario, registry, rep, cost_table, seed=args.seed)
-    horizon = scenario.end_year - scenario.start_year + 1
     sink = _DispatchLogSink(out, args.dispatch_log)
     try:
-        engine.run(world, horizon, sink=sink)
+        engine.run(world, sink=sink)
     finally:
         sink.close()
     _write_manifest(out, "simulate", args, inputs, end=True, started=started)
@@ -244,23 +244,18 @@ def cmd_simulate(args) -> int:
 
 def _load_target(path: Path) -> dict[int, dict[str, float]]:
     target: dict[int, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("year", "type", "share") if c not in (reader.fieldnames or [])]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                year, share = int(row["year"]), float(row["share"])
-            except (TypeError, ValueError):
-                raise InputError(f"{path}: non-numeric year or share (row {row_no})") from None
-            if not (math.isfinite(share) and share >= 0.0):
-                raise InputError(f"{path}: share must be finite and >= 0 (row {row_no})")
-            shares = target.setdefault(year, {})
-            if row["type"] in shares:
-                raise InputError(
-                    f"{path}: duplicate year {year} type {row['type']!r} (row {row_no})")
-            shares[row["type"]] = share
+    for row_no, row in csv_rows(path, ("year", "type", "share")):
+        try:
+            year, share = int(row["year"]), float(row["share"])
+        except (TypeError, ValueError):
+            raise InputError(f"{path}: non-numeric year or share (row {row_no})") from None
+        if not (math.isfinite(share) and share >= 0.0):
+            raise InputError(f"{path}: share must be finite and >= 0 (row {row_no})")
+        shares = target.setdefault(year, {})
+        if row["type"] in shares:
+            raise InputError(
+                f"{path}: duplicate year {year} type {row['type']!r} (row {row_no})")
+        shares[row["type"]] = share
     if not target:
         raise InputError(f"{path}: empty target trajectory")
     return target

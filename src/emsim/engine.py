@@ -141,15 +141,12 @@ class World:
     cost_table: CostTable
     plants: list[PowerPlant]
     funds: dict[str, float]             # genco id -> funds, the one ledger
-    dispatch_store: DispatchStore
+    dispatch_store: DispatchStore | None  # None: every year clears afresh
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
 
     def operating_plants(self) -> list[PowerPlant]:
         return [p for p in self.plants if p.status == "operating"]
-
-    def genco_order(self) -> list[str]:
-        return sorted(self.funds)
 
 
 def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
@@ -160,11 +157,15 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     Registry plants start operating except those already past their
     operating period, which retire immediately. The registry itself is
     never mutated: the world works on copies. Worlds handed the same
-    `store` reuse each other's dispatches; by default a world gets its own.
+    `store` reuse each other's dispatches; by default a world keeps no
+    year's dispatch once the year is stepped.
     """
     plants = [copy.copy(p) for p in registry.plants]
     year = scenario.start_year
     for plant in plants:
+        if plant.owner_id not in registry.funds:
+            raise InputError(f"plant '{plant.plant_id}' has owner '{plant.owner_id}', "
+                             "which has no funds entry")
         plant.status = "operating"
         if year - plant.construction_year >= plant.costs.operating_period:
             plant.status = "retired"
@@ -180,7 +181,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         plants=plants,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
-        dispatch_store=DispatchStore() if store is None else store,
+        dispatch_store=store,
     )
 
 
@@ -220,26 +221,22 @@ def step_year(world: World) -> YearResult:
     # 2. dispatch
     operating = world.operating_plants()
     costs = [srmc(p, scenario, year) for p in operating]
-    days, (energy, revenue, subsidy, unserved) = world.dispatch_store.dispatch(
+    store = DispatchStore() if world.dispatch_store is None else world.dispatch_store
+    days, (energy, revenue, subsidy, unserved) = store.dispatch(
         year, operating, costs, world.rep_year, scenario)
 
-    # 3. settle
-    settlements: dict[str, Settlement] = {}
-    for gid in world.genco_order():
-        s = Settlement(funds_start=world.funds[gid])
-        for i, plant in enumerate(operating):
-            if plant.owner_id != gid:
-                continue
-            s.market_revenue += revenue[i]
-            s.subsidy += subsidy[i]
-            s.variable_cost += energy[i] * costs[i]
-            s.fixed_cost += plant.costs.fixed_om * plant.capacity_mw
-        for commitment in world.commitments:
-            if commitment.plant.owner_id != gid or commitment.tranches_left <= 0:
-                continue
-            s.capital_existing += commitment.tranche
+    # 3. settle, in sorted company order; each company's sums follow fleet order
+    settlements = {gid: Settlement(funds_start=world.funds[gid]) for gid in sorted(world.funds)}
+    for i, plant in enumerate(operating):
+        s = settlements[plant.owner_id]
+        s.market_revenue += revenue[i]
+        s.subsidy += subsidy[i]
+        s.variable_cost += energy[i] * costs[i]
+        s.fixed_cost += plant.costs.fixed_om * plant.capacity_mw
+    for commitment in world.commitments:
+        if commitment.tranches_left > 0:
+            settlements[commitment.plant.owner_id].capital_existing += commitment.tranche
             commitment.tranches_left -= 1
-        settlements[gid] = s
 
     # 4. invest (the final simulated year makes no new commitments)
     investments = []
@@ -248,8 +245,7 @@ def step_year(world: World) -> YearResult:
         menu = candidate_menu(world.cost_table, year)
         horizon = max((c.lead_years + c.operating_years for c in menu), default=0)
         npvs_of: dict[bytes, list[float]] = {}  # one appraisal per distinct belief set
-        for index, gid in enumerate(world.genco_order()):
-            s = settlements[gid]
+        for index, (gid, s) in enumerate(settlements.items()):
             beliefs = belief_curves(scenario, world.seed, index, year, horizon)
             key = beliefs.tobytes()
             if key not in npvs_of:
@@ -267,12 +263,15 @@ def step_year(world: World) -> YearResult:
         s.funds_end = world.funds[gid] = s.funds_start + s.delta
 
     # 5. activate finished construction
+    building = []
     activated = []
-    for commitment in list(world.commitments):
+    for commitment in world.commitments:
         if commitment.online_year <= year + 1 and commitment.tranches_left == 0:
             commitment.plant.status = "operating"
             activated.append(commitment.plant.plant_id)
-            world.commitments.remove(commitment)
+        else:
+            building.append(commitment)
+    world.commitments = building
 
     # 6. advance
     world.year = year + 1
@@ -295,10 +294,9 @@ def step_year(world: World) -> YearResult:
     )
 
 
-def run(world: World, horizon: int, sink) -> None:
-    """Simulate `horizon` years, handing each YearResult to `sink` as
-    soon as it is complete; nothing else keeps it."""
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1 (got {horizon})")
-    for _ in range(horizon):
+def run(world: World, sink) -> None:
+    """Simulate from the world's year through the scenario's end year,
+    handing each YearResult to `sink` as soon as it is complete; nothing
+    else keeps it."""
+    while world.year <= world.scenario.end_year:
         sink(step_year(world))

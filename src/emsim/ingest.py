@@ -112,6 +112,17 @@ def _parse_timestamp(text: str) -> np.datetime64:
     return np.datetime64(stamp, "s")
 
 
+def csv_rows(path, required):
+    """Yield (row number, row) for each data row of a CSV file whose
+    header names every `required` column; the header is row 1."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in required if c not in (reader.fieldnames or [])]
+        if missing:
+            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+        yield from enumerate(reader, start=2)
+
+
 def load_hourly_series(path) -> TimeSeriesSet:
     """Load the hourly series CSV, keeping only complete 24-hour days.
 
@@ -122,38 +133,31 @@ def load_hourly_series(path) -> TimeSeriesSet:
     reported on the returned set.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in ("timestamp",) + SERIES_COLUMNS if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+    stamps: list[np.datetime64] = []
+    values: list[tuple[float, float, float, float]] = []
+    rejected = 0
+    total = 0
+    prev = None
+    for row_no, row in csv_rows(path, ("timestamp",) + SERIES_COLUMNS):
+        total += 1
+        try:
+            ts = _parse_timestamp(row["timestamp"])
+        except ValueError:
+            raise InputError(f"{path}: bad timestamp {row['timestamp']!r} (row {row_no})")
+        if prev is not None and ts <= prev:
+            raise InputError(f"{path}: timestamps not strictly increasing (row {row_no})")
+        prev = ts
+        vals = tuple(_parse_float(row[c], path, row_no, c) for c in SERIES_COLUMNS)
+        if vals[0] < 0.0 or any(v < 0.0 or v > 1.0 for v in vals[1:]):
+            rejected += 1
+            continue
+        stamps.append(ts)
+        values.append(vals)
 
-        stamps: list[np.datetime64] = []
-        values: list[tuple[float, float, float, float]] = []
-        rejected = 0
-        total = 0
-        prev = None
-        for row_no, row in enumerate(reader, start=2):
-            total += 1
-            try:
-                ts = _parse_timestamp(row["timestamp"])
-            except ValueError:
-                raise InputError(f"{path}: bad timestamp {row['timestamp']!r} (row {row_no})")
-            if prev is not None and ts <= prev:
-                raise InputError(f"{path}: timestamps not strictly increasing (row {row_no})")
-            prev = ts
-            vals = tuple(_parse_float(row[c], path, row_no, c) for c in SERIES_COLUMNS)
-            if vals[0] < 0.0 or any(v < 0.0 or v > 1.0 for v in vals[1:]):
-                rejected += 1
-                continue
-            stamps.append(ts)
-            values.append(vals)
-
-        if total and rejected / total > 0.01:
-            raise InputError(
-                f"{path}: {rejected} of {total} rows rejected (>1% out of range)"
-            )
+    if total and rejected / total > 0.01:
+        raise InputError(
+            f"{path}: {rejected} of {total} rows rejected (>1% out of range)"
+        )
 
     ts_arr = np.array(stamps, dtype="datetime64[s]")
     val_arr = np.array(values, dtype=float).reshape(-1, 4)
@@ -336,28 +340,21 @@ def load_cost_table(path) -> CostTable:
     """
     path = Path(path)
     rows: dict[CostKey, PlantCosts] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ("type", "capacity_mw", "year") + COST_COLUMNS
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row_no, row in enumerate(reader, start=2):
-            ptype = row["type"].strip()
-            if ptype not in PLANT_TYPES:
-                raise InputError(f"{path}: unknown plant type {ptype!r} (row {row_no})")
-            cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
-            vals = [_parse_float(row[c], path, row_no, c) for c in COST_COLUMNS]
-            try:
-                costs = PlantCosts(**dict(zip(_COST_FIELDS, vals)))
-            except InputError as exc:
-                raise InputError(f"{path}: {exc} (row {row_no})")
-            for year in _expand_year_cell(row["year"], path, row_no):
-                key = (ptype, cap, year)
-                if key in rows:
-                    raise InputError(f"{path}: duplicate cost row for {key}")
-                rows[key] = costs
+    for row_no, row in csv_rows(path, ("type", "capacity_mw", "year") + COST_COLUMNS):
+        ptype = row["type"].strip()
+        if ptype not in PLANT_TYPES:
+            raise InputError(f"{path}: unknown plant type {ptype!r} (row {row_no})")
+        cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
+        vals = [_parse_float(row[c], path, row_no, c) for c in COST_COLUMNS]
+        try:
+            costs = PlantCosts(**dict(zip(_COST_FIELDS, vals)))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc} (row {row_no})")
+        for year in _expand_year_cell(row["year"], path, row_no):
+            key = (ptype, cap, year)
+            if key in rows:
+                raise InputError(f"{path}: duplicate cost row for {key}")
+            rows[key] = costs
     if not rows:
         raise InputError(f"{path}: empty cost table")
     return CostTable(rows=rows)
@@ -429,39 +426,32 @@ def load_plant_registry(path, cost_table: CostTable) -> PlantRegistry:
     plants: list[PowerPlant] = []
     funds: dict[str, float] = {}
     seen_ids: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ("plant_id", "owner_id", "type", "capacity_mw", "construction_year")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        has_funds = "funds" in header
-        for row_no, row in enumerate(reader, start=2):
-            pid = row["plant_id"].strip()
-            owner = row["owner_id"].strip()
-            if not pid:
-                raise InputError(f"{path}: empty plant_id (row {row_no})")
-            if pid in seen_ids:
-                raise InputError(f"{path}: duplicate plant_id '{pid}' (row {row_no})")
-            seen_ids.add(pid)
-            if not owner:
-                raise InputError(f"{path}: plant '{pid}' has no owner id (row {row_no})")
-            ptype = row["type"].strip()
-            cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
-            year = _parse_int(row["construction_year"], path, row_no, "construction_year")
-            try:
-                plants.append(PowerPlant(pid, owner, ptype, cap, year,
-                                         cost_table.lookup(ptype, cap, year)))
-            except InputError as exc:
-                raise InputError(f"{path}: {exc} (row {row_no})")
-            if has_funds and row["funds"].strip():
-                f = _parse_float(row["funds"], path, row_no, "funds")
-                if owner in funds and funds[owner] != f:
-                    raise InputError(f"{path}: conflicting funds for owner '{owner}' (row {row_no})")
-                funds[owner] = f
-            else:
-                funds.setdefault(owner, 0.0)
+    required = ("plant_id", "owner_id", "type", "capacity_mw", "construction_year")
+    for row_no, row in csv_rows(path, required):
+        pid = row["plant_id"].strip()
+        owner = row["owner_id"].strip()
+        if not pid:
+            raise InputError(f"{path}: empty plant_id (row {row_no})")
+        if pid in seen_ids:
+            raise InputError(f"{path}: duplicate plant_id '{pid}' (row {row_no})")
+        seen_ids.add(pid)
+        if not owner:
+            raise InputError(f"{path}: plant '{pid}' has no owner id (row {row_no})")
+        ptype = row["type"].strip()
+        cap = _parse_float(row["capacity_mw"], path, row_no, "capacity_mw")
+        year = _parse_int(row["construction_year"], path, row_no, "construction_year")
+        try:
+            plants.append(PowerPlant(pid, owner, ptype, cap, year,
+                                     cost_table.lookup(ptype, cap, year)))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc} (row {row_no})")
+        if (row.get("funds") or "").strip():
+            f = _parse_float(row["funds"], path, row_no, "funds")
+            if owner in funds and funds[owner] != f:
+                raise InputError(f"{path}: conflicting funds for owner '{owner}' (row {row_no})")
+            funds[owner] = f
+        else:
+            funds.setdefault(owner, 0.0)
     return PlantRegistry(plants=tuple(plants), funds=funds)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, _parse_float,
-                     _parse_int)
+                     _parse_int, csv_rows)
 
 log = logging.getLogger(__name__)
 
@@ -455,25 +455,19 @@ def save_representative_days(rep: RepresentativeYear, path) -> None:
 
 def load_representative_days(path) -> RepresentativeYear:
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REPDAYS_COLUMNS if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        by_cluster: dict[int, dict[int, list[float]]] = {}
-        weights: dict[int, float] = {}
-        for row_no, row in enumerate(reader, start=2):
-            c = _parse_int(row["cluster"], path, row_no, "cluster")
-            h = _parse_int(row["hour"], path, row_no, "hour")
-            if not 1 <= h <= HOURS_PER_DAY:
-                raise InputError(f"{path}: hour must be in 1..24 (row {row_no})")
-            w = _parse_float(row["weight"], path, row_no, "weight")
-            if c in weights and weights[c] != w:
-                raise InputError(f"{path}: inconsistent weight for cluster {c} (row {row_no})")
-            weights[c] = w
-            vals = [_parse_float(row[col], path, row_no, col) for col in REPDAYS_COLUMNS[3:]]
-            by_cluster.setdefault(c, {})[h] = vals
+    by_cluster: dict[int, dict[int, list[float]]] = {}
+    weights: dict[int, float] = {}
+    for row_no, row in csv_rows(path, REPDAYS_COLUMNS):
+        c = _parse_int(row["cluster"], path, row_no, "cluster")
+        h = _parse_int(row["hour"], path, row_no, "hour")
+        if not 1 <= h <= HOURS_PER_DAY:
+            raise InputError(f"{path}: hour must be in 1..24 (row {row_no})")
+        w = _parse_float(row["weight"], path, row_no, "weight")
+        if c in weights and weights[c] != w:
+            raise InputError(f"{path}: inconsistent weight for cluster {c} (row {row_no})")
+        weights[c] = w
+        vals = [_parse_float(row[col], path, row_no, col) for col in REPDAYS_COLUMNS[3:]]
+        by_cluster.setdefault(c, {})[h] = vals
     if not by_cluster:
         raise InputError(f"{path}: no representative days found")
     clusters = sorted(by_cluster)

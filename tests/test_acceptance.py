@@ -217,7 +217,7 @@ def test_criterion_10_transition_behavior():
         scenario, registry, rep = transition_scenario()
         world = init_world(scenario, registry, rep, bundled_cost_table())
         years = []
-        run(world, 6, years.append)
+        run(world, years.append)
         coal = [r.objective_mix()["coal"] for r in years]
         gas = [r.objective_mix()["CCGT"] for r in years]
         for i in range(2, len(years)):

@@ -1,10 +1,14 @@
 """Price expectation, NPV and investment-decision tests."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from emsim.agents import (
+    Commitment,
     InvestmentCandidate,
+    InvestmentEvaluation,
     appraise,
     belief_curves,
     candidate_menu,
@@ -12,7 +16,7 @@ from emsim.agents import (
     invest_step,
     npv,
 )
-from emsim.ingest import CF_SERIES, CostTable, InputError, PlantCosts, ScenarioConfig
+from emsim.ingest import CF_SERIES, CostTable, InputError, PlantCosts, PowerPlant, ScenarioConfig
 from emsim.market import marginal_cost
 from emsim.repdays import assemble_year
 from toys import flat_rep_year, invest_cost_table, simple_costs
@@ -454,3 +458,87 @@ def test_invest_step_deterministic_across_identical_gencos():
         commitment, _ = invest(menu, scenario, 5e8, rep, genco_id=gid)
         results.append(None if commitment is None else commitment.plant.plant_type)
     assert results[0] == results[1]
+
+
+def invest_step_two_pass(genco_id, funds, year, menu, npvs):
+    """Oracle: the commit decision that records every candidate first and
+    then rebuilds the best candidate's record."""
+    log = logging.getLogger("emsim.agents")
+    evaluations = []
+    best = None
+    best_npv = 0.0
+    idx = -1
+    for i, (cand, value) in enumerate(zip(menu, npvs)):
+        evaluations.append(InvestmentEvaluation(
+            genco_id, year, cand.plant_type, cand.capacity_mw, value,
+            committed=False, online_year=year + cand.lead_years, affordable=True,
+        ))
+        if value > best_npv:
+            best, best_npv, idx = cand, value, i
+    if best is None:
+        return None, evaluations
+    tranche = best.capital_total / best.capital_tranches
+    if funds < tranche:
+        log.info("%s: cannot afford %s (needs %.0f, has %.0f)",
+                 genco_id, best.plant_type, tranche, funds)
+        evaluations[idx] = InvestmentEvaluation(
+            genco_id, year, best.plant_type, best.capacity_mw, best_npv,
+            committed=False, online_year=year + best.lead_years, affordable=False,
+        )
+        return None, evaluations
+    online = year + best.lead_years
+    plant = PowerPlant(
+        plant_id=f"{genco_id}-{best.plant_type}-{year}", owner_id=genco_id,
+        plant_type=best.plant_type, capacity_mw=best.capacity_mw, construction_year=online,
+        costs=best.costs, status="under_construction",
+    )
+    evaluations[idx] = InvestmentEvaluation(
+        genco_id, year, best.plant_type, best.capacity_mw, best_npv,
+        committed=True, online_year=online, affordable=True,
+    )
+    log.info("%s commits to %s %.0f MW (npv %.0f, online %d)",
+             genco_id, best.plant_type, best.capacity_mw, best_npv, online)
+    return Commitment(plant, year, online, tranche, best.capital_tranches - 1), evaluations
+
+
+def oracle_menu():
+    """The toy table's menu plus candidates with 0 to 4 lead years."""
+    extra = tuple(
+        InvestmentCandidate("Nuclear", 300.0 + 100.0 * lead, simple_costs(
+            predev_period=lead // 2, construction_period=lead - lead // 2,
+            predev_cost=1000.0 * (lead + 1), construction_cost=5000.0,
+            infrastructure_cost=250.0 * lead))
+        for lead in range(5))
+    return candidate_menu(invest_cost_table(), 2020) + extra
+
+
+def oracle_npv_lists():
+    n = len(oracle_menu())
+    rng = np.random.default_rng(12)
+    yield from (list(rng.normal(0.0, 1e6, n)) for _ in range(6))
+    yield [5.0, 5.0, 1.0, 5.0, -1.0, 0.0, 2.0, 5.0]          # ties for the best
+    yield [-1.0, 7.5, 7.5, 0.0, 7.5, -2.0, 7.5, 7.5]
+    yield [-3.0, -1.0, 0.0, -0.5, -1e9, 0.0, -2.0, -4.0]     # nothing positive
+    yield [0.0] * n                                           # exact zeros
+    yield [0.0, 0.0, 0.0, 0.0, 0.0, 1e-300, 0.0, 0.0]
+    yield [float("nan"), 2.0, float("nan"), 3.0, 0.0, 3.0, -1.0, float("nan")]
+
+
+@pytest.mark.parametrize("npvs", list(oracle_npv_lists()))
+def test_invest_step_equals_the_two_pass_oracle(npvs, caplog):
+    menu = oracle_menu()
+    assert len(npvs) == len(menu)
+    tranches = [c.capital_total / c.capital_tranches for c in menu]
+    funds_cases = [0.0, 1e12, float("nan")]
+    for tranche in tranches:  # below, at and above every candidate's first tranche
+        funds_cases += [np.nextafter(tranche, -np.inf), tranche, tranche * 1.5]
+    for funds in funds_cases:
+        with caplog.at_level(logging.INFO, logger="emsim.agents"):
+            caplog.clear()
+            expected = invest_step_two_pass("g7", funds, 2021, menu, npvs)
+            expected_log = [(r.levelno, r.getMessage()) for r in caplog.records]
+            caplog.clear()
+            got = invest_step("g7", funds, 2021, menu, npvs)
+            got_log = [(r.levelno, r.getMessage()) for r in caplog.records]
+        assert got == expected
+        assert got_log == expected_log

@@ -353,7 +353,7 @@ def test_ga_stall_termination():
     def constant(genome, seed):
         return 1.0
 
-    cfg = small_cfg(max_generations=100, stall_generations=5, stall_tol=1e-6)
+    cfg = small_cfg(max_generations=100, stall_generations=5)
     result = ga_run(cfg, constant)
     assert result.n_generations - 1 < 100
 
@@ -436,7 +436,7 @@ def test_objective_validation_scores_final_year(toy_bundle):
     world = init_world(scenario, toy_bundle.registry, toy_bundle.rep_year,
                        toy_bundle.cost_table, seed=9)
     years = []
-    run(world, 4, years.append)
+    run(world, years.append)
     final = years[-1]
     expected = mix_error_validation(final.objective_mix(), toy_bundle.target[final.year])
     assert objective_validation(genome, toy_bundle, eval_seed=9) == expected

@@ -368,7 +368,7 @@ def test_calibrate_input_error_inside_evaluation_exits_one(tmp_path, capsys, wor
 
 
 def test_calibrate_without_a_finite_fitness_exits_two(tmp_path, capsys, monkeypatch):
-    def broken_run(world, horizon, sink):
+    def broken_run(world, sink):
         raise RuntimeError("engine broke")
 
     monkeypatch.setattr("emsim.calibrate.run", broken_run)

@@ -1,5 +1,6 @@
 """World lifecycle, settlement and yearly-loop tests."""
 
+import copy
 import weakref
 from dataclasses import replace
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from emsim import agents, engine
-from emsim.agents import belief_curves, candidate_menu, expected_cashflow, npv
-from emsim.engine import DispatchStore, init_world, run, step_year
-from emsim.market import dispatch_year
+from emsim.agents import Commitment, belief_curves, candidate_menu, expected_cashflow, npv
+from emsim.engine import DispatchStore, Settlement, init_world, run, step_year
+from emsim.market import annual_totals, dispatch_year
 from emsim.ingest import InputError, PlantRegistry, ScenarioConfig
 from emsim.repdays import DAYS_PER_YEAR
 from toys import (
@@ -75,6 +76,15 @@ def test_init_world_unknown_retirement_plant():
     registry = PlantRegistry(plants=(), funds={})
     with pytest.raises(InputError, match="ghost"):
         init_world(scenario, registry, flat_rep_year(500.0), _empty_cost_table())
+
+
+def test_init_world_owner_without_funds_entry():
+    scenario = ScenarioConfig(start_year=2020, end_year=2020, carbon_price={2020: 0.0})
+    plants = (make_plant("a", "g1", "CCGT", 100.0, 2015),
+              make_plant("b", "g2", "CCGT", 100.0, 2015))
+    registry = PlantRegistry(plants=plants, funds={"g1": 0.0})
+    with pytest.raises(InputError, match="plant 'b' has owner 'g2'"):
+        init_world(scenario, registry, flat_rep_year(150.0), _empty_cost_table())
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +174,24 @@ def test_missing_scenario_year():
 def test_run_six_years():
     world = nuclear_world(years=(2013, 2018))
     years = []
-    run(world, 6, years.append)
+    run(world, years.append)
     assert [r.year for r in years] == list(range(2013, 2019))
-
-
-def test_run_rejects_a_horizon_below_one():
-    world = nuclear_world()
-    with pytest.raises(InputError, match="horizon must be >= 1"):
-        run(world, 0, lambda result: None)
-    assert world.year == 2020  # untouched
 
 
 def test_run_keeps_no_year():
     world = nuclear_world(years=(2020, 2023))
+    assert world.dispatch_store is None
     previous = []
 
     def sink(result):
-        # the loop drops each year once its sink returns
+        # the loop drops each year, and a world without a shared store its
+        # dispatch, once its sink returns
         if previous:
-            assert previous[-1]() is None
-        previous.append(weakref.ref(result))
+            assert previous[-1][0]() is None
+            assert previous[-1][1]() is None
+        previous.append((weakref.ref(result), weakref.ref(result.days[0])))
 
-    run(world, 4, sink)
+    run(world, sink)
     assert len(previous) == 4
 
 
@@ -197,7 +203,7 @@ def test_run_deterministic_replay():
                                      "sigma_c": 0.5})
         world = init_world(scenario, registry, rep, table, seed=11)
         years = []
-        run(world, 4, years.append)
+        run(world, years.append)
         return [
             (r.year, sorted(r.energy_mwh.items()), sorted(r.funds.items()),
              r.prices.tolist(), [c.plant.plant_id for c in r.investments])
@@ -212,7 +218,7 @@ def test_money_conservation_ledger():
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 30.0)})
     world = init_world(scenario, registry, rep, table, seed=5)
     years = []
-    run(world, 4, years.append)
+    run(world, years.append)
     for result in years:
         for gid, s in result.settlements.items():
             # exact replay: funds_end was computed as funds_start + delta
@@ -233,7 +239,7 @@ def test_money_conservation_per_genco(sigma_c, seed, opening, price_cap):
         registry = PlantRegistry(plants=registry.plants, funds=dict(zip(("g1", "g2"), opening)))
     world = init_world(scenario, registry, rep, table, seed=seed)
     years = []
-    run(world, 8, years.append)
+    run(world, years.append)
     assert len({c.plant.owner_id for r in years for c in r.investments}) == 2
     funds = dict(registry.funds)
     for result in years:
@@ -271,7 +277,7 @@ def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_
                                  "sigma_c": sigma_c})
     world = init_world(scenario, registry, rep, table, seed=3)
     years = []
-    run(world, 5, years.append)
+    run(world, years.append)
     menu_size = len(candidate_menu(table, 2020))
     investing = range(2020, 2024)
     # two GenCos: byte-equal beliefs at zero sigma share one appraisal
@@ -310,7 +316,7 @@ def test_investment_lifecycle():
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 60.0)})
     world = init_world(scenario, registry, rep, table, seed=7)
     years = []
-    run(world, 4, years.append)
+    run(world, years.append)
     committed = [c for r in years for c in r.investments]
     assert committed, "high flat price should trigger at least one investment"
     first = committed[0]
@@ -334,7 +340,7 @@ def test_transition_coal_to_gas():
     scenario, registry, rep = transition_scenario()
     world = init_world(scenario, registry, rep, _empty_cost_table())
     years = []
-    run(world, 6, years.append)
+    run(world, years.append)
     coal = [r.objective_mix()["coal"] for r in years]
     gas = [r.objective_mix()["CCGT"] for r in years]
     # crossover begins in the third simulated year
@@ -353,7 +359,7 @@ def test_energy_balance_every_year_with_scaled_demand_and_shortfall():
                                  "demand_scale": scale})
     world = init_world(scenario, registry, rep, table, seed=5)
     years = []
-    run(world, 4, years.append)
+    run(world, years.append)
     assert [r.year for r in years] == [2020, 2021, 2022, 2023]
     assert any(r.unserved_mwh > 0.0 for r in years), "no shortfall year"
     assert any(r.unserved_mwh == 0.0 for r in years), "no fully served year"
@@ -362,6 +368,90 @@ def test_energy_balance_every_year_with_scaled_demand_and_shortfall():
         served = sum(result.energy_mwh.values())
         expected = scenario.demand_scale_at(result.year) * base
         assert served + result.unserved_mwh == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# settlement against the per-company loop
+
+
+def settle_per_genco(funds, operating, totals, costs, commitments):
+    """Oracle: the settlement as one loop per company in sorted order, each
+    summing over the whole operating fleet and then over every commitment."""
+    energy, revenue, subsidy, _ = totals
+    settlements = {}
+    for gid in sorted(funds):
+        s = Settlement(funds_start=funds[gid])
+        for i, plant in enumerate(operating):
+            if plant.owner_id != gid:
+                continue
+            s.market_revenue += revenue[i]
+            s.subsidy += subsidy[i]
+            s.variable_cost += energy[i] * costs[i]
+            s.fixed_cost += plant.costs.fixed_om * plant.capacity_mw
+        for commitment in commitments:
+            if commitment.plant.owner_id != gid or commitment.tranches_left <= 0:
+                continue
+            s.capital_existing += commitment.tranche
+            commitment.tranches_left -= 1
+        settlements[gid] = s
+    return settlements
+
+
+def interleaved_world(seed):
+    """A seeded fleet whose owners interleave in list order, with
+    commitments owed 0 to 3 tranches, in a scenario where companies invest."""
+    scenario, _, rep, table = invest_scenario(end_year=2026)
+    scenario = replace(scenario, price_curve=(0.002, 50.0), sigma_c=4.0, nuclear_subsidy=3.0)
+    rep = flat_rep_year(demand=(20000.0, 35000.0), solar=(0.2, 0.6), onshore=(0.5, 0.3),
+                        weights=(0.5, 0.5))
+    rng = np.random.default_rng(seed)
+    gencos = ("g3", "g1", "g4", "g2")
+    types = ("CCGT", "Coal", "PV", "Nuclear", "Onshore")
+    plants = tuple(
+        make_plant(f"p{i}", str(rng.choice(gencos)), str(rng.choice(types)),
+                   float(rng.uniform(200.0, 3000.0)), int(rng.integers(1995, 2020)),
+                   simple_costs(efficiency=float(rng.uniform(0.3, 0.6)), operating_period=30,
+                                fixed_om=float(rng.uniform(0.0, 20000.0)),
+                                variable_om=float(rng.uniform(0.0, 5.0))))
+        for i in range(30))
+    registry = PlantRegistry(plants=plants, funds={g: float(rng.uniform(0.0, 1e9))
+                                                   for g in gencos})
+    world = init_world(scenario, registry, rep, table, seed=seed)
+    for j, left in enumerate((0, 1, 2, 3, 1, 0)):
+        plant = make_plant(f"c{j}", gencos[j % 3], "CCGT", 500.0, 2021 + j)
+        plant.status = "under_construction"
+        world.plants.append(plant)
+        world.commitments.append(
+            Commitment(plant, 2019, 2020 + j, float(rng.uniform(1e6, 1e8)), left))
+    return world
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_settlement_equals_the_per_genco_loop(seed):
+    world = interleaved_world(seed)
+    owners = [p.owner_id for p in world.operating_plants()]
+    assert any(a != b for a, b in zip(owners, owners[1:]))
+    by_id = {}
+    invested = 0
+    while world.year <= world.scenario.end_year:
+        funds = dict(world.funds)
+        commitments = list(world.commitments)
+        expected_commitments = copy.deepcopy(commitments)
+        result = step_year(world)
+        by_id.update((p.plant_id, p) for p in world.plants)
+        operating = [by_id[pid] for pid in result.plant_ids]
+        totals = annual_totals(operating, result.days, world.scenario.nuclear_subsidy)
+        expected = settle_per_genco(funds, operating, totals, result.bid_prices,
+                                    expected_commitments)
+        for commitment in result.investments:
+            expected[commitment.plant.owner_id].capital_new += commitment.tranche
+        for s in expected.values():
+            s.funds_end = s.funds_start + s.delta
+        assert list(result.settlements.items()) == list(expected.items())
+        assert ([c.tranches_left for c in commitments]
+                == [c.tranches_left for c in expected_commitments])
+        invested += len(result.investments)
+    assert invested
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +525,7 @@ def test_dispatch_store_keeps_one_entry_per_simulated_year():
     for c in (40.0, 50.0, 60.0, 45.0, 50.0):
         world = init_world(replace(scenario, price_curve=(0.002, c)), registry, rep, table,
                            seed=3, store=store)
-        run(world, 5, lambda result: None)
+        run(world, lambda result: None)
         assert len(store) <= 5
     assert len(store) == 5
 
