@@ -37,6 +37,7 @@ from .market import (Bid, ClearingResult, clear_hours, clear_market,  # noqa: F4
                      dispatch_year, srmc)
 from .agents import (  # noqa: F401
     InvestmentCandidate,
+    appraisal_plan,
     appraise,
     belief_curves,
     expected_cashflow,

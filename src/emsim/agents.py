@@ -87,7 +87,9 @@ def candidate_menu(cost_table, year: int) -> tuple[InvestmentCandidate, ...]:
 def expected_cashflow(candidate: InvestmentCandidate, curves: np.ndarray,
                       rep_year: RepresentativeYear, scenario: ScenarioConfig,
                       commit_year: int) -> np.ndarray:
-    """Per-year net cash flows of a candidate committed this year.
+    """Per-year net cash flows of a candidate committed this year: the
+    one-candidate reference form of `appraise`, which the simulation no
+    longer calls.
 
     Capital is charged over the lead years; every operating year pays
     fixed O&M and earns the expected margin: for each weighted
@@ -130,6 +132,92 @@ def expected_cashflow(candidate: InvestmentCandidate, curves: np.ndarray,
     return cashflow
 
 
+@dataclass(frozen=True)
+class AppraisalPlan:
+    """Everything the appraisal of a menu committed in one year takes
+    from neither the belief curves nor the nuclear subsidy: one row per
+    (candidate, operating year), the dispatchable rows first.
+
+    A row's cash flow is the one `expected_cashflow` gives that year;
+    `fixed` holds each candidate's discounted capital and fixed O&M.
+    """
+
+    horizon: int               # belief columns the menu needs
+    dispatchable: int          # rows before the first intermittent one
+    candidate: np.ndarray      # (R,) each row's menu index
+    column: np.ndarray         # (R,) each row's belief column: years since commitment
+    cost: np.ndarray           # (R,) marginal cost in the row's year
+    weight: np.ndarray         # (R,) discount factor x capacity
+    scale: np.ndarray          # (R,) demand scale
+    nuclear: np.ndarray        # (R,) 1.0 on a nuclear row, else 0.0
+    cf_sum: np.ndarray         # (R,) sum of w x cf; 0 on a dispatchable row
+    cf_demand_sum: np.ndarray  # (R,) scale x sum of w x cf x demand; 0 on a dispatchable row
+    fixed: np.ndarray          # (candidates,) discounted capital and fixed O&M, as negative flows
+    demand: np.ndarray         # (H,) representative demand
+    hour_weights: np.ndarray   # (H,)
+
+
+def appraisal_plan(menu: tuple[InvestmentCandidate, ...], rep_year: RepresentativeYear,
+                   scenario: ScenarioConfig, commit_year: int) -> AppraisalPlan:
+    """The plan of `menu` committed in `commit_year`; see `appraise`."""
+    if not scenario.start_year <= commit_year <= scenario.end_year:
+        raise InputError(f"commitment year {commit_year} outside scenario years")
+    horizon = max((c.lead_years + c.operating_years for c in menu), default=0)
+    discount = (1.0 + scenario.discount_rate) ** -np.arange(max(horizon, 1))
+    demand, hour_weights = rep_year.series("demand"), rep_year.hour_weights
+    fixed, rows = [], [np.empty((9, 0))]
+    for index, cand in enumerate(menu):
+        lead, n_years = cand.lead_years, cand.lead_years + cand.operating_years
+        tranches = cand.capital_tranches
+        fixed.append(-cand.capital_total / tranches * discount[:tranches].sum()
+                     - cand.costs.fixed_om * cand.capacity_mw * discount[lead:n_years].sum())
+        years = np.arange(commit_year + lead, commit_year + n_years)
+        cost = marginal_cost(cand.plant_type, cand.costs.efficiency, cand.costs.variable_om,
+                             scenario, years)
+        scale = scenario.demand_scale_at(years)
+        series = CF_SERIES.get(cand.plant_type)
+        cf = rep_year.series(series) if series else 0.0 * demand
+        rows.append(np.broadcast_arrays(
+            series is not None, index, years - commit_year, cost,
+            discount[lead:n_years] * cand.capacity_mw, scale, cand.plant_type == "Nuclear",
+            cf @ hour_weights, scale * ((cf * demand) @ hour_weights)))
+    table = np.concatenate(rows, axis=1, dtype=float)
+    table = table[:, np.argsort(table[0], kind="stable")]  # dispatchable rows first
+    return AppraisalPlan(horizon, int((table[0] == 0).sum()), table[1].astype(np.intp),
+                         table[2].astype(np.intp), *table[3:], np.array(fixed, dtype=float),
+                         demand, hour_weights)
+
+
+def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float) -> list[float]:
+    """NPV of each candidate of the plan's menu under one set of belief
+    curves, in one pass over the plan's rows. Nothing about a company
+    but its beliefs enters, so companies holding byte-equal beliefs share
+    one appraisal.
+
+    A dispatchable row earns in exactly the hours `expected_cashflow`
+    sells in: the predicted price, computed as there, covers the cost.
+    An intermittent row earns capacity x (m x scale x sum(w cf d) +
+    (c - cost) x sum(w cf)), the same margin in closed form. The NPVs
+    agree with `npv(expected_cashflow(...))` to 1e-12 of the sum of the
+    absolute discounted flows; their last bits may differ.
+    """
+    if beliefs.shape[1] < plan.horizon:
+        raise ValueError(f"belief curves cover {beliefs.shape[1]} years, need {plan.horizon}")
+    m, c = beliefs[:, plan.column]
+    n = plan.dispatchable
+    prices = plan.scale[:n, None] * plan.demand
+    prices *= m[:n, None]
+    prices += c[:n, None]
+    if nuclear_subsidy:
+        prices += (nuclear_subsidy * plan.nuclear[:n])[:, None]
+    prices -= plan.cost[:n, None]
+    margin = m * plan.cf_demand_sum + (c - plan.cost) * plan.cf_sum
+    # price - cost >= 0 exactly where price >= cost, so the max keeps the sold hours
+    margin[:n] = np.maximum(prices, 0.0, out=prices) @ plan.hour_weights
+    return (plan.fixed + np.bincount(plan.candidate, margin * plan.weight,
+                                     len(plan.fixed))).tolist()
+
+
 def npv(cashflows, discount_rate: float) -> float:
     """Net present value: sum of R_t / (1 + i)^t with t counted from 0.
 
@@ -165,16 +253,6 @@ class InvestmentEvaluation:
     committed: bool
     online_year: int
     affordable: bool
-
-
-def appraise(menu: tuple[InvestmentCandidate, ...], beliefs: np.ndarray,
-             rep_year: RepresentativeYear, scenario: ScenarioConfig,
-             year: int) -> list[float]:
-    """NPV of each menu candidate committed in `year` under one set of
-    belief curves. Nothing about a company but its beliefs enters, so
-    companies holding byte-equal beliefs share one appraisal."""
-    return [npv(expected_cashflow(cand, beliefs, rep_year, scenario, year),
-                scenario.discount_rate) for cand in menu]
 
 
 def invest_step(genco_id: str, funds: float, year: int,

@@ -191,8 +191,9 @@ class Objective:
 
     Its evaluations share one dispatch store, so a genome that leaves a
     year's fleet and bids as the previous evaluation left them reuses
-    that year's dispatch. A pool worker's unpickled copy starts with its
-    own, empty store."""
+    that year's dispatch, and every evaluation reuses the store's
+    appraisal plans and bids. A pool worker's unpickled copy starts with
+    its own, empty store."""
 
     bundle: ScenarioBundle
     layout: GenomeLayout

@@ -168,7 +168,7 @@ class _DispatchLogSink:
         self.invest_fh = open(out / "investments.csv", "w", newline="")
         self.invest = csv.writer(self.invest_fh)
         self.invest.writerow(["year", "genco_id", "type", "capacity_mw", "npv",
-                              "committed", "online_year"])
+                              "committed", "online_year", "affordable"])
         self.dispatch_fh = None
         self.dispatch = None
         if with_dispatch:
@@ -187,7 +187,7 @@ class _DispatchLogSink:
         for ev in result.investment_log:
             self.invest.writerow([ev.year, ev.genco_id, ev.plant_type,
                                   _fmt(ev.capacity_mw), _fmt(ev.npv),
-                                  int(ev.committed), ev.online_year])
+                                  int(ev.committed), ev.online_year, int(ev.affordable)])
         if self.dispatch is not None:
             ids = result.plant_ids
             by_id = sorted(range(len(ids)), key=ids.__getitem__)

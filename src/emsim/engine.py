@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import Commitment, appraise, belief_curves, candidate_menu, invest_step
+from .agents import (AppraisalPlan, Commitment, appraisal_plan, appraise, belief_curves,
+                     candidate_menu, invest_step)
 from .ingest import CostTable, InputError, PlantRegistry, PowerPlant, ScenarioConfig
-from .market import DayDispatch, annual_totals, dispatch_year, srmc
+from .market import DayDispatch, annual_totals, dispatch_year, marginal_cost
 from .repdays import RepresentativeYear
 
 log = logging.getLogger(__name__)
@@ -99,12 +100,13 @@ class DispatchStore:
     year object, which the entry holds. Otherwise the market is cleared
     and the entry replaced. With one entry per year the store never holds
     more than one trajectory, and it holds only tuples and read-only
-    arrays, so a reused result cannot be changed. A pickled copy starts
-    empty.
+    arrays, so a reused result cannot be changed. Worlds sharing a store
+    also share its `plans`. A pickled copy starts empty.
     """
 
     def __init__(self):
         self._last: dict[int, tuple] = {}
+        self.plans = PlanStore()
 
     def __len__(self) -> int:
         return len(self._last)
@@ -133,6 +135,61 @@ class DispatchStore:
         return days, totals
 
 
+class PlanStore:
+    """Each commit year's appraisal plan and each distinct cost row's
+    bids, kept for as long as the scenario's `cost_inputs` stay equal.
+
+    Neither takes anything from the belief curves or the nuclear subsidy,
+    so worlds that differ only there share them. Asked with a scenario
+    whose cost inputs differ from the last one's, the store empties
+    first; a plan is also rebuilt when its year's menu or representative
+    year is another object. A bid row holds `marginal_cost` of one
+    (type, efficiency, variable O&M) for every scenario year, so a bid
+    read from it has the bits of `srmc`.
+    """
+
+    def __init__(self):
+        self._scenario = None
+        self._inputs = None
+        self._plans: dict[int, tuple] = {}
+        self._bids: dict[tuple, list[float]] = {}
+
+    def _use(self, scenario: ScenarioConfig) -> None:
+        if scenario is self._scenario:
+            return
+        inputs = scenario.cost_inputs()
+        if inputs != self._inputs:
+            self._plans.clear()
+            self._bids.clear()
+            self._inputs = inputs
+        self._scenario = scenario
+
+    def plan(self, menu, rep_year: RepresentativeYear, scenario: ScenarioConfig,
+             year: int) -> AppraisalPlan:
+        """`appraisal_plan(menu, rep_year, scenario, year)`."""
+        self._use(scenario)
+        entry = self._plans.get(year)
+        if entry is None or entry[0] is not menu or entry[1] is not rep_year:
+            entry = self._plans[year] = (menu, rep_year,
+                                         appraisal_plan(menu, rep_year, scenario, year))
+        return entry[2]
+
+    def bids(self, plants: list[PowerPlant], scenario: ScenarioConfig, year: int) -> list[float]:
+        """Each plant's short-run marginal cost in `year`, in plant order."""
+        self._use(scenario)
+        column = year - scenario.start_year
+        bids = []
+        for plant in plants:
+            key = (plant.plant_type, plant.costs.efficiency, plant.costs.variable_om)
+            row = self._bids.get(key)
+            if row is None:
+                years = np.arange(scenario.start_year, scenario.end_year + 1)
+                row = self._bids[key] = np.broadcast_to(
+                    marginal_cost(*key, scenario, years), years.shape).tolist()
+            bids.append(row[column])
+        return bids
+
+
 @dataclass
 class World:
     year: int
@@ -142,6 +199,7 @@ class World:
     plants: list[PowerPlant]
     funds: dict[str, float]             # genco id -> funds, the one ledger
     dispatch_store: DispatchStore | None  # None: every year clears afresh
+    plans: PlanStore
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
 
@@ -158,7 +216,8 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     operating period, which retire immediately. The registry itself is
     never mutated: the world works on copies. Worlds handed the same
     `store` reuse each other's dispatches; by default a world keeps no
-    year's dispatch once the year is stepped.
+    year's dispatch once the year is stepped, and builds its own
+    appraisal plans and bids.
     """
     plants = [copy.copy(p) for p in registry.plants]
     year = scenario.start_year
@@ -182,6 +241,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
         dispatch_store=store,
+        plans=PlanStore() if store is None else store.plans,
     )
 
 
@@ -220,7 +280,7 @@ def step_year(world: World) -> YearResult:
 
     # 2. dispatch
     operating = world.operating_plants()
-    costs = [srmc(p, scenario, year) for p in operating]
+    costs = world.plans.bids(operating, scenario, year)
     store = DispatchStore() if world.dispatch_store is None else world.dispatch_store
     days, (energy, revenue, subsidy, unserved) = store.dispatch(
         year, operating, costs, world.rep_year, scenario)
@@ -243,13 +303,13 @@ def step_year(world: World) -> YearResult:
     investment_log = []
     if year < scenario.end_year:
         menu = candidate_menu(world.cost_table, year)
-        horizon = max((c.lead_years + c.operating_years for c in menu), default=0)
+        plan = world.plans.plan(menu, world.rep_year, scenario, year)
         npvs_of: dict[bytes, list[float]] = {}  # one appraisal per distinct belief set
         for index, (gid, s) in enumerate(settlements.items()):
-            beliefs = belief_curves(scenario, world.seed, index, year, horizon)
+            beliefs = belief_curves(scenario, world.seed, index, year, plan.horizon)
             key = beliefs.tobytes()
             if key not in npvs_of:
-                npvs_of[key] = appraise(menu, beliefs, world.rep_year, scenario, year)
+                npvs_of[key] = appraise(plan, beliefs, scenario.nuclear_subsidy)
             commitment, evaluations = invest_step(
                 gid, s.funds_start + s.delta, year, menu, npvs_of[key])
             investment_log.extend(evaluations)

@@ -113,14 +113,24 @@ def _parse_timestamp(text: str) -> np.datetime64:
 
 
 def csv_rows(path, required):
-    """Yield (row number, row) for each data row of a CSV file whose
-    header names every `required` column; the header is row 1."""
+    """Yield (row number, row as a column -> cell dict) for each data row
+    of a CSV file whose header names every `required` column; the header
+    is row 1 and blank lines are skipped. A row with more or fewer cells
+    than the header is an error."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in required if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
         if missing:
             raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        yield from enumerate(reader, start=2)
+        row_no = 1
+        for cells in reader:
+            if cells:
+                row_no += 1
+                if len(cells) != len(header):
+                    raise InputError(f"{path}: {len(cells)} cells where the header has "
+                                     f"{len(header)} (row {row_no})")
+                yield row_no, dict(zip(header, cells))
 
 
 def load_hourly_series(path) -> TimeSeriesSet:
@@ -533,6 +543,18 @@ class ScenarioConfig:
 
     def years(self) -> range:
         return range(self.start_year, self.end_year + 1)
+
+    def cost_inputs(self) -> tuple:
+        """Everything bids, demand scales and discounting read from the
+        scenario, bit for bit: scenarios that give equal values bid,
+        scale and discount alike, whatever their price curves, sigmas and
+        nuclear subsidy."""
+        tables = tuple((what, first, values.tobytes())
+                       for what, (first, values) in self._tables.items()
+                       if what != "price_curve_by_year")
+        return (self.start_year, self.end_year, tuple(self.fuel_map.items()),
+                tuple(self.emission_factor), tables,
+                np.array([self.discount_rate, *self.emission_factor.values()]).tobytes())
 
     def held(self, what: str, years):
         """Values of the named year table for an int or an array of years;

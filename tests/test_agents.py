@@ -1,6 +1,7 @@
 """Price expectation, NPV and investment-decision tests."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from emsim.agents import (
     Commitment,
     InvestmentCandidate,
     InvestmentEvaluation,
+    appraisal_plan,
     appraise,
     belief_curves,
     candidate_menu,
@@ -19,7 +21,7 @@ from emsim.agents import (
 from emsim.ingest import CF_SERIES, CostTable, InputError, PlantCosts, PowerPlant, ScenarioConfig
 from emsim.market import marginal_cost
 from emsim.repdays import assemble_year
-from toys import flat_rep_year, invest_cost_table, simple_costs
+from toys import flat_rep_year, invest_cost_table, npv_tolerance, simple_costs
 
 
 def plain_scenario(**overrides):
@@ -355,6 +357,51 @@ def test_cashflow_equals_reference_loop():
     assert any(k[3] for k in kinds) and any(k[4] for k in kinds)
 
 
+def test_plan_appraisal_matches_the_reference_loop():
+    rng = np.random.default_rng(21)
+    kinds = set()
+    for case in range(150):
+        # a menu of one to four random candidates under the first one's scenario
+        cases = [_random_case(rng) for _ in range(int(rng.integers(1, 5)))]
+        _, scenario, rep_year, year = cases[0]
+        scenario = replace(scenario, discount_rate=float(rng.choice([0.0, 0.06, 0.12])))
+        menu = tuple(c[0] for c in cases)
+        root, genco = int(rng.integers(1000)), int(rng.integers(6))
+        plan = appraisal_plan(menu, rep_year, scenario, year)
+        beliefs = belief_curves(scenario, root, genco, year, plan.horizon)
+        npvs = appraise(plan, beliefs, scenario.nuclear_subsidy)
+        assert len(npvs) == len(menu)
+        for candidate, value in zip(menu, npvs):
+            flows = _reference_cashflow(candidate, scenario, root, genco, rep_year, year)
+            tolerance = npv_tolerance(flows, scenario.discount_rate)
+            assert abs(value - npv(flows, scenario.discount_rate)) <= tolerance, case
+            operating = beliefs[0, candidate.lead_years:horizon(candidate)]
+            kinds.add((candidate.plant_type, bool((operating < 0).any()),
+                       scenario.discount_rate == 0.0, candidate.lead_years == 0))
+    types = {k[0] for k in kinds}
+    assert types == {"PV", "Onshore", "Offshore", "CCGT", "Coal", "Nuclear"}
+    # a negative slope from sigma noise on a dispatchable candidate, a zero
+    # discount rate and zero lead years (the nuclear subsidy is never zero)
+    assert any(k[1] and k[0] not in CF_SERIES for k in kinds)
+    assert any(k[2] for k in kinds) and any(k[3] for k in kinds)
+
+
+def test_plan_appraisal_needs_curves_for_every_year():
+    scenario = plain_scenario()
+    cand = never_dispatched_candidate()
+    plan = appraisal_plan((cand,), flat_rep_year(1000.0), scenario, 2020)
+    curves = belief_curves(scenario, 0, 0, 2020, horizon(cand) - 1)
+    with pytest.raises(ValueError, match="cover 4 years, need 5"):
+        appraise(plan, curves, 0.0)
+    with pytest.raises(InputError, match="outside scenario"):
+        appraisal_plan((cand,), flat_rep_year(1000.0), scenario, 2025)
+
+
+def test_plan_appraisal_of_an_empty_menu():
+    plan = appraisal_plan((), flat_rep_year(1000.0), plain_scenario(), 2020)
+    assert appraise(plan, np.zeros((2, 0)), 10.0) == []
+
+
 # ---------------------------------------------------------------------------
 # invest_step
 
@@ -392,7 +439,8 @@ def test_candidate_menu_built_once_per_table_and_year(monkeypatch):
 
 def invest(menu, scenario, funds, rep_year=None, genco_id="g1"):
     curves = belief_curves(scenario, 0, 0, 2020, max(horizon(c) for c in menu))
-    npvs = appraise(menu, curves, rep_year or flat_rep_year(1000.0), scenario, 2020)
+    plan = appraisal_plan(menu, rep_year or flat_rep_year(1000.0), scenario, 2020)
+    npvs = appraise(plan, curves, scenario.nuclear_subsidy)
     return invest_step(genco_id, funds, 2020, menu, npvs)
 
 

@@ -190,6 +190,31 @@ def test_simulate_end_to_end(tmp_path):
     assert not (out / "dispatch_log.csv").exists()
 
 
+def test_simulate_logs_whether_the_best_candidate_was_affordable(tmp_path):
+    paths = _write_sim_inputs(tmp_path)
+    rows = read_csv(paths["registry"])
+    with open(paths["registry"], "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "funds": "-1e12"} for row in rows)  # nothing is affordable
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    logged = read_csv(out / "investments.csv")
+    assert list(logged[0]) == ["year", "genco_id", "type", "capacity_mw", "npv",
+                               "committed", "online_year", "affordable"]
+    by_choice: dict = {}
+    for row in logged:
+        by_choice.setdefault((row["year"], row["genco_id"]), []).append(row)
+    for rows in by_choice.values():
+        best = max(rows, key=lambda r: float(r["npv"]))
+        assert float(best["npv"]) > 0
+        assert [r["affordable"] for r in rows] == ["0" if r is best else "1" for r in rows]
+        assert {r["committed"] for r in rows} == {"0"}
+
+
 def test_simulate_seed_defaults_to_scenario_rng_seed(tmp_path):
     paths = _write_sim_inputs(tmp_path, sigma_c=5.0, rng_seed=7)
     common = ["simulate", "--scenario", str(paths["scenario"]),
@@ -271,6 +296,18 @@ def test_simulate_non_finite_input_exits_one(tmp_path, capsys, name, old, new, m
     err = capsys.readouterr().err
     assert str(paths[name]) in err and message in err
     assert not (out / "investments.csv").exists()
+
+
+def test_simulate_short_registry_row_exits_one(tmp_path, capsys):
+    paths = _write_sim_inputs(tmp_path)
+    with open(paths["registry"], "a") as fh:
+        fh.write("p1,g1\n")
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{paths['registry']}: 2 cells where the header has 6 (row " in err
 
 
 def test_simulate_gap_year_curve_exits_before_output(tmp_path, capsys):
@@ -405,6 +442,15 @@ def test_calibrate_non_numeric_target_exits_one(tmp_path, capsys, bad_row):
     assert rc == 1
     err = capsys.readouterr().err
     assert "target.csv" in err and "row 3" in err
+
+
+def test_calibrate_long_target_row_exits_one(tmp_path, capsys):
+    rows = [f"2023,{t},{v}" for t, v in ALL_TYPES.items()]
+    rows[2] += ",0.1"
+    rc, out = _calibrate(tmp_path, "\n".join(["year,type,share", *rows, ""]), "validation")
+    assert rc == 1
+    assert "target.csv: 4 cells where the header has 3 (row 4)" in capsys.readouterr().err
+    assert not (out / "best.csv").exists()
 
 
 @pytest.mark.parametrize("coal_rows, message", [

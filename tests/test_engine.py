@@ -17,6 +17,7 @@ from toys import (
     flat_rep_year,
     invest_scenario,
     make_plant,
+    npv_tolerance,
     simple_costs,
     transition_scenario,
 )
@@ -265,25 +266,31 @@ def test_money_conservation_per_genco(sigma_c, seed, opening, price_cap):
 
 @pytest.mark.parametrize("sigma_c, appraisals_per_year", [(0.0, 1), (4.0, 2)])
 def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_per_year):
-    calls = []
+    appraisals, plans = [], []
 
-    def counting(candidate, curves, rep_year, scenario, commit_year):
-        calls.append(commit_year)
-        return expected_cashflow(candidate, curves, rep_year, scenario, commit_year)
+    def counting_appraise(plan, beliefs, nuclear_subsidy):
+        appraisals.append(world.year)
+        return agents.appraise(plan, beliefs, nuclear_subsidy)
 
-    monkeypatch.setattr(agents, "expected_cashflow", counting)
+    def counting_plan(menu, rep_year, scenario, year):
+        plans.append(year)
+        return agents.appraisal_plan(menu, rep_year, scenario, year)
+
+    monkeypatch.setattr(engine, "appraise", counting_appraise)
+    monkeypatch.setattr(engine, "appraisal_plan", counting_plan)
     scenario, registry, rep, table = invest_scenario(end_year=2024)
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 50.0),
                                  "sigma_c": sigma_c})
     world = init_world(scenario, registry, rep, table, seed=3)
     years = []
     run(world, years.append)
-    menu_size = len(candidate_menu(table, 2020))
     investing = range(2020, 2024)
-    # two GenCos: byte-equal beliefs at zero sigma share one appraisal
-    assert calls == [y for y in investing for _ in range(menu_size * appraisals_per_year)]
+    # two GenCos: byte-equal beliefs at zero sigma share one appraisal, and
+    # every appraisal of a year reads that year's one plan
+    assert appraisals == [y for y in investing for _ in range(appraisals_per_year)]
+    assert plans == list(investing)
     assert any(r.investments for r in years)
-    # every logged NPV is the GenCo's own appraisal, bit for bit
+    # every logged NPV is the GenCo's own appraisal, to the batched tolerance
     for result in years[:-1]:
         menu = candidate_menu(table, result.year)
         horizon = max(c.lead_years + c.operating_years for c in menu)
@@ -293,8 +300,9 @@ def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_
             beliefs = belief_curves(scenario, 3, gencos.index(ev.genco_id), result.year,
                                     horizon)
             cand = next(c for c in menu if c.plant_type == ev.plant_type)
-            assert ev.npv == npv(expected_cashflow(cand, beliefs, rep, scenario, result.year),
-                                 scenario.discount_rate)
+            flows = expected_cashflow(cand, beliefs, rep, scenario, result.year)
+            assert abs(ev.npv - npv(flows, scenario.discount_rate)) \
+                <= npv_tolerance(flows, scenario.discount_rate)
 
 
 def test_affordability_counts_the_years_settlement():
@@ -528,6 +536,40 @@ def test_dispatch_store_keeps_one_entry_per_simulated_year():
         run(world, lambda result: None)
         assert len(store) <= 5
     assert len(store) == 5
+
+
+# each changes one scenario input of the bids or the appraisal plans and nothing else
+PLAN_KEY_CHANGES = {
+    "discount rate": lambda s: replace(s, discount_rate=0.03),
+    "fuel price": lambda s: replace(s, fuel_price={**s.fuel_price, "gas": {
+        y: 26.0 for y in s.years()}}),
+    "demand scale": lambda s: replace(s, demand_scale={2020: 1.0, 2021: 1.2}),
+}
+
+
+@pytest.mark.parametrize("change", sorted(PLAN_KEY_CHANGES))
+def test_shared_store_plans_follow_the_cost_inputs(change):
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    scenario = replace(scenario, price_curve=(0.002, 50.0), sigma_c=4.0)
+    changed = PLAN_KEY_CHANGES[change](scenario)
+
+    def trajectory(scenario, store):
+        years = []
+        run(init_world(scenario, registry, rep, table, seed=3, store=store), years.append)
+        return ([r.bid_prices for r in years],
+                [[ev.npv for ev in r.investment_log] for r in years])
+
+    store = DispatchStore()
+    base = trajectory(scenario, store)
+    # other beliefs alone keep the store's plans and bids, and match a fresh world
+    noisier = replace(scenario, sigma_c=2.0)
+    assert trajectory(noisier, store) == trajectory(noisier, None) != base
+    shared = trajectory(changed, store)
+    fresh = trajectory(changed, None)
+    assert shared == fresh
+    assert fresh[1] != base[1]
+    # the change replaced what the store held: the base inputs build afresh too
+    assert trajectory(scenario, store) == base == trajectory(scenario, None)
 
 
 def test_reused_dispatch_cannot_be_changed():

@@ -480,6 +480,26 @@ def test_registry_bad_plant_names_file_and_row(tmp_path, row, message):
         load_plant_registry(path, bundled_cost_table())
 
 
+@pytest.mark.parametrize("row, cells", [("p1,g1", 2), ("p1,g1,CCGT,1200,2010,5.0", 6)])
+def test_registry_row_with_other_cell_count_names_file_and_row(tmp_path, row, cells):
+    path = tmp_path / "reg.csv"
+    path.write_text("plant_id,owner_id,type,capacity_mw,construction_year\n"
+                    "a,g1,CCGT,1200,2010\n" + row + "\n")
+    with pytest.raises(InputError, match=fr"reg\.csv: {cells} cells where the header has 5 "
+                                         r"\(row 3\)"):
+        load_plant_registry(path, bundled_cost_table())
+
+
+def test_cost_table_short_row_names_file_and_row(tmp_path):
+    path = tmp_path / "costs.csv"
+    path.write_text(COST_HEADER + "CCGT,100,2017,0.5,25,1,1,1,1,1,1,1,1,1\n"
+                    "\n" + "CCGT,200,2017,0.5,25,1,1,1,1,1,1,1\n")
+    # the blank line is skipped, not counted
+    with pytest.raises(InputError, match=r"costs\.csv: 12 cells where the header has 14 "
+                                         r"\(row 3\)"):
+        load_cost_table(path)
+
+
 def test_registry_integral_float_year_accepted(tmp_path):
     path = tmp_path / "reg.csv"
     _write_registry(path, [["a", "g1", "CCGT", 1200, "2010.0", 5.0]])

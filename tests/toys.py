@@ -87,6 +87,13 @@ def flat_rep_year(demand=1000.0, solar=0.0, onshore=0.0, offshore=0.0,
     return assemble_year(profiles, np.asarray(weights, dtype=float))
 
 
+def npv_tolerance(flows, discount_rate: float) -> float:
+    """How far a batched appraisal's NPV may lie from `npv(flows)`: 1e-12
+    of the sum of the absolute discounted flows."""
+    flows = np.asarray(flows, dtype=float)
+    return 1e-12 * float(np.abs(flows * (1.0 + discount_rate) ** -np.arange(len(flows))).sum())
+
+
 def simple_costs(**overrides) -> PlantCosts:
     base = dict(
         efficiency=0.5, operating_period=25, predev_period=1, construction_period=1,
