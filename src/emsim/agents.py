@@ -71,6 +71,11 @@ class InvestmentCandidate:
         when there is no lead time)."""
         return max(1, self.lead_years)
 
+    @property
+    def tranche(self) -> float:
+        """Each capital tranche; the first is paid in the commit year."""
+        return self.capital_total / self.capital_tranches
+
 
 def candidate_menu(cost_table, year: int) -> tuple[InvestmentCandidate, ...]:
     """One candidate per type in the table: the largest capacity it
@@ -255,46 +260,58 @@ class InvestmentEvaluation:
     affordable: bool
 
 
-def invest_step(genco_id: str, funds: float, year: int,
-                menu: tuple[InvestmentCandidate, ...],
-                npvs: list[float]) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
-    """Commit to at most one plant of the appraised menu (`npvs[i]` is the
-    NPV of `menu[i]`, as `appraise` returns it).
-
-    The highest-NPV candidate is committed if its NPV is positive and
-    `funds` cover the first capital tranche; the company's settlement pays
-    that tranche this year and the rest over the lead years. Nothing
-    passed in is changed.
-    """
+def commit_rule(funds: float, menu: tuple[InvestmentCandidate, ...],
+                npvs: list[float]) -> tuple[int, bool]:
+    """The commit decision of a company holding `funds` over the appraised
+    menu (`npvs[i]` is the NPV of `menu[i]`, as `appraise` returns it):
+    the index of the first highest positive NPV (-1 when none is
+    positive), and whether `funds` cover that candidate's first capital
+    tranche. The company commits to it only when both hold."""
     idx = -1
     best_npv = 0.0
     for i, value in enumerate(npvs[:len(menu)]):
         if value > best_npv:
             idx, best_npv = i, value
+    if idx < 0:
+        return idx, True
+    return idx, not funds < menu[idx].tranche
 
+
+def commit(genco_id: str, year: int, candidate: InvestmentCandidate) -> Commitment:
+    """The plant `genco_id` commits to building in `year`, with its capital
+    schedule: the first tranche is paid this year and the rest over the
+    lead years."""
+    online = year + candidate.lead_years
+    plant = PowerPlant(
+        plant_id=f"{genco_id}-{candidate.plant_type}-{year}",
+        owner_id=genco_id,
+        plant_type=candidate.plant_type,
+        capacity_mw=candidate.capacity_mw,
+        construction_year=online,
+        costs=candidate.costs,
+        status="under_construction",
+    )
+    return Commitment(plant, year, online, candidate.tranche, candidate.capital_tranches - 1)
+
+
+def invest_step(genco_id: str, funds: float, year: int,
+                menu: tuple[InvestmentCandidate, ...],
+                npvs: list[float]) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
+    """Apply `commit_rule` to the appraised menu and record every
+    candidate: the commitment made, if any, and one evaluation row per
+    candidate. Nothing passed in is changed.
+    """
+    idx, affordable = commit_rule(funds, menu, npvs)
     commitment = None
-    affordable = True
     if idx >= 0:
         best = menu[idx]
-        tranche = best.capital_total / best.capital_tranches
-        online = year + best.lead_years
-        if funds < tranche:
-            affordable = False
+        if not affordable:
             log.info("%s: cannot afford %s (needs %.0f, has %.0f)",
-                     genco_id, best.plant_type, tranche, funds)
+                     genco_id, best.plant_type, best.tranche, funds)
         else:
-            plant = PowerPlant(
-                plant_id=f"{genco_id}-{best.plant_type}-{year}",
-                owner_id=genco_id,
-                plant_type=best.plant_type,
-                capacity_mw=best.capacity_mw,
-                construction_year=online,
-                costs=best.costs,
-                status="under_construction",
-            )
-            commitment = Commitment(plant, year, online, tranche, best.capital_tranches - 1)
-            log.info("%s commits to %s %.0f MW (npv %.0f, online %d)",
-                     genco_id, best.plant_type, best.capacity_mw, best_npv, online)
+            commitment = commit(genco_id, year, best)
+            log.info("%s commits to %s %.0f MW (npv %.0f, online %d)", genco_id,
+                     best.plant_type, best.capacity_mw, npvs[idx], commitment.online_year)
     evaluations = [InvestmentEvaluation(
         genco_id, year, cand.plant_type, cand.capacity_mw, value,
         committed=i == idx and commitment is not None,

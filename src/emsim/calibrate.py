@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import OBJECTIVE_TYPES, DispatchStore, init_world, run
+from .engine import OBJECTIVE_TYPES, HistoryStore
 from .ingest import InputError
 
 log = logging.getLogger(__name__)
@@ -139,21 +139,16 @@ class ScenarioBundle:
     cost_table: object
     target: dict[int, dict[str, float]]  # year -> type -> share
     include_first_year: bool = True
-    # shared by every evaluation of this bundle; None clears every year afresh
-    dispatch_store: DispatchStore | None = field(default=None, compare=False, repr=False)
+    # shared by every evaluation of this bundle; None simulates each afresh
+    histories: HistoryStore | None = field(default=None, compare=False, repr=False)
 
 
 def _mix_error(genome, bundle: ScenarioBundle, eval_seed: int, layout: GenomeLayout) -> float:
     """Summed mix error over the scored years of one simulated trajectory."""
     scenario = replace(bundle.scenario, **layout.decode(genome))
-    world = init_world(scenario, bundle.registry, bundle.rep_year,
-                       bundle.cost_table, seed=eval_seed, store=bundle.dispatch_store)
-    trajectory: dict[int, dict[str, float]] = {}
-
-    def keep_mix(result) -> None:
-        trajectory[result.year] = result.objective_mix()
-
-    run(world, keep_mix)
+    histories = HistoryStore() if bundle.histories is None else bundle.histories
+    trajectory = histories.mixes(scenario, bundle.registry, bundle.rep_year,
+                                 bundle.cost_table, eval_seed)
     years = layout.scored_years(scenario, bundle.include_first_year)
     return mix_error_longterm({y: trajectory[y] for y in years},
                               {y: bundle.target[y] for y in years})
@@ -189,18 +184,18 @@ class Objective:
     """Picklable `objective(genome, eval_seed)` for `ga_run` and its
     worker pool: the objective entry point of the layout's kind.
 
-    Its evaluations share one dispatch store, so a genome that leaves a
-    year's fleet and bids as the previous evaluation left them reuses
-    that year's dispatch, and every evaluation reuses the store's
-    appraisal plans and bids. A pool worker's unpickled copy starts with
-    its own, empty store."""
+    Its evaluations share one history store, so a genome simulates only
+    the years of its investment history that no earlier evaluation
+    simulated, and every evaluation reuses the store's appraisal plans
+    and bids. A pool worker's unpickled copy starts with its own, empty
+    store."""
 
     bundle: ScenarioBundle
     layout: GenomeLayout
 
     def __post_init__(self):
         object.__setattr__(self, "bundle",
-                           replace(self.bundle, dispatch_store=DispatchStore()))
+                           replace(self.bundle, histories=HistoryStore()))
 
     def __call__(self, genome, eval_seed: int) -> float:
         entry = objective_validation if self.layout.kind == "validation" else objective_longterm
@@ -347,7 +342,7 @@ def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarr
     `_fitness_key`; a key already in it, or repeated within `genomes`, is
     evaluated once, in the pool when there is one. The pool gets one
     contiguous batch per worker, so consecutive genomes share a worker's
-    dispatch store. The result is the same under any worker count.
+    history store. The result is the same under any worker count.
     Raises RuntimeError when no genome of the generation scores a finite
     value."""
     keys = [_fitness_key(objective, g, s) for g, s in zip(genomes, seeds)]

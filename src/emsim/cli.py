@@ -112,6 +112,17 @@ def _k_list(text: str) -> list[int]:
     return ks
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, for --seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {seed})")
+    return seed
+
+
 # ---------------------------------------------------------------------------
 # repdays
 
@@ -356,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="hourly series CSV")
     p.add_argument("--k", type=int, default=8, help="number of clusters")
     p.add_argument("--method", choices=["medoid", "centroid"], default="medoid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sweep", type=_k_list,
                    help="comma separated k values for metrics.csv")
     p.add_argument("--out", required=True)
@@ -367,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--registry", required=True)
     p.add_argument("--repdays", required=True)
     p.add_argument("--costs", help="cost table CSV (default: bundled tables)")
-    p.add_argument("--seed", type=int, help="default: the scenario's rng_seed")
+    p.add_argument("--seed", type=_seed, help="default: the scenario's rng_seed")
     p.add_argument("--dispatch-log", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -383,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cxpb", type=float, default=0.5)
     p.add_argument("--mutpb", type=float, default=0.2)
     p.add_argument("--gens", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--exclude-first-year", action="store_true",
                    help="drop the start year from the long-term objective")

@@ -3,19 +3,20 @@
 Each simulated year retires plants, dispatches every weighted
 representative day, settles company accounts, lets companies invest and
 brings finished construction online. Runs are deterministic for a fixed
-seed.
+seed. A `HistoryStore` simulates each distinct investment history of many
+belief sets once.
 """
 
 from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .agents import (AppraisalPlan, Commitment, appraisal_plan, appraise, belief_curves,
-                     candidate_menu, invest_step)
+                     candidate_menu, commit, commit_rule, invest_step)
 from .ingest import CostTable, InputError, PlantRegistry, PowerPlant, ScenarioConfig
 from .market import DayDispatch, annual_totals, dispatch_year, marginal_cost
 from .repdays import RepresentativeYear
@@ -65,7 +66,7 @@ class YearResult:
     funds: dict[str, float]             # genco id -> funds at year end
     plant_ids: list[str]                # operating plants, in dispatch column order
     bid_prices: list[float]             # each operating plant's bid
-    days: tuple[DayDispatch, ...]       # every representative day's clearings (read-only)
+    days: tuple[DayDispatch, ...]       # every representative day's clearings
     investments: list = field(default_factory=list)      # committed this year
     investment_log: list = field(default_factory=list)   # every candidate evaluated
     retired: list[str] = field(default_factory=list)
@@ -88,51 +89,6 @@ class YearResult:
             if bucket is not None:
                 out[bucket] += share
         return out
-
-
-class DispatchStore:
-    """The last dispatch cleared in each simulated year, with its inputs.
-
-    A year reuses its stored days and annual totals when every input
-    equals the stored one: each operating plant's id, type and capacity
-    in column order, the bids, the demand scale, the price cap and the
-    nuclear subsidy (numbers bit for bit), and the same representative
-    year object, which the entry holds. Otherwise the market is cleared
-    and the entry replaced. With one entry per year the store never holds
-    more than one trajectory, and it holds only tuples and read-only
-    arrays, so a reused result cannot be changed. Worlds sharing a store
-    also share its `plans`. A pickled copy starts empty.
-    """
-
-    def __init__(self):
-        self._last: dict[int, tuple] = {}
-        self.plans = PlanStore()
-
-    def __len__(self) -> int:
-        return len(self._last)
-
-    def __reduce__(self):
-        return DispatchStore, ()
-
-    def dispatch(self, year: int, plants: list[PowerPlant], costs: list[float],
-                 rep_year: RepresentativeYear, scenario: ScenarioConfig):
-        """`dispatch_year`'s days and `annual_totals`' result for the inputs."""
-        price_cap, demand_scale = scenario.price_cap, scenario.demand_scale_at(year)
-        nuclear_subsidy = scenario.nuclear_subsidy
-        key = (tuple((p.plant_id, p.plant_type) for p in plants),
-               np.array([p.capacity_mw for p in plants] + list(costs)
-                        + [demand_scale, price_cap, nuclear_subsidy], dtype=float).tobytes())
-        last = self._last.get(year)
-        if last is not None and last[0] == key and last[1] is rep_year:
-            return last[2], last[3]
-        days = tuple(dispatch_year(plants, costs, rep_year, price_cap, demand_scale))
-        for day in days:
-            for array in (day.clearings, day.dispatch, day.unserved):
-                array.flags.writeable = False
-        energy, revenue, subsidy, unserved = annual_totals(plants, days, nuclear_subsidy)
-        totals = (tuple(energy), tuple(revenue), tuple(subsidy), unserved)
-        self._last[year] = (key, rep_year, days, totals)
-        return days, totals
 
 
 class PlanStore:
@@ -198,7 +154,6 @@ class World:
     cost_table: CostTable
     plants: list[PowerPlant]
     funds: dict[str, float]             # genco id -> funds, the one ledger
-    dispatch_store: DispatchStore | None  # None: every year clears afresh
     plans: PlanStore
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
@@ -209,15 +164,14 @@ class World:
 
 def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
                rep_year: RepresentativeYear, cost_table: CostTable,
-               seed: int | None = None, store: DispatchStore | None = None) -> World:
+               seed: int | None = None, plans: PlanStore | None = None) -> World:
     """Build a world at the scenario's start year.
 
     Registry plants start operating except those already past their
     operating period, which retire immediately. The registry itself is
     never mutated: the world works on copies. Worlds handed the same
-    `store` reuse each other's dispatches; by default a world keeps no
-    year's dispatch once the year is stepped, and builds its own
-    appraisal plans and bids.
+    `plans` share their appraisal plans and bids; by default a world
+    builds its own.
     """
     plants = [copy.copy(p) for p in registry.plants]
     year = scenario.start_year
@@ -240,8 +194,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         plants=plants,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
-        dispatch_store=store,
-        plans=PlanStore() if store is None else store.plans,
+        plans=PlanStore() if plans is None else plans,
     )
 
 
@@ -255,37 +208,34 @@ def _mix(plants: list[PowerPlant], energy: list[float]):
     return by_type, ({t: e / total for t, e in by_type.items()} if total > 0 else {})
 
 
-def step_year(world: World) -> YearResult:
-    """Advance the world by one year.
-
-    Phases: retire (scheduled and aged-out) -> dispatch representative
-    days -> settle revenues and costs -> invest (except in the final
-    scenario year) -> activate finished construction -> advance the
-    calendar.
-    """
+def open_year(world: World) -> YearResult:
+    """The open phase of the world's year: retire (scheduled and aged-out
+    plants), dispatch every representative day and settle the year's
+    revenues and costs. The result holds each company's settlement
+    before it invests, and no funds, investments or activations yet."""
     year = world.year
     scenario = world.scenario
     if not scenario.start_year <= year <= scenario.end_year:
         raise InputError(f"scenario does not cover year {year}")
 
-    # 1. retirements
+    # a retiring plant is replaced by a retired copy, so the plants a world
+    # shares with the worlds of a HistoryStore never change in this phase
     retired = []
     scheduled = {pid for pid, y in scenario.scheduled_retirements if y == year}
-    for plant in world.plants:
+    for i, plant in enumerate(world.plants):
         if plant.status != "operating":
             continue
         if plant.plant_id in scheduled or year - plant.construction_year >= plant.costs.operating_period:
-            plant.status = "retired"
+            world.plants[i] = replace(plant, status="retired")
             retired.append(plant.plant_id)
 
-    # 2. dispatch
     operating = world.operating_plants()
     costs = world.plans.bids(operating, scenario, year)
-    store = DispatchStore() if world.dispatch_store is None else world.dispatch_store
-    days, (energy, revenue, subsidy, unserved) = store.dispatch(
-        year, operating, costs, world.rep_year, scenario)
+    days = tuple(dispatch_year(operating, costs, world.rep_year, scenario.price_cap,
+                               scenario.demand_scale_at(year)))
+    energy, revenue, subsidy, unserved = annual_totals(operating, days, scenario.nuclear_subsidy)
 
-    # 3. settle, in sorted company order; each company's sums follow fleet order
+    # settle, in sorted company order; each company's sums follow fleet order
     settlements = {gid: Settlement(funds_start=world.funds[gid]) for gid in sorted(world.funds)}
     for i, plant in enumerate(operating):
         s = settlements[plant.owner_id]
@@ -298,60 +248,78 @@ def step_year(world: World) -> YearResult:
             settlements[commitment.plant.owner_id].capital_existing += commitment.tranche
             commitment.tranches_left -= 1
 
-    # 4. invest (the final simulated year makes no new commitments)
-    investments = []
-    investment_log = []
-    if year < scenario.end_year:
-        menu = candidate_menu(world.cost_table, year)
-        plan = world.plans.plan(menu, world.rep_year, scenario, year)
-        npvs_of: dict[bytes, list[float]] = {}  # one appraisal per distinct belief set
-        for index, (gid, s) in enumerate(settlements.items()):
-            beliefs = belief_curves(scenario, world.seed, index, year, plan.horizon)
-            key = beliefs.tobytes()
-            if key not in npvs_of:
-                npvs_of[key] = appraise(plan, beliefs, scenario.nuclear_subsidy)
-            commitment, evaluations = invest_step(
-                gid, s.funds_start + s.delta, year, menu, npvs_of[key])
-            investment_log.extend(evaluations)
-            if commitment is not None:
-                s.capital_new += commitment.tranche
-                world.commitments.append(commitment)
-                world.plants.append(commitment.plant)
-                investments.append(commitment)
+    energy_by_type, mix = _mix(operating, energy)
+    return YearResult(year=year, energy_mwh=energy_by_type, mix=mix, unserved_mwh=unserved,
+                      settlements=settlements, funds={},
+                      plant_ids=[p.plant_id for p in operating], bid_prices=costs,
+                      days=days, retired=retired)
+
+
+def decide(world: World, settlements: dict[str, Settlement], scenario: ScenarioConfig,
+           seed: int) -> list[tuple[str, float, list[float]]]:
+    """Each company's funds and the NPVs of the year's candidate menu
+    (`candidate_menu(world.cost_table, world.year)`) under the beliefs
+    drawn from `scenario` and `seed`, in settlement order, with one
+    appraisal per distinct belief set; none in the scenario's final year,
+    which makes no commitments. `scenario` must share the world
+    scenario's cost inputs and nuclear subsidy. Nothing is changed."""
+    year = world.year
+    if year >= scenario.end_year:
+        return []
+    menu = candidate_menu(world.cost_table, year)
+    plan = world.plans.plan(menu, world.rep_year, world.scenario, year)
+    npvs_of: dict[bytes, list[float]] = {}
+    decisions = []
+    for index, (gid, s) in enumerate(settlements.items()):
+        beliefs = belief_curves(scenario, seed, index, year, plan.horizon)
+        key = beliefs.tobytes()
+        if key not in npvs_of:
+            npvs_of[key] = appraise(plan, beliefs, scenario.nuclear_subsidy)
+        decisions.append((gid, s.funds_start + s.delta, npvs_of[key]))
+    return decisions
+
+
+def close_year(world: World, settlements: dict[str, Settlement],
+               commitments: list[Commitment]) -> list[str]:
+    """The close phase of the world's year: take on `commitments` (each
+    owner's settlement pays its first tranche), write every company's
+    funds_end, bring finished construction online and advance the
+    calendar. Returns the ids of the plants brought online."""
+    for commitment in commitments:
+        settlements[commitment.plant.owner_id].capital_new += commitment.tranche
+        world.commitments.append(commitment)
+        world.plants.append(commitment.plant)
     # funds change only here, so funds_end == funds_start + delta exactly
     for gid, s in settlements.items():
         s.funds_end = world.funds[gid] = s.funds_start + s.delta
 
-    # 5. activate finished construction
     building = []
     activated = []
     for commitment in world.commitments:
-        if commitment.online_year <= year + 1 and commitment.tranches_left == 0:
+        if commitment.online_year <= world.year + 1 and commitment.tranches_left == 0:
             commitment.plant.status = "operating"
             activated.append(commitment.plant.plant_id)
         else:
             building.append(commitment)
     world.commitments = building
+    world.year += 1
+    return activated
 
-    # 6. advance
-    world.year = year + 1
 
-    energy_by_type, mix = _mix(operating, energy)
-    return YearResult(
-        year=year,
-        energy_mwh=energy_by_type,
-        mix=mix,
-        unserved_mwh=unserved,
-        settlements=settlements,
-        funds={gid: s.funds_end for gid, s in settlements.items()},
-        plant_ids=[p.plant_id for p in operating],
-        bid_prices=costs,
-        days=days,
-        investments=investments,
-        investment_log=investment_log,
-        retired=retired,
-        activated=activated,
-    )
+def step_year(world: World) -> YearResult:
+    """Advance the world by one year: `open_year`, `decide` under the
+    world's own scenario and seed, `invest_step` for each company (except
+    in the final scenario year), then `close_year`."""
+    result = open_year(world)
+    for gid, funds, npvs in decide(world, result.settlements, world.scenario, world.seed):
+        menu = candidate_menu(world.cost_table, result.year)
+        commitment, evaluations = invest_step(gid, funds, result.year, menu, npvs)
+        result.investment_log.extend(evaluations)
+        if commitment is not None:
+            result.investments.append(commitment)
+    result.activated = close_year(world, result.settlements, result.investments)
+    result.funds = {gid: s.funds_end for gid, s in result.settlements.items()}
+    return result
 
 
 def run(world: World, sink) -> None:
@@ -360,3 +328,129 @@ def run(world: World, sink) -> None:
     else keeps it."""
     while world.year <= world.scenario.end_year:
         sink(step_year(world))
+
+
+# A HistoryStore empties once its nodes take more than MAX_HELD_SLOTS
+# slots. A node takes one slot per plant its world lists and NODE_SLOTS for
+# the rest of what it holds; a slot is about 50 bytes, so the store stays
+# near 5 MB whatever the fleet size.
+MAX_HELD_SLOTS = 100_000
+NODE_SLOTS = 40
+
+
+class _Node:
+    """One simulated year of one investment history after its open
+    phase: the world, each company's pre-invest settlement, the year's
+    objective mix, and the next year's node under each edge."""
+
+    __slots__ = ("world", "settlements", "mix", "children")
+
+    def __init__(self, world: World):
+        result = open_year(world)
+        self.world = world
+        self.settlements = result.settlements
+        self.mix = result.objective_mix()
+        self.children: dict[tuple[int, ...], _Node] = {}
+
+
+class HistoryStore:
+    """Every investment history simulated from one set of gene-free
+    inputs, as a tree of years, so that each history is simulated once
+    however many genomes follow it.
+
+    The root is the start year after its open phase. Each company's
+    committed candidate in a year (its menu index, or -1 for none) forms
+    an edge, and the edge's child is the next year after closing the
+    node with those commitments and opening that year. A genome walks
+    the tree with its own scenario and seed: it appraises and applies
+    `commit_rule` in each year, and simulates only the years that no
+    earlier walk reached. A node holds no dispatch arrays.
+
+    The store holds one root at a time, keyed by every input that is not
+    a belief: the scenario's `cost_inputs()`, price cap, nuclear subsidy
+    and scheduled retirements, and the registry, representative year and
+    cost table objects. A walk under any other key replaces the root.
+    Once its nodes take more than MAX_HELD_SLOTS slots the store
+    empties. Its `plans` are kept across roots and empty by themselves
+    when the cost inputs change. A pickled copy starts empty.
+    """
+
+    def __init__(self):
+        self.plans = PlanStore()
+        self._clear()
+
+    def __reduce__(self):
+        return HistoryStore, ()
+
+    def __len__(self) -> int:
+        """The number of nodes held."""
+        return self._nodes
+
+    def _clear(self) -> None:
+        self._key = self._root = None
+        self._nodes = self.slots_held = 0
+
+    def _hold(self, node: _Node) -> None:
+        self._nodes += 1
+        self.slots_held += len(node.world.plants) + NODE_SLOTS
+        if self.slots_held > MAX_HELD_SLOTS:
+            self._clear()
+
+    def mixes(self, scenario: ScenarioConfig, registry: PlantRegistry,
+              rep_year: RepresentativeYear, cost_table: CostTable,
+              seed: int) -> dict[int, dict[str, float]]:
+        """Each simulated year's `objective_mix()`, equal to what `run`
+        gives from `init_world(scenario, registry, rep_year, cost_table,
+        seed)`."""
+        key = (scenario.cost_inputs(), scenario.scheduled_retirements,
+               np.array([scenario.price_cap, scenario.nuclear_subsidy]).tobytes(),
+               registry, rep_year, cost_table)
+        root = self._root
+        if root is None or not _same_key(key, self._key):
+            self._clear()
+            world = init_world(scenario, registry, rep_year, cost_table, seed, self.plans)
+            root = self._root = _Node(world)
+            self._key = key
+            self._hold(root)
+        node = root
+        mixes = {}
+        while True:
+            year = node.world.year
+            mixes[year] = node.mix
+            if year >= scenario.end_year:
+                return mixes
+            menu = candidate_menu(cost_table, year)
+            edge = []
+            for _, funds, npvs in decide(node.world, node.settlements, scenario, seed):
+                best, affordable = commit_rule(funds, menu, npvs)
+                edge.append(best if affordable else -1)
+            edge = tuple(edge)
+            child = node.children.get(edge)
+            if child is None:
+                child = self._child(node, edge, menu)
+                if self._root is root:  # the store did not empty during this walk
+                    node.children[edge] = child
+                    self._hold(child)
+            node = child
+
+    @staticmethod
+    def _child(node: _Node, edge: tuple[int, ...], menu) -> _Node:
+        """The node after `node` under `edge`. The new world shares the
+        parent's plants except those under construction, which the close
+        phase brings online: it gets copies of them and of the
+        commitments that build them, and of the funds and settlements."""
+        parent = node.world
+        building = {id(c.plant): copy.copy(c.plant) for c in parent.commitments}
+        world = replace(
+            parent, plants=[building.get(id(p), p) for p in parent.plants],
+            funds=dict(parent.funds),
+            commitments=[replace(c, plant=building[id(c.plant)]) for c in parent.commitments])
+        settlements = {gid: copy.copy(s) for gid, s in node.settlements.items()}
+        close_year(world, settlements, [commit(gid, parent.year, menu[index])
+                                        for gid, index in zip(settlements, edge) if index >= 0])
+        return _Node(world)
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    """Root keys match: the values bit for bit, the input objects by identity."""
+    return a[:3] == b[:3] and all(x is y for x, y in zip(a[3:], b[3:]))

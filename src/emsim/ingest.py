@@ -503,6 +503,8 @@ class ScenarioConfig:
             raise InputError("end_year must be >= start_year")
         if self.sigma_m < 0 or self.sigma_c < 0:
             raise InputError("sigma_m and sigma_c must be >= 0")
+        if self.rng_seed < 0:
+            raise InputError(f"rng_seed must be >= 0 (got {self.rng_seed})")
         if self.discount_rate <= -1:
             raise InputError("discount_rate must be > -1")
         for year in self.years():

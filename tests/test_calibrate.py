@@ -546,9 +546,28 @@ def store_genomes(layout):
     return genomes
 
 
+def distinct_histories(bundle, layout, genomes, seed) -> int:
+    """The number of distinct (year, commitments of every earlier year)
+    over plain runs of the genomes."""
+    histories = set()
+    for genome in genomes:
+        committed = []
+
+        def sink(result):
+            histories.add((result.year, tuple(committed)))
+            committed.append(tuple(c.plant.plant_id for c in result.investments))
+
+        scenario = replace(bundle.scenario, **layout.decode(genome))
+        run(init_world(scenario, bundle.registry, bundle.rep_year, bundle.cost_table,
+                       seed=seed), sink)
+    return len(histories)
+
+
 @pytest.mark.parametrize("layout", [validation_layout(), longterm_layout(2020, 2023)],
                          ids=["validation", "longterm"])
 def test_fitness_does_not_depend_on_evaluation_order(toy_bundle, monkeypatch, layout):
+    genomes = store_genomes(layout)
+    histories = distinct_histories(toy_bundle, layout, genomes, 7)
     calls = []
 
     def counting(*args):
@@ -556,14 +575,15 @@ def test_fitness_does_not_depend_on_evaluation_order(toy_bundle, monkeypatch, la
         return dispatch_year(*args)
 
     monkeypatch.setattr(engine, "dispatch_year", counting)
-    genomes = store_genomes(layout)
     years = len(genomes) * 4
     in_order = Objective(toy_bundle, layout)
     forward = [in_order(g, 7) for g in genomes]
-    assert len(calls) < years
+    # each distinct history is simulated once
+    assert len(calls) <= histories < years
     reverse = Objective(toy_bundle, layout)
     backward = [reverse(g, 7) for g in reversed(genomes)][::-1]
-    # the bundle itself holds no store: each evaluation clears every year afresh
+    assert len(calls) <= 2 * histories
+    # the bundle itself holds no store: each evaluation simulates every year afresh
     entry = objective_validation if layout.kind == "validation" else objective_longterm
     before = len(calls)
     fresh = [entry(g, toy_bundle, 7, layout) for g in genomes]

@@ -232,6 +232,51 @@ def test_simulate_seed_defaults_to_scenario_rng_seed(tmp_path):
     assert runs["default"] != runs["seed0"]
 
 
+def _seeded_args(tmp_path, subcommand, seed):
+    """Valid arguments of `subcommand` with --seed `seed`."""
+    if subcommand == "repdays":
+        data = tmp_path / "hourly.csv"
+        write_hourly_csv(data, synthetic_ts(20, seed=1))
+        return ["repdays", "--input", str(data), "--k", "2", "--seed", seed,
+                "--out", str(tmp_path / "out")]
+    paths = _write_sim_inputs(tmp_path, sigma_c=5.0)
+    args = [subcommand, "--scenario", str(paths["scenario"]),
+            "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+            "--costs", str(paths["costs"]), "--seed", seed, "--out", str(tmp_path / "out")]
+    if subcommand == "calibrate":
+        write_target_csv(tmp_path / "target.csv", {2023: ALL_TYPES})
+        args[1:1] = ["validation"]
+        args += ["--target", str(tmp_path / "target.csv"), "--pop", "2", "--gens", "0",
+                 "--workers", "1"]
+    return args
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "calibrate", "repdays"])
+def test_negative_seed_exits_one_before_any_output(tmp_path, capsys, subcommand):
+    assert main(_seeded_args(tmp_path, subcommand, "1")) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for path in out.iterdir():
+        path.unlink()
+    assert main(_seeded_args(tmp_path, subcommand, "-3")) == 1
+    assert "argument --seed: must be >= 0 (got -3)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_negative_scenario_rng_seed_exits_one(tmp_path, capsys):
+    paths = _write_sim_inputs(tmp_path, sigma_c=5.0, rng_seed=5)
+    text = paths["scenario"].read_text()
+    assert "rng_seed: 5\n" in text
+    paths["scenario"].write_text(text.replace("rng_seed: 5\n", "rng_seed: -5\n"))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(out)])
+    assert rc == 1
+    assert f"{paths['scenario']}: rng_seed must be >= 0 (got -5)" in capsys.readouterr().err
+    assert not (out / "mix_by_year.csv").exists()
+
+
 def test_simulate_dispatch_log(tmp_path):
     paths = _write_sim_inputs(tmp_path)
     out = tmp_path / "out"
@@ -405,10 +450,10 @@ def test_calibrate_input_error_inside_evaluation_exits_one(tmp_path, capsys, wor
 
 
 def test_calibrate_without_a_finite_fitness_exits_two(tmp_path, capsys, monkeypatch):
-    def broken_run(world, sink):
+    def broken_open(world):
         raise RuntimeError("engine broke")
 
-    monkeypatch.setattr("emsim.calibrate.run", broken_run)
+    monkeypatch.setattr("emsim.engine.open_year", broken_open)
     rc, out = _calibrate(tmp_path, {2023: ALL_TYPES}, "validation")
     assert rc == 2
     assert "generation 0" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """World lifecycle, settlement and yearly-loop tests."""
 
 import copy
+import pickle
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ import pytest
 
 from emsim import agents, engine
 from emsim.agents import Commitment, belief_curves, candidate_menu, expected_cashflow, npv
-from emsim.engine import DispatchStore, Settlement, init_world, run, step_year
+from emsim.engine import (NODE_SLOTS, HistoryStore, PlanStore, Settlement, init_world, run,
+                          step_year)
 from emsim.market import annual_totals, dispatch_year
 from emsim.ingest import InputError, PlantRegistry, ScenarioConfig
 from emsim.repdays import DAYS_PER_YEAR
@@ -181,12 +183,10 @@ def test_run_six_years():
 
 def test_run_keeps_no_year():
     world = nuclear_world(years=(2020, 2023))
-    assert world.dispatch_store is None
     previous = []
 
     def sink(result):
-        # the loop drops each year, and a world without a shared store its
-        # dispatch, once its sink returns
+        # the loop drops each year, and its dispatch, once its sink returns
         if previous:
             assert previous[-1][0]() is None
             assert previous[-1][1]() is None
@@ -463,7 +463,35 @@ def test_one_pass_settlement_equals_the_per_genco_loop(seed):
 
 
 # ---------------------------------------------------------------------------
-# dispatch store
+# history store
+
+
+def plain_mixes(scenario, registry, rep, table, seed, histories=None):
+    """Each year's objective mix of a plain `run`. Each year's investment
+    history, the plants committed in every earlier year, is added to the
+    set `histories` when one is given."""
+    mixes = {}
+    committed = []
+
+    def sink(result):
+        mixes[result.year] = result.objective_mix()
+        if histories is not None:
+            histories.add((result.year, tuple(committed)))
+        committed.append(tuple(c.plant.plant_id for c in result.investments))
+
+    run(init_world(scenario, registry, rep, table, seed=seed), sink)
+    return mixes
+
+
+def count_dispatches(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dispatch_year(*args)
+
+    monkeypatch.setattr(engine, "dispatch_year", counting)
+    return calls
 
 
 def store_inputs():
@@ -472,70 +500,203 @@ def store_inputs():
     scenario, registry, rep = transition_scenario()
     hydro = make_plant("hydro", "g1", "Hydro", 300.0, 2015,
                        simple_costs(operating_period=100, variable_om=1.0))
-    return replace(scenario, end_year=2020), list(registry.plants) + [hydro], rep
+    return (replace(scenario, end_year=2020),
+            PlantRegistry(plants=registry.plants + (hydro,), funds={"g1": 0.0, "g2": 0.0}), rep)
 
 
-def store_world(scenario, plants, rep, store):
-    registry = PlantRegistry(plants=tuple(plants), funds={"g1": 0.0, "g2": 0.0})
-    return init_world(scenario, registry, rep, _empty_cost_table(), store=store)
+def _changed_plants(registry, index, **change):
+    plants = list(registry.plants)
+    plants[index] = replace(plants[index], **change)
+    return PlantRegistry(plants=tuple(plants), funds=registry.funds)
 
 
-def _renamed_hydro(plants, **change):
-    return plants[:-1] + [replace(plants[-1], **change)]
-
-
-# each changes one input of the year's dispatch and nothing else
+# each changes one gene-free input of the year and nothing else
 STORE_KEY_CHANGES = {
-    "capacity": lambda s, plants, rep: (s, [replace(plants[0], capacity_mw=999.0)]
-                                        + plants[1:], rep),
-    "bid": lambda s, plants, rep: (
-        replace(s, fuel_price={**s.fuel_price, "gas": {2020: 10.5}}), plants, rep),
-    "demand scale": lambda s, plants, rep: (replace(s, demand_scale={2020: 1.1}), plants, rep),
-    "price cap": lambda s, plants, rep: (replace(s, price_cap=250.0), plants, rep),
-    "nuclear subsidy": lambda s, plants, rep: (replace(s, nuclear_subsidy=5.0), plants, rep),
-    "plant type": lambda s, plants, rep: (
-        s, _renamed_hydro(plants, plant_type="RecipDiesel"), rep),
-    "plant id": lambda s, plants, rep: (s, _renamed_hydro(plants, plant_id="hydro2"), rep),
-    "representative year": lambda s, plants, rep: (s, plants, flat_rep_year(demand=1000.0)),
+    "capacity": lambda s, reg, rep: (s, _changed_plants(reg, 0, capacity_mw=999.0), rep),
+    "bid": lambda s, reg, rep: (
+        replace(s, fuel_price={**s.fuel_price, "gas": {2020: 10.5}}), reg, rep),
+    "demand scale": lambda s, reg, rep: (replace(s, demand_scale={2020: 1.1}), reg, rep),
+    "price cap": lambda s, reg, rep: (replace(s, price_cap=250.0), reg, rep),
+    "nuclear subsidy": lambda s, reg, rep: (replace(s, nuclear_subsidy=5.0), reg, rep),
+    "plant type": lambda s, reg, rep: (s, _changed_plants(reg, -1, plant_type="RecipDiesel"),
+                                       rep),
+    "plant id": lambda s, reg, rep: (s, _changed_plants(reg, -1, plant_id="hydro2"), rep),
+    "representative year": lambda s, reg, rep: (s, reg, flat_rep_year(demand=1000.0)),
 }
 
 
 @pytest.mark.parametrize("change", sorted(STORE_KEY_CHANGES))
 def test_dispatch_store_clears_again_when_one_input_differs(monkeypatch, change):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return dispatch_year(*args)
-
-    monkeypatch.setattr(engine, "dispatch_year", counting)
-    store = DispatchStore()
+    """A history store walked under one changed gene-free input starts a
+    new root, dispatched afresh, whose mixes equal a plain run's."""
     base = store_inputs()
-    first = step_year(store_world(*base, store))
-    again = step_year(store_world(*base, store))
-    assert len(calls) == 1
-    assert again.days is first.days
     changed = STORE_KEY_CHANGES[change](*base)
-    result = step_year(store_world(*changed, store))
+    table = _empty_cost_table()
+    expected = plain_mixes(*changed, table, 3)
+    calls = count_dispatches(monkeypatch)
+    store = HistoryStore()
+    first = store.mixes(*base, table, 3)
+    assert store.mixes(*base, table, 3) == first
+    assert len(calls) == len(store) == 1
+    assert store.mixes(*changed, table, 3) == expected
     assert len(calls) == 2
-    fresh = step_year(store_world(*changed, DispatchStore()))
-    for a, b in zip(result.days, fresh.days):
-        assert a.dispatch.tobytes() == b.dispatch.tobytes()
-        assert a.clearings.tobytes() == b.clearings.tobytes()
-    # the changed year replaced the entry: the base inputs clear again
-    step_year(store_world(*base, store))
-    assert len(calls) == 4
+    # the changed inputs replaced the root: the base inputs build afresh too
+    assert store.mixes(*base, table, 3) == first
+    assert len(calls) == 3
+    assert len(store) == 1
 
 
-def test_dispatch_store_keeps_one_entry_per_simulated_year():
+# each changes what reaches only the beliefs: the scenario's price curve
+# or sigmas, or the evaluation seed
+BELIEF_CHANGES = {
+    "price curve": lambda s, seed: (replace(s, price_curve=(0.0, 20.0)), seed),
+    "sigmas": lambda s, seed: (replace(s, sigma_m=1e-4, sigma_c=20.0), seed),
+    "evaluation seed": lambda s, seed: (s, seed + 1),
+}
+
+
+@pytest.mark.parametrize("change", sorted(BELIEF_CHANGES))
+def test_history_store_reuses_nodes_across_beliefs(monkeypatch, change):
     scenario, registry, rep, table = invest_scenario(end_year=2024)
-    store = DispatchStore()
-    for c in (40.0, 50.0, 60.0, 45.0, 50.0):
-        world = init_world(replace(scenario, price_curve=(0.002, c)), registry, rep, table,
-                           seed=3, store=store)
-        run(world, lambda result: None)
-        assert len(store) <= 5
-    assert len(store) == 5
+    scenario = replace(scenario, price_curve=(0.0, 20.0), sigma_c=20.0)
+    changed, seed = BELIEF_CHANGES[change](scenario, 3)
+    expected = plain_mixes(changed, registry, rep, table, seed)
+    base = plain_mixes(scenario, registry, rep, table, 3)
+    calls = count_dispatches(monkeypatch)
+    store = HistoryStore()
+    assert store.mixes(scenario, registry, rep, table, 3) == base
+    assert len(calls) == len(store) == 5
+    assert store.mixes(changed, registry, rep, table, seed) == expected
+    # the root and every year of the shared history were reused
+    assert len(calls) == len(store) < 10
+    assert store.mixes(scenario, registry, rep, table, 3) == base
+    assert len(calls) == len(store)
+
+
+CURVES = [(0.0, -30.0), (0.002, 20.0), (0.0, 20.0), (0.0, 30.0), (0.002, 20.0)]
+
+
+@pytest.mark.parametrize("funds", [None, {"g1": -1e12, "g2": 0.0}], ids=["rich", "poor"])
+def test_history_store_simulates_each_history_once(monkeypatch, funds):
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    if funds is not None:  # some best candidates are unaffordable
+        registry = PlantRegistry(plants=registry.plants, funds=funds)
+    scenarios = [replace(scenario, price_curve=curve, sigma_c=20.0) for curve in CURVES]
+    histories = set()
+    expected = [plain_mixes(s, registry, rep, table, 3, histories) for s in scenarios]
+    calls = count_dispatches(monkeypatch)
+    store = HistoryStore()
+    assert [store.mixes(s, registry, rep, table, 3) for s in scenarios] == expected
+    assert len(calls) == len(store) == len(histories) < 5 * len(CURVES)
+
+
+def _snapshot(world, settlements, mix):
+    """Everything a walk reads from a year after its open phase, or a
+    later year inherits from it."""
+    return (world.year, [(p.plant_id, p.status) for p in world.plants], dict(world.funds),
+            [(c.plant.plant_id, c.plant.status, c.tranches_left) for c in world.commitments],
+            {gid: vars(s).copy() for gid, s in settlements.items()}, dict(mix))
+
+
+def test_nodes_never_change_once_built(monkeypatch):
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    scenario = replace(scenario, scheduled_retirements=(("coal0", 2022),),
+                       price_curve=(0.002, 20.0))
+    registry = PlantRegistry(plants=registry.plants, funds={"g1": 5e8, "g2": 0.0})
+    # each year of a plain run as its open phase leaves it
+    opened = []
+    real = engine.open_year
+
+    def recording(world):
+        result = real(world)
+        opened.append(_snapshot(world, result.settlements, result.objective_mix()))
+        return result
+
+    monkeypatch.setattr(engine, "open_year", recording)
+    run(init_world(scenario, registry, rep, table, seed=3), lambda result: None)
+    monkeypatch.setattr(engine, "open_year", real)
+    store = HistoryStore()
+    store.mixes(scenario, registry, rep, table, 3)
+    path = [store._root]
+    while path[-1].children:
+        path.extend(path[-1].children.values())
+    # later walks branch off every year of the first one
+    for curve in CURVES:
+        noisy = replace(scenario, price_curve=curve, sigma_c=20.0)
+        assert store.mixes(noisy, registry, rep, table, 3) \
+            == plain_mixes(noisy, registry, rep, table, 3)
+    assert len(store) > len(path)
+    assert [_snapshot(n.world, n.settlements, n.mix) for n in path] == opened
+
+
+PHASES = ("open_year", "decide", "close_year")
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_failed_walk_leaves_no_node(monkeypatch, phase):
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    walked = replace(scenario, price_curve=(0.002, 20.0))
+    failing = replace(scenario, price_curve=(0.0, 20.0), sigma_c=20.0)
+    store = HistoryStore()
+    store.mixes(walked, registry, rep, table, 3)
+    nodes = len(store)
+    real = getattr(engine, phase)
+
+    def broken(*args):
+        real(*args)  # change what the phase changes, then fail
+        raise RuntimeError(f"{phase} broke")
+
+    monkeypatch.setattr(engine, phase, broken)
+    with pytest.raises(RuntimeError, match="broke"):
+        store.mixes(failing, registry, rep, table, 3)
+    monkeypatch.setattr(engine, phase, real)
+    assert len(store) == nodes
+    for scenario in (failing, walked):
+        assert store.mixes(scenario, registry, rep, table, 3) \
+            == plain_mixes(scenario, registry, rep, table, 3)
+
+
+def test_failed_root_leaves_an_empty_store(monkeypatch):
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    store = HistoryStore()
+    store.mixes(scenario, registry, rep, table, 3)
+    monkeypatch.setattr(engine, "open_year", lambda world: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        store.mixes(replace(scenario, price_cap=250.0), registry, rep, table, 3)
+    assert len(store) == 0
+
+
+def test_history_store_empties_at_its_slot_bound(monkeypatch):
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    scenarios = [replace(scenario, price_curve=curve) for curve in
+                 [(0.0, -30.0), (0.002, 20.0), (0.0, 20.0), (0.002, 20.0), (0.0, -30.0)]]
+    expected = [plain_mixes(s, registry, rep, table, 3) for s in scenarios]
+    calls = count_dispatches(monkeypatch)
+    unbounded = HistoryStore()
+    assert [unbounded.mixes(s, registry, rep, table, 3) for s in scenarios] == expected
+    unbounded_calls = len(calls)
+    assert unbounded.slots_held == sum(len(nodes) for nodes in _plants_per_node(unbounded)) \
+        + NODE_SLOTS * len(unbounded)
+    # the root lists 3 plants and each later year at least 3
+    monkeypatch.setattr(engine, "MAX_HELD_SLOTS", 3 * (NODE_SLOTS + 3))
+    bounded = HistoryStore()
+    for s, mixes in zip(scenarios, expected):
+        assert bounded.mixes(s, registry, rep, table, 3) == mixes
+        assert bounded.slots_held <= engine.MAX_HELD_SLOTS
+        assert len(bounded) < 3
+    assert len(calls) - unbounded_calls > unbounded_calls
+    # a pickled copy starts empty
+    copied = pickle.loads(pickle.dumps(bounded))
+    assert (len(copied), copied.slots_held) == (0, 0)
+
+
+def _plants_per_node(store):
+    """Each node's plant list, root first."""
+    todo = [store._root]
+    while todo:
+        node = todo.pop()
+        yield node.world.plants
+        todo.extend(node.children.values())
 
 
 # each changes one scenario input of the bids or the appraisal plans and nothing else
@@ -553,32 +714,20 @@ def test_shared_store_plans_follow_the_cost_inputs(change):
     scenario = replace(scenario, price_curve=(0.002, 50.0), sigma_c=4.0)
     changed = PLAN_KEY_CHANGES[change](scenario)
 
-    def trajectory(scenario, store):
+    def trajectory(scenario, plans):
         years = []
-        run(init_world(scenario, registry, rep, table, seed=3, store=store), years.append)
+        run(init_world(scenario, registry, rep, table, seed=3, plans=plans), years.append)
         return ([r.bid_prices for r in years],
                 [[ev.npv for ev in r.investment_log] for r in years])
 
-    store = DispatchStore()
-    base = trajectory(scenario, store)
+    plans = PlanStore()
+    base = trajectory(scenario, plans)
     # other beliefs alone keep the store's plans and bids, and match a fresh world
     noisier = replace(scenario, sigma_c=2.0)
-    assert trajectory(noisier, store) == trajectory(noisier, None) != base
-    shared = trajectory(changed, store)
+    assert trajectory(noisier, plans) == trajectory(noisier, None) != base
+    shared = trajectory(changed, plans)
     fresh = trajectory(changed, None)
     assert shared == fresh
     assert fresh[1] != base[1]
     # the change replaced what the store held: the base inputs build afresh too
-    assert trajectory(scenario, store) == base == trajectory(scenario, None)
-
-
-def test_reused_dispatch_cannot_be_changed():
-    store = DispatchStore()
-    inputs = store_inputs()
-    step_year(store_world(*inputs, store))
-    reused = step_year(store_world(*inputs, store))
-    assert isinstance(reused.days, tuple)
-    for day in reused.days:
-        for array in (day.clearings, day.dispatch, day.unserved):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0.0
+    assert trajectory(scenario, plans) == base == trajectory(scenario, None)
