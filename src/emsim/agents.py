@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CF_SERIES, InputError, PlantCosts, PowerPlant, ScenarioConfig
+from .ingest import CF_SERIES, InputError, PlantCosts, PowerPlant, ScenarioConfig, held_rows
 from .market import marginal_cost
 from .repdays import RepresentativeYear
 
@@ -25,24 +25,72 @@ def belief_curves(scenario: ScenarioConfig, root_seed: int, genco_index: int,
                   sim_year: int, horizon: int) -> np.ndarray:
     """One GenCo's predicted price curves (price = m x demand + c) for the
     target years sim_year, sim_year + 1, ...: a (2, horizon) array of m
-    and c.
+    and c, the scenario's base curves with `add_belief_noise`."""
+    curves = np.array(scenario.curve_params_at(np.arange(sim_year, sim_year + horizon))).T
+    add_belief_noise(curves, root_seed, genco_index, sim_year, scenario.sigma_m, scenario.sigma_c)
+    return curves
+
+
+def add_belief_noise(curves: np.ndarray, root_seed: int, genco_index: int, sim_year: int,
+                     sigma_m: float, sigma_c: float) -> None:
+    """Perturb one GenCo's (2, horizon) base curves for the target years
+    sim_year, sim_year + 1, ... in place.
 
     Each target year perturbs its base curve with normal noise on m, then
     on c, drawn from the stream (root seed, simulated year, genco index,
     target year), so a draw never depends on which years are asked for.
     A zero sigma draws nothing, and zero sigmas build no generator.
     """
-    years = np.arange(sim_year, sim_year + horizon)
-    curves = np.array(scenario.curve_params_at(years)).T
-    sigma_m, sigma_c = scenario.sigma_m, scenario.sigma_c
-    if sigma_m or sigma_c:
-        for t, year in enumerate(years):
-            rng = np.random.default_rng([root_seed, sim_year, genco_index, year])
-            if sigma_m:
-                curves[0, t] = rng.normal(curves[0, t], sigma_m)
-            if sigma_c:
-                curves[1, t] = rng.normal(curves[1, t], sigma_c)
-    return curves
+    if not (sigma_m or sigma_c):
+        return
+    stream = [root_seed, sim_year, genco_index]
+    # each int below 2**32 is one 32-bit entropy word, so a uint32 array
+    # seeds the same generator, and numpy converts it faster than a list
+    words = max(stream) < 2**32
+    for t, year in enumerate(np.arange(sim_year, sim_year + curves.shape[1])):
+        entropy = stream + [year]
+        rng = np.random.default_rng(np.array(entropy, dtype=np.uint32) if words else entropy)
+        if sigma_m:
+            curves[0, t] = rng.normal(curves[0, t], sigma_m)
+        if sigma_c:
+            curves[1, t] = rng.normal(curves[1, t], sigma_c)
+
+
+@dataclass(frozen=True)
+class Beliefs:
+    """The price beliefs of a batch of G genomes: each one's base price
+    curves as a year table, its belief noise, and the root seed its noise
+    is drawn from. `Beliefs.of` is the one-scenario case."""
+
+    first_year: int       # the year of the tables' first row
+    curves: np.ndarray    # (G, years, 2) base (m, c); years outside hold the first or last row
+    sigma_m: np.ndarray   # (G,)
+    sigma_c: np.ndarray   # (G,)
+    seeds: np.ndarray     # (G,) root seeds
+
+    @classmethod
+    def of(cls, scenario: ScenarioConfig, seed: int) -> Beliefs:
+        first, values = scenario.curve_table()
+        return cls(first, values[None], np.array([scenario.sigma_m]),
+                   np.array([scenario.sigma_c]), np.array([seed]))
+
+    def take(self, index) -> Beliefs:
+        """The beliefs of the genomes at `index`, in that order."""
+        return Beliefs(self.first_year, self.curves[index], self.sigma_m[index],
+                       self.sigma_c[index], self.seeds[index])
+
+    def stack(self, sim_year: int, horizon: int, companies: int) -> np.ndarray:
+        """Each genome's belief curves for each of `companies` GenCos, a
+        (G, companies, 2, horizon) array: entry [g, i] is what
+        `belief_curves` gives GenCo i under genome g's scenario and seed."""
+        years = np.arange(sim_year, sim_year + horizon)
+        base = self.curves[:, held_rows(self.first_year, self.curves.shape[1], years)]
+        stack = np.repeat(base.transpose(0, 2, 1)[:, None], companies, axis=1)
+        for g in np.flatnonzero((self.sigma_m != 0) | (self.sigma_c != 0)):
+            for i in range(companies):
+                add_belief_noise(stack[g, i], int(self.seeds[g]), i, sim_year,
+                                 float(self.sigma_m[g]), float(self.sigma_c[g]))
+        return stack
 
 
 @dataclass(frozen=True)
@@ -193,11 +241,17 @@ def appraisal_plan(menu: tuple[InvestmentCandidate, ...], rep_year: Representati
                          demand, hour_weights)
 
 
-def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float) -> list[float]:
-    """NPV of each candidate of the plan's menu under one set of belief
-    curves, in one pass over the plan's rows. Nothing about a company
-    but its beliefs enters, so companies holding byte-equal beliefs share
-    one appraisal.
+# `appraise` prices at most this many (belief set, row, hour) cells at a
+# time, so a large stack takes no more memory than one paper-scale set.
+PRICE_CELLS = 1 << 16
+
+
+def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float):
+    """NPV of each candidate of the plan's menu under each belief set of
+    an (S, 2, horizon) stack, as an (S, candidates) array, from one pass
+    over the plan's rows; one (2, horizon) belief set gives a list.
+    Nothing about a company but its beliefs enters, so companies holding
+    byte-equal beliefs share one appraisal.
 
     A dispatchable row earns in exactly the hours `expected_cashflow`
     sells in: the predicted price, computed as there, covers the cost.
@@ -205,22 +259,36 @@ def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float) -
     (c - cost) x sum(w cf)), the same margin in closed form. The NPVs
     agree with `npv(expected_cashflow(...))` to 1e-12 of the sum of the
     absolute discounted flows; their last bits may differ.
+
+    A belief set's NPVs have the same bits whether it is appraised alone
+    or in any stack: the dispatchable margins are (sets, rows, hours) @
+    hour_weights products, over slices of at most PRICE_CELLS prices,
+    which make the same matrix-vector product per set as a set alone
+    does; a (sets x rows, hours) product may sum in another order.
     """
-    if beliefs.shape[1] < plan.horizon:
-        raise ValueError(f"belief curves cover {beliefs.shape[1]} years, need {plan.horizon}")
-    m, c = beliefs[:, plan.column]
+    stack = beliefs[None] if beliefs.ndim == 2 else beliefs
+    if stack.shape[-1] < plan.horizon:
+        raise ValueError(f"belief curves cover {stack.shape[-1]} years, need {plan.horizon}")
+    believed = stack[:, :, plan.column]
+    m, c = believed[:, 0], believed[:, 1]
     n = plan.dispatchable
-    prices = plan.scale[:n, None] * plan.demand
-    prices *= m[:n, None]
-    prices += c[:n, None]
-    if nuclear_subsidy:
-        prices += (nuclear_subsidy * plan.nuclear[:n])[:, None]
-    prices -= plan.cost[:n, None]
     margin = m * plan.cf_demand_sum + (c - plan.cost) * plan.cf_sum
-    # price - cost >= 0 exactly where price >= cost, so the max keeps the sold hours
-    margin[:n] = np.maximum(prices, 0.0, out=prices) @ plan.hour_weights
-    return (plan.fixed + np.bincount(plan.candidate, margin * plan.weight,
-                                     len(plan.fixed))).tolist()
+    demand = plan.scale[:n, None] * plan.demand
+    step = max(1, PRICE_CELLS // max(demand.size, 1))
+    for start in range(0, len(stack), step):
+        sets = slice(start, start + step)
+        prices = demand * m[sets, :n, None]
+        prices += c[sets, :n, None]
+        if nuclear_subsidy:
+            prices += (nuclear_subsidy * plan.nuclear[:n])[:, None]
+        prices -= plan.cost[:n, None]
+        # price - cost >= 0 exactly where price >= cost, so the max keeps the sold hours
+        margin[sets, :n] = np.maximum(prices, 0.0, out=prices) @ plan.hour_weights
+    sets, candidates = len(stack), len(plan.fixed)
+    bins = (np.arange(sets)[:, None] * candidates + plan.candidate).ravel()
+    npvs = plan.fixed + np.bincount(bins, (margin * plan.weight).ravel(),
+                                    sets * candidates).reshape(sets, candidates)
+    return npvs[0].tolist() if beliefs.ndim == 2 else npvs
 
 
 def npv(cashflows, discount_rate: float) -> float:
@@ -260,21 +328,22 @@ class InvestmentEvaluation:
     affordable: bool
 
 
-def commit_rule(funds: float, menu: tuple[InvestmentCandidate, ...],
-                npvs: list[float]) -> tuple[int, bool]:
-    """The commit decision of a company holding `funds` over the appraised
-    menu (`npvs[i]` is the NPV of `menu[i]`, as `appraise` returns it):
-    the index of the first highest positive NPV (-1 when none is
-    positive), and whether `funds` cover that candidate's first capital
-    tranche. The company commits to it only when both hold."""
-    idx = -1
-    best_npv = 0.0
-    for i, value in enumerate(npvs[:len(menu)]):
-        if value > best_npv:
-            idx, best_npv = i, value
-    if idx < 0:
-        return idx, True
-    return idx, not funds < menu[idx].tranche
+def commit_rule(funds, menu: tuple[InvestmentCandidate, ...], npvs):
+    """The commit decision of companies holding `funds` over the appraised
+    menu (`npvs[..., i]` is the NPV of `menu[i]`, as `appraise` returns
+    it; `funds` broadcasts against `npvs[..., 0]`): the index of the
+    first highest positive NPV (-1 when none is positive), and whether
+    the funds cover that candidate's first capital tranche, as arrays of
+    the shape of `npvs[..., 0]`. A company commits only when both hold."""
+    npvs = np.asarray(npvs, dtype=float)
+    positive = np.where(npvs > 0.0, npvs, 0.0)
+    if not menu:
+        index = np.full(npvs.shape[:-1], -1)
+        return index, np.ones(index.shape, dtype=bool)
+    # argmax gives the first of equal values
+    index = np.where(positive.max(axis=-1) > 0.0, positive.argmax(axis=-1), -1)
+    tranche = np.array([c.tranche for c in menu])
+    return index, (index < 0) | ~(np.asarray(funds) < tranche[index])
 
 
 def commit(genco_id: str, year: int, candidate: InvestmentCandidate) -> Commitment:
@@ -302,6 +371,7 @@ def invest_step(genco_id: str, funds: float, year: int,
     candidate. Nothing passed in is changed.
     """
     idx, affordable = commit_rule(funds, menu, npvs)
+    idx, affordable = int(idx), bool(affordable)
     commitment = None
     if idx >= 0:
         best = menu[idx]

@@ -10,6 +10,7 @@ interrupted run leaves complete records behind.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 import time
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .agents import Beliefs
 from .engine import OBJECTIVE_TYPES, HistoryStore
 from .ingest import InputError
 
@@ -84,6 +86,47 @@ class GenomeLayout:
             "nuclear_subsidy": float(genome[2 * n + 2]),
         }
 
+    def check(self, genomes, scenario) -> np.ndarray:
+        """A batch of genomes as a (G, genes) float array. A gene that is
+        not finite, or a negative sigma, raises the InputError of the
+        scenario that `decode` gives `scenario`: only such a genome
+        builds its scenario."""
+        genomes = np.asarray(genomes, dtype=float)
+        if genomes.ndim != 2 or genomes.shape[1] != len(self):
+            raise InputError(f"genome length {genomes.shape[-1]} != layout length {len(self)}")
+        bad = ~np.isfinite(genomes).all(axis=1)
+        if self.kind == "longterm":
+            bad |= (genomes[:, -3:-1] < 0).any(axis=1)
+        if bad.any():
+            replace(scenario, **self.decode(genomes[bad][0]))
+        return genomes
+
+    def sigmas(self, genomes: np.ndarray, scenario) -> tuple[np.ndarray, np.ndarray]:
+        """Each genome's belief noise (sigma_m, sigma_c) under `scenario`."""
+        if self.kind == "validation":
+            return (np.full(len(genomes), scenario.sigma_m), np.full(len(genomes), scenario.sigma_c))
+        return genomes[:, -3], genomes[:, -2]
+
+    def overrides(self, genomes, scenario, seeds) -> tuple[Beliefs, np.ndarray]:
+        """What a batch of genomes changes in `scenario`: their beliefs
+        under the evaluation `seeds`, and each one's nuclear subsidy. The
+        beliefs follow the held-value rule of the scenario's own curves,
+        so each genome believes what the scenario `decode` gives would.
+        Raises InputError as `check` does."""
+        genomes = self.check(genomes, scenario)
+        first, curves = 0, genomes[:, None, :2]
+        subsidies = np.full(len(genomes), scenario.nuclear_subsidy)
+        if self.kind == "longterm":
+            n = len(self.curve_years)
+            if n:
+                first, curves = self.curve_years[0], np.stack(
+                    [genomes[:, :n], genomes[:, n:2 * n]], axis=-1)
+            else:  # no curve genes: the scenario's single price curve
+                curves = np.broadcast_to(np.array(scenario.price_curve, dtype=float),
+                                         (len(genomes), 1, 2))
+            subsidies = genomes[:, -1]
+        return Beliefs(first, curves, *self.sigmas(genomes, scenario), np.asarray(seeds)), subsidies
+
     def scored_years(self, scenario, include_first_year: bool) -> list[int]:
         """Years the objective scores: the final year for validation,
         every simulated year (less the start year unless included) for
@@ -143,28 +186,49 @@ class ScenarioBundle:
     histories: HistoryStore | None = field(default=None, compare=False, repr=False)
 
 
-def _mix_error(genome, bundle: ScenarioBundle, eval_seed: int, layout: GenomeLayout) -> float:
-    """Summed mix error over the scored years of one simulated trajectory."""
-    scenario = replace(bundle.scenario, **layout.decode(genome))
+def _mix_errors(bundle: ScenarioBundle, layout: GenomeLayout, genomes, seeds) -> np.ndarray:
+    """Each genome's summed mix error over the scored years of its
+    simulated trajectory under its evaluation seed, from one walk of the
+    bundle's history store; `inf` for a genome whose walk failed (the
+    failure is logged). An InputError propagates."""
+    scenario = bundle.scenario
+    beliefs, subsidies = layout.overrides(genomes, scenario, seeds)
     histories = HistoryStore() if bundle.histories is None else bundle.histories
-    trajectory = histories.mixes(scenario, bundle.registry, bundle.rep_year,
-                                 bundle.cost_table, eval_seed)
-    years = layout.scored_years(scenario, bundle.include_first_year)
-    return mix_error_longterm({y: trajectory[y] for y in years},
-                              {y: bundle.target[y] for y in years})
+    paths = histories.walk(scenario, bundle.registry, bundle.rep_year, bundle.cost_table,
+                           beliefs, subsidies)
+    scored = [(year - scenario.start_year, bundle.target[year])
+              for year in layout.scored_years(scenario, bundle.include_first_year)]
+    errors: dict[int, float] = {}  # by id of a node's mix, which genomes through it share
+
+    def error(mix, target) -> float:
+        if id(mix) not in errors:
+            errors[id(mix)] = mix_error_validation(mix, target)
+        return errors[id(mix)]
+
+    fitness = np.empty(len(paths))
+    logged = set()
+    for g, path in enumerate(paths):
+        if isinstance(path, Exception):
+            fitness[g] = math.inf
+            if id(path) not in logged:  # once per failed node
+                logged.add(id(path))
+                log.warning("objective failed; assigning worst fitness", exc_info=path)
+        else:  # summed in year order, as mix_error_longterm does
+            fitness[g] = sum(error(path[i], target) for i, target in scored)
+    return fitness
 
 
 def objective_validation(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                          layout: GenomeLayout | None = None) -> float:
     """Mix error of the final simulated year against the target."""
-    return _mix_error(genome, bundle, eval_seed, layout or validation_layout())
+    return float(_mix_errors(bundle, layout or validation_layout(), [genome], [eval_seed])[0])
 
 
 def objective_longterm(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                        layout: GenomeLayout | None = None) -> float:
     """Summed per-year mix error over the whole simulated trajectory."""
-    return _mix_error(genome, bundle, eval_seed, layout or longterm_layout(
-        bundle.scenario.start_year, bundle.scenario.end_year))
+    layout = layout or longterm_layout(bundle.scenario.start_year, bundle.scenario.end_year)
+    return float(_mix_errors(bundle, layout, [genome], [eval_seed])[0])
 
 
 def check_target(bundle: ScenarioBundle, layout: GenomeLayout, source) -> None:
@@ -181,14 +245,14 @@ def check_target(bundle: ScenarioBundle, layout: GenomeLayout, source) -> None:
 
 @dataclass(frozen=True)
 class Objective:
-    """Picklable `objective(genome, eval_seed)` for `ga_run` and its
-    worker pool: the objective entry point of the layout's kind.
+    """Picklable objective for `ga_run` and its worker pool, driven by
+    its layout: `scores` a batch of genomes, or one through the call.
 
-    Its evaluations share one history store, so a genome simulates only
-    the years of its investment history that no earlier evaluation
-    simulated, and every evaluation reuses the store's appraisal plans
-    and bids. A pool worker's unpickled copy starts with its own, empty
-    store."""
+    Its evaluations share one history store, so a batch simulates only
+    the years of its genomes' investment histories that no earlier
+    evaluation simulated, and every evaluation reuses the store's
+    appraisal plans and bids. A pool worker's unpickled copy starts with
+    its own, empty store."""
 
     bundle: ScenarioBundle
     layout: GenomeLayout
@@ -197,17 +261,22 @@ class Objective:
         object.__setattr__(self, "bundle",
                            replace(self.bundle, histories=HistoryStore()))
 
-    def __call__(self, genome, eval_seed: int) -> float:
-        entry = objective_validation if self.layout.kind == "validation" else objective_longterm
-        return entry(genome, self.bundle, eval_seed, self.layout)
+    def scores(self, genomes, seeds) -> np.ndarray:
+        """The fitness of each genome under its evaluation seed, from one
+        walk of the history store: `inf` for a genome whose simulation
+        failed. A genome's fitness does not depend on its batch."""
+        return _mix_errors(self.bundle, self.layout, genomes, seeds)
 
-    def seed_matters(self, genome) -> bool:
-        """Whether the fitness of `genome` can depend on the evaluation
+    def __call__(self, genome, eval_seed: int) -> float:
+        return float(self.scores([genome], [eval_seed])[0])
+
+    def seeds_matter(self, genomes) -> np.ndarray:
+        """Whether the fitness of each genome can depend on the evaluation
         seed. The seed reaches only the belief noise, which draws nothing
         when both sigmas of the decoded scenario are zero."""
-        decoded = {"sigma_m": self.bundle.scenario.sigma_m,
-                   "sigma_c": self.bundle.scenario.sigma_c, **self.layout.decode(genome)}
-        return bool(decoded["sigma_m"] or decoded["sigma_c"])
+        sigma_m, sigma_c = self.layout.sigmas(np.asarray(genomes, dtype=float),
+                                              self.bundle.scenario)
+        return (sigma_m != 0) | (sigma_c != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +315,8 @@ class GAConfig:
                 raise InputError(f"gene bounds must satisfy lower < upper (got {lo}, {hi})")
         if self.population_size < 2:
             raise InputError("population_size must be >= 2")
+        if self.stall_generations < 1:
+            raise InputError(f"stall_generations must be >= 1 (got {self.stall_generations})")
 
 
 @dataclass
@@ -312,6 +383,14 @@ def _fitness(objective, genome, seed) -> float:
         return math.inf
 
 
+def _scores(objective, genomes: np.ndarray, seeds) -> list[float]:
+    """The fitness of each genome: one batch for an `Objective`, one
+    `_fitness` call per genome for any other callable."""
+    if isinstance(objective, Objective):
+        return objective.scores(genomes, seeds).tolist()
+    return [_fitness(objective, g, s) for g, s in zip(genomes, seeds)]
+
+
 # The objective of a pool worker process, set once by the pool's initializer.
 _worker_objective = None
 
@@ -321,17 +400,17 @@ def _init_worker(objective) -> None:
     _worker_objective = objective
 
 
-def _pooled_fitness(genome, seed) -> float:
-    return _fitness(_worker_objective, genome, seed)
+def _pooled_scores(genomes: np.ndarray, seeds) -> list[float]:
+    return _scores(_worker_objective, genomes, seeds)
 
 
-def _fitness_key(objective, genome: np.ndarray, seed):
-    """What a fitness depends on: the genome, and the evaluation seed
+def _fitness_keys(objective, genomes: np.ndarray, seeds) -> list[tuple]:
+    """What each fitness depends on: the genome, and the evaluation seed
     unless the objective is an `Objective` that says the seed cannot
     matter. A plain callable is always keyed with its seed."""
-    if isinstance(objective, Objective) and not objective.seed_matters(genome):
-        return genome.tobytes(), None
-    return genome.tobytes(), int(seed)
+    matters = (objective.seeds_matter(genomes) if isinstance(objective, Objective)
+               else np.ones(len(genomes), dtype=bool))
+    return [(g.tobytes(), int(s) if m else None) for g, s, m in zip(genomes, seeds, matters)]
 
 
 def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarray, seeds,
@@ -339,23 +418,28 @@ def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarr
     """Fitness per genome and the number of genomes actually evaluated.
 
     `fitness_of` holds every fitness this run has computed, by
-    `_fitness_key`; a key already in it, or repeated within `genomes`, is
-    evaluated once, in the pool when there is one. The pool gets one
-    contiguous batch per worker, so consecutive genomes share a worker's
-    history store. The result is the same under any worker count.
-    Raises RuntimeError when no genome of the generation scores a finite
-    value."""
-    keys = [_fitness_key(objective, g, s) for g, s in zip(genomes, seeds)]
+    `_fitness_keys`; a key already in it, or repeated within `genomes`, is
+    evaluated once. The genomes to evaluate form one batch, or with a
+    pool one contiguous batch per worker, each a single task, so a
+    worker's genomes walk its history store together. The result is the
+    same under any worker count. Raises RuntimeError when no genome of
+    the generation scores a finite value."""
+    keys = _fitness_keys(objective, genomes, seeds)
     todo: dict = {}
     for key, genome, seed in zip(keys, genomes, seeds):
         if key not in fitness_of:
             todo.setdefault(key, (genome, seed))
     if todo:
+        batch = np.array([g for g, _ in todo.values()])
+        batch_seeds = [s for _, s in todo.values()]
         if pool is None:
-            values = (_fitness(objective, g, s) for g, s in todo.values())
+            values = _scores(objective, batch, batch_seeds)
         else:
-            values = pool.map(_pooled_fitness, *zip(*todo.values()),
-                              chunksize=-(-len(todo) // workers))
+            size = -(-len(todo) // workers)
+            starts = range(0, len(todo), size)
+            values = [value for chunk in pool.map(
+                _pooled_scores, [batch[i:i + size] for i in starts],
+                [batch_seeds[i:i + size] for i in starts]) for value in chunk]
         fitness_of.update(zip(todo, values))
     fitness = np.array([fitness_of[key] for key in keys])
     if not np.isfinite(fitness).any():
@@ -363,7 +447,7 @@ def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarr
     return fitness, len(todo)
 
 
-def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
+def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GAResult:
     """Minimize `objective(genome, eval_seed)` with a real-valued GA.
 
     The (mu+lambda) scheme: tournament selection, blend crossover,
@@ -372,7 +456,9 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
     generation, index) so results are reproducible under any worker
     scheduling. One worker pool serves the whole run when
     `parallel_workers` > 1, and each distinct genome (with its seed, when
-    that can matter) is evaluated once per run.
+    that can matter) is evaluated once per run. Each generation's log
+    line is also kept as one entry of the JSON list written to
+    `telemetry_path` when the run ends, also when it fails.
     """
     rng = np.random.default_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])
@@ -399,6 +485,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
     writer = None
     records: list[GenerationRecord] = []
     best_history: list[float] = []
+    telemetry: list[dict] = []
     last_record = time.perf_counter()
 
     def record_generation(gen: int, scored: np.ndarray, n_evaluated: int):
@@ -415,11 +502,14 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
         finite = np.sort(rec.fitnesses[np.isfinite(rec.fitnesses)])
         median = (finite[(len(finite) - 1) // 2] + finite[len(finite) // 2]) / 2
         now = time.perf_counter()
+        entry = {"generation": gen, "evaluated": n_evaluated,
+                 "reused": len(scored) - n_evaluated, "failed": int(np.isinf(scored).sum()),
+                 "best_fitness": rec.best_fitness, "median_fitness": float(median),
+                 "seconds": now - last_record}
         log.info("generation %d: %d genomes evaluated, %d reused, %d failed (inf), "
-                 "best fitness %r, median fitness %r, %.3f s", gen, n_evaluated,
-                 len(scored) - n_evaluated, int(np.isinf(scored).sum()), rec.best_fitness,
-                 float(median), now - last_record)
+                 "best fitness %r, median fitness %r, %.3f s", *entry.values())
         last_record = now
+        telemetry.append(entry)
 
     try:
         fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers, fitness_of,
@@ -474,6 +564,9 @@ def ga_run(cfg: GAConfig, objective, log_path=None) -> GAResult:
             pool.shutdown(cancel_futures=True)
         if writer:
             writer.close()
+        if telemetry_path:
+            with open(telemetry_path, "w") as fh:
+                json.dump(telemetry, fh, indent=1)
 
     best_idx = int(np.argmin(fitness))
     best = Individual(population[best_idx].copy(), float(fitness[best_idx]),

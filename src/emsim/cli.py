@@ -312,7 +312,8 @@ def cmd_calibrate(args) -> int:
         option = _GA_OPTIONS.get(str(exc).split(" ", 1)[0])
         raise CLIError(f"{option}: {exc}" if option else str(exc)) from None
     result = cal.ga_run(cfg, cal.Objective(bundle, layout),
-                        log_path=out / "generation_log.csv")
+                        log_path=out / "generation_log.csv",
+                        telemetry_path=out / "telemetry.json")
 
     _write_csv(
         out / "best.csv",

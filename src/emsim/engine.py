@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agents import (AppraisalPlan, Commitment, appraisal_plan, appraise, belief_curves,
+from .agents import (AppraisalPlan, Beliefs, Commitment, appraisal_plan, appraise,
                      candidate_menu, commit, commit_rule, invest_step)
 from .ingest import CostTable, InputError, PlantRegistry, PowerPlant, ScenarioConfig
 from .market import DayDispatch, annual_totals, dispatch_year, marginal_cost
@@ -255,28 +255,26 @@ def open_year(world: World) -> YearResult:
                       days=days, retired=retired)
 
 
-def decide(world: World, settlements: dict[str, Settlement], scenario: ScenarioConfig,
-           seed: int) -> list[tuple[str, float, list[float]]]:
-    """Each company's funds and the NPVs of the year's candidate menu
-    (`candidate_menu(world.cost_table, world.year)`) under the beliefs
-    drawn from `scenario` and `seed`, in settlement order, with one
-    appraisal per distinct belief set; none in the scenario's final year,
-    which makes no commitments. `scenario` must share the world
-    scenario's cost inputs and nuclear subsidy. Nothing is changed."""
+def decide(world: World, settlements: dict[str, Settlement],
+           beliefs: Beliefs) -> tuple[np.ndarray, np.ndarray]:
+    """Each company's funds, in settlement order, and the NPVs of the
+    year's candidate menu (`candidate_menu(world.cost_table, world.year)`)
+    under each genome's beliefs: a (genomes, companies, candidates)
+    array. Every distinct belief set is appraised once, in one stacked
+    `appraise` call, with the world scenario's nuclear subsidy. Nothing is
+    changed. The scenario's final year makes no commitments, so it is
+    never decided."""
     year = world.year
-    if year >= scenario.end_year:
-        return []
     menu = candidate_menu(world.cost_table, year)
     plan = world.plans.plan(menu, world.rep_year, world.scenario, year)
-    npvs_of: dict[bytes, list[float]] = {}
-    decisions = []
-    for index, (gid, s) in enumerate(settlements.items()):
-        beliefs = belief_curves(scenario, seed, index, year, plan.horizon)
-        key = beliefs.tobytes()
-        if key not in npvs_of:
-            npvs_of[key] = appraise(plan, beliefs, scenario.nuclear_subsidy)
-        decisions.append((gid, s.funds_start + s.delta, npvs_of[key]))
-    return decisions
+    stack = beliefs.stack(year, plan.horizon, len(settlements))
+    sets = stack.reshape(-1, *stack.shape[2:])
+    index: dict[bytes, int] = {}
+    inverse = [index.setdefault(b.tobytes(), len(index)) for b in sets]
+    distinct = sets[np.unique(inverse, return_index=True)[1]]
+    npvs = appraise(plan, distinct, world.scenario.nuclear_subsidy)[inverse]
+    funds = np.array([s.funds_start + s.delta for s in settlements.values()])
+    return funds, npvs.reshape(*stack.shape[:2], len(menu))
 
 
 def close_year(world: World, settlements: dict[str, Settlement],
@@ -311,12 +309,14 @@ def step_year(world: World) -> YearResult:
     world's own scenario and seed, `invest_step` for each company (except
     in the final scenario year), then `close_year`."""
     result = open_year(world)
-    for gid, funds, npvs in decide(world, result.settlements, world.scenario, world.seed):
+    if result.year < world.scenario.end_year:
+        funds, npvs = decide(world, result.settlements, Beliefs.of(world.scenario, world.seed))
         menu = candidate_menu(world.cost_table, result.year)
-        commitment, evaluations = invest_step(gid, funds, result.year, menu, npvs)
-        result.investment_log.extend(evaluations)
-        if commitment is not None:
-            result.investments.append(commitment)
+        for gid, money, row in zip(result.settlements, funds.tolist(), npvs[0].tolist()):
+            commitment, evaluations = invest_step(gid, money, result.year, menu, row)
+            result.investment_log.extend(evaluations)
+            if commitment is not None:
+                result.investments.append(commitment)
     result.activated = close_year(world, result.settlements, result.investments)
     result.funds = {gid: s.funds_end for gid, s in result.settlements.items()}
     return result
@@ -361,10 +361,11 @@ class HistoryStore:
     The root is the start year after its open phase. Each company's
     committed candidate in a year (its menu index, or -1 for none) forms
     an edge, and the edge's child is the next year after closing the
-    node with those commitments and opening that year. A genome walks
-    the tree with its own scenario and seed: it appraises and applies
-    `commit_rule` in each year, and simulates only the years that no
-    earlier walk reached. A node holds no dispatch arrays.
+    node with those commitments and opening that year. A batch of
+    genomes walks the tree together: at each node the genomes that
+    reached it are decided in one `decide` call, `commit_rule` sends
+    each on along its edge, and only the years that no earlier walk
+    reached are simulated. A node holds no dispatch arrays.
 
     The store holds one root at a time, keyed by every input that is not
     a belief: the scenario's `cost_inputs()`, price cap, nuclear subsidy
@@ -401,37 +402,89 @@ class HistoryStore:
               seed: int) -> dict[int, dict[str, float]]:
         """Each simulated year's `objective_mix()`, equal to what `run`
         gives from `init_world(scenario, registry, rep_year, cost_table,
-        seed)`."""
-        key = (scenario.cost_inputs(), scenario.scheduled_retirements,
-               np.array([scenario.price_cap, scenario.nuclear_subsidy]).tobytes(),
-               registry, rep_year, cost_table)
-        root = self._root
-        if root is None or not _same_key(key, self._key):
-            self._clear()
-            world = init_world(scenario, registry, rep_year, cost_table, seed, self.plans)
-            root = self._root = _Node(world)
-            self._key = key
-            self._hold(root)
-        node = root
-        mixes = {}
-        while True:
-            year = node.world.year
-            mixes[year] = node.mix
-            if year >= scenario.end_year:
-                return mixes
-            menu = candidate_menu(cost_table, year)
-            edge = []
-            for _, funds, npvs in decide(node.world, node.settlements, scenario, seed):
-                best, affordable = commit_rule(funds, menu, npvs)
-                edge.append(best if affordable else -1)
-            edge = tuple(edge)
-            child = node.children.get(edge)
-            if child is None:
-                child = self._child(node, edge, menu)
-                if self._root is root:  # the store did not empty during this walk
-                    node.children[edge] = child
-                    self._hold(child)
-            node = child
+        seed)`: the one-genome case of `walk`, which raises what the
+        walk raised."""
+        [path] = self.walk(scenario, registry, rep_year, cost_table, Beliefs.of(scenario, seed),
+                           np.array([scenario.nuclear_subsidy]))
+        if isinstance(path, Exception):
+            raise path
+        return dict(zip(scenario.years(), path))
+
+    def walk(self, scenario: ScenarioConfig, registry: PlantRegistry,
+             rep_year: RepresentativeYear, cost_table: CostTable, beliefs: Beliefs,
+             subsidies: np.ndarray) -> list:
+        """Each genome's `objective_mix()` of every simulated year, in year
+        order, as `run` gives them under `scenario` with the genome's
+        beliefs and nuclear subsidy (`subsidies[g]`). The genomes of one
+        subsidy share a root key, computed once; groups walk one after
+        another, in the order of their first genome.
+
+        When a phase raises, each genome at that node gets the exception
+        in place of its mixes, and no node is attached; an InputError
+        propagates."""
+        paths: list = [[] for _ in range(len(subsidies))]
+        groups: dict[bytes, list[int]] = {}
+        for g, subsidy in enumerate(np.asarray(subsidies, dtype=float)):
+            groups.setdefault(subsidy.tobytes(), []).append(g)
+        inputs = (scenario.cost_inputs(), scenario.scheduled_retirements)
+        for members in groups.values():
+            subsidy = float(subsidies[members[0]])
+            key = (*inputs, np.array([scenario.price_cap, subsidy]).tobytes(),
+                   registry, rep_year, cost_table)
+            try:
+                root = self._root_for(key, scenario, subsidy)
+            except InputError:
+                raise
+            except Exception as exc:
+                _fail(paths, members, exc)
+                continue
+            todo = [(root, np.array(members))]
+            while todo:
+                node, members = todo.pop()
+                for g in members:
+                    paths[g].append(node.mix)
+                world = node.world
+                if world.year >= world.scenario.end_year:
+                    continue
+                try:
+                    menu = candidate_menu(world.cost_table, world.year)
+                    funds, npvs = decide(world, node.settlements, beliefs.take(members))
+                    best, affordable = commit_rule(funds, menu, npvs)
+                except InputError:
+                    raise
+                except Exception as exc:
+                    _fail(paths, members, exc)
+                    continue
+                edges: dict[tuple[int, ...], list[int]] = {}
+                for i, edge in enumerate(np.where(affordable, best, -1).tolist()):
+                    edges.setdefault(tuple(edge), []).append(i)
+                for edge, on in edges.items():
+                    child = node.children.get(edge)
+                    if child is None:
+                        try:
+                            child = self._child(node, edge, menu)
+                        except InputError:
+                            raise
+                        except Exception as exc:
+                            _fail(paths, members[on], exc)
+                            continue
+                        if self._root is root:  # the store did not empty during this walk
+                            node.children[edge] = child
+                            self._hold(child)
+                    todo.append((child, members[on]))
+        return paths
+
+    def _root_for(self, key: tuple, scenario: ScenarioConfig, subsidy: float) -> _Node:
+        """The root under `key`, built afresh unless it is the root held."""
+        if self._root is not None and _same_key(key, self._key):
+            return self._root
+        self._clear()
+        if np.array(subsidy).tobytes() != np.array(scenario.nuclear_subsidy).tobytes():
+            scenario = replace(scenario, nuclear_subsidy=subsidy)
+        root = self._root = _Node(init_world(scenario, *key[3:], plans=self.plans))
+        self._key = key
+        self._hold(root)
+        return root
 
     @staticmethod
     def _child(node: _Node, edge: tuple[int, ...], menu) -> _Node:
@@ -449,6 +502,11 @@ class HistoryStore:
         close_year(world, settlements, [commit(gid, parent.year, menu[index])
                                         for gid, index in zip(settlements, edge) if index >= 0])
         return _Node(world)
+
+
+def _fail(paths: list, members, exc: Exception) -> None:
+    for g in members:
+        paths[g] = exc
 
 
 def _same_key(a: tuple, b: tuple) -> bool:

@@ -469,6 +469,13 @@ def load_plant_registry(path, cost_table: CostTable) -> PlantRegistry:
 # Scenario configuration
 
 
+def held_rows(first: int, count: int, years):
+    """The row of each year in a year table of `count` rows whose first
+    row is year `first`: a year before or after the table holds its
+    first or last row."""
+    return np.minimum(np.maximum(np.asarray(years) - first, 0), count - 1)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Exogenous simulation inputs: years, prices, policy parameters."""
@@ -564,7 +571,7 @@ class ScenarioConfig:
         if what not in self._tables:
             raise InputError(f"{what} has no entries")
         first, values = self._tables[what]
-        return values[np.minimum(np.maximum(np.asarray(years) - first, 0), len(values) - 1)]
+        return values[held_rows(first, len(values), years)]
 
     def demand_scale_at(self, years):
         """Held demand scale per year; 1.0 when the table is empty."""
@@ -574,6 +581,11 @@ class ScenarioConfig:
         """Held base price curve (m, c) per year, on the last axis; the
         single `price_curve` when no per-year curves are given."""
         return self.held("price_curve_by_year", years)
+
+    def curve_table(self) -> tuple[int, np.ndarray]:
+        """The base price curves as the first year of their table and a
+        (years, 2) array of (m, c), which `held_rows` reads."""
+        return self._tables["price_curve_by_year"]
 
 
 _SCENARIO_KEYS = {

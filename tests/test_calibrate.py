@@ -1,6 +1,7 @@
 """Mix objectives, GA behavior and forecast-metric tests."""
 
 import csv
+import json
 import logging
 import multiprocessing
 import os
@@ -136,6 +137,12 @@ def test_longterm_decode():
 def test_decode_wrong_length():
     with pytest.raises(InputError, match="length"):
         validation_layout().decode([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("stall", [0, -3])
+def test_stall_generations_below_one_is_an_input_error(stall):
+    with pytest.raises(InputError, match=rf"stall_generations must be >= 1 \(got {stall}\)"):
+        small_cfg(stall_generations=stall)
 
 
 @pytest.mark.parametrize("layout, end_year, include_first_year, years", [
@@ -480,29 +487,38 @@ def test_objective_zero_sigma_means_shared_beliefs(toy_bundle):
 def test_objective_seed_matters_only_with_belief_noise(toy_bundle):
     genome = np.array([0.002, 40.0])
     objective = Objective(toy_bundle, validation_layout())
-    assert not objective.seed_matters(genome)
+    assert objective.seeds_matter([genome]).tolist() == [False]
     assert objective(genome, 1) == objective(genome, 999)
     layout = longterm_layout(2020, 2023)
-    genome = np.zeros(len(layout))
-    genome[3:6] = 45.0
-    assert not Objective(toy_bundle, layout).seed_matters(genome)
-    genome[-3] = 0.0005  # sigma_m
-    assert Objective(toy_bundle, layout).seed_matters(genome)
+    quiet = np.zeros(len(layout))
+    quiet[3:6] = 45.0
+    noisy_m, noisy_c = quiet.copy(), quiet.copy()
+    noisy_m[-3] = 0.0005  # sigma_m
+    noisy_c[-2] = 0.0005  # sigma_c
+    assert Objective(toy_bundle, layout).seeds_matter([quiet, noisy_m, noisy_c]).tolist() \
+        == [False, True, True]
     noisy = replace(toy_bundle, scenario=replace(toy_bundle.scenario, sigma_c=4.0))
-    assert Objective(noisy, validation_layout()).seed_matters(np.array([0.002, 40.0]))
+    assert Objective(noisy, validation_layout()).seeds_matter([genome]).tolist() == [True]
+
+
+def count_scored_genomes(monkeypatch) -> list:
+    """Every genome that `Objective.scores` is given, as bytes."""
+    calls = []
+    real = Objective.scores
+
+    def counting(self, genomes, seeds):
+        calls.extend(np.asarray(g, dtype=float).tobytes() for g in genomes)
+        return real(self, genomes, seeds)
+
+    monkeypatch.setattr(Objective, "scores", counting)
+    return calls
 
 
 def test_ga_evaluates_each_distinct_genome_once_at_zero_sigma(toy_bundle, monkeypatch):
-    calls = []
-
-    def counting(genome, bundle, eval_seed=0, layout=None):
-        calls.append(np.asarray(genome).tobytes())
-        return objective_validation(genome, bundle, eval_seed, layout)
-
-    monkeypatch.setattr(calibrate, "objective_validation", counting)
+    calls = count_scored_genomes(monkeypatch)
     cfg = small_cfg(population_size=8, max_generations=5, stall_generations=1000)
     result = ga_run(cfg, Objective(toy_bundle, validation_layout()))
-    assert len(calls) == len(set(calls))
+    assert len(calls) == len(set(calls)) > 0
     assert len(calls) < cfg.population_size * (cfg.max_generations + 1)
     for rec in result.generations:
         for genome, fitness in zip(rec.genomes, rec.fitnesses):
@@ -510,13 +526,7 @@ def test_ga_evaluates_each_distinct_genome_once_at_zero_sigma(toy_bundle, monkey
 
 
 def test_ga_evaluates_a_noisy_genome_under_each_seed(toy_bundle, monkeypatch):
-    calls = []
-
-    def counting(genome, bundle, eval_seed=0, layout=None):
-        calls.append(np.asarray(genome).tobytes())
-        return objective_longterm(genome, bundle, eval_seed, layout)
-
-    monkeypatch.setattr(calibrate, "objective_longterm", counting)
+    calls = count_scored_genomes(monkeypatch)
     layout = longterm_layout(2020, 2023)
     cfg = small_cfg(population_size=4, max_generations=2, crossover_prob=0.0,
                     mutation_prob=0.0, bounds=layout.bounds, stall_generations=1000)
@@ -620,17 +630,166 @@ def test_ga_pool_gets_one_batch_per_worker(monkeypatch, workers):
     batches = []
 
     class RecordingPool(calibrate.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kwargs):
-            items = list(zip(*iterables))
-            batches.append((len(items), chunksize))
-            return super().map(fn, *zip(*items), chunksize=chunksize, **kwargs)
+        def map(self, fn, *iterables, **kwargs):
+            tasks = list(zip(*iterables))
+            batches.append([len(genomes) for genomes, _ in tasks])
+            return super().map(fn, *zip(*tasks), **kwargs)
 
     monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
     ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
                      parallel_workers=workers), quadratic)
     assert len(batches) == 4
-    for n, chunksize in batches:
-        assert chunksize == -(-n // workers)
+    # one task per worker, each a contiguous batch of ceil(n / workers) genomes
+    for sizes in batches:
+        n = sum(sizes)
+        size = -(-n // workers)
+        assert len(sizes) <= workers
+        assert sizes == [min(size, n - start) for start in range(0, n, size)]
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation
+
+LAYOUTS = pytest.mark.parametrize(
+    "layout", [validation_layout(), longterm_layout(2020, 2023)], ids=["validation", "longterm"])
+
+
+@LAYOUTS
+def test_fitness_does_not_depend_on_its_batch(toy_bundle, layout):
+    """Bit-equal fitness in one batch, one genome at a time and in
+    reverse order; the long-term genomes include sigma > 0."""
+    genomes = np.array(store_genomes(layout))
+    seeds = [7 + i % 3 for i in range(len(genomes))]
+    batch = Objective(toy_bundle, layout).scores(genomes, seeds)
+    one = Objective(toy_bundle, layout)
+    alone = np.array([one.scores(g[None], [s])[0] for g, s in zip(genomes, seeds)])
+    backward = Objective(toy_bundle, layout).scores(genomes[::-1], seeds[::-1])[::-1]
+    assert np.isfinite(batch).all()
+    assert batch.tobytes() == alone.tobytes() == backward.tobytes()
+    # and a plain run of each genome's own scenario gives the same bits
+    entry = objective_validation if layout.kind == "validation" else objective_longterm
+    fresh = np.array([entry(g, toy_bundle, s, layout) for g, s in zip(genomes, seeds)])
+    assert batch.tobytes() == fresh.tobytes()
+    if layout.kind == "longterm":
+        assert len(set(batch.tolist())) < len(batch)  # sigma > 0 genomes share some fitness
+        assert (genomes[:, -2] > 0).any()
+
+
+@LAYOUTS
+def test_ga_run_gives_the_same_results_at_any_worker_count(toy_bundle, layout):
+    objective = Objective(toy_bundle, layout)
+    runs = [ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
+                             bounds=layout.bounds, parallel_workers=w), objective)
+            for w in (1, 2, 3)]
+    serial, *pooled = runs
+    if layout.kind == "longterm":
+        assert (serial.generations[0].genomes[:, -3:-1] > 0).all()
+    for result in pooled:
+        assert len(result.generations) == len(serial.generations)
+        for a, b in zip(serial.generations, result.generations):
+            assert a.fitnesses.tobytes() == b.fitnesses.tobytes()
+            assert a.genomes.tobytes() == b.genomes.tobytes()
+        assert result.best.genome.tobytes() == serial.best.genome.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def commits_in(bundle, layout, genome, seed, year, plant_type) -> bool:
+    """Whether a plain run of the genome commits a `plant_type` plant in `year`."""
+    committed = []
+
+    def sink(result):
+        if result.year == year:
+            committed.extend(c.plant.plant_type for c in result.investments)
+
+    scenario = replace(bundle.scenario, **layout.decode(genome))
+    run(init_world(scenario, bundle.registry, bundle.rep_year, bundle.cost_table, seed=seed),
+        sink)
+    return plant_type in committed
+
+
+@LAYOUTS
+def test_a_failed_walk_scores_inf_and_spares_the_rest_of_its_batch(toy_bundle, monkeypatch,
+                                                                   layout):
+    genomes = np.array(store_genomes(layout))
+    seeds = [7] * len(genomes)
+    expected = Objective(toy_bundle, layout).scores(genomes, seeds)
+    committing = [commits_in(toy_bundle, layout, g, 7, 2021, "CCGT") for g in genomes]
+    real = engine.close_year
+
+    def broken(world, settlements, commitments):
+        if world.year == 2021 and any(c.plant.plant_type == "CCGT" for c in commitments):
+            raise RuntimeError("close broke")
+        return real(world, settlements, commitments)
+
+    monkeypatch.setattr(engine, "close_year", broken)
+    scores = Objective(toy_bundle, layout).scores(genomes, seeds)
+    failed = np.isinf(scores)
+    assert failed.tolist() == committing
+    assert 0 < failed.sum() < len(genomes)
+    assert scores[~failed].tobytes() == expected[~failed].tobytes()
+
+
+def _scenario_error(bundle, layout, genome) -> str:
+    """The InputError that decoding `genome` into the bundle's scenario raises."""
+    with pytest.raises(InputError) as raised:
+        replace(bundle.scenario, **layout.decode(genome))
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("gene", [0, 1])
+def test_a_nan_validation_gene_is_the_scenarios_input_error(toy_bundle, gene):
+    genome = np.array([0.002, 40.0])
+    genome[gene] = np.nan
+    layout = validation_layout()
+    message = _scenario_error(toy_bundle, layout, genome)
+    assert message == f"price_curve.{'mc'[gene]} must be finite (got nan)"
+    batch = np.array([[0.002, 40.0], genome])
+    with pytest.raises(InputError, match=re.escape(message)):
+        Objective(toy_bundle, layout).scores(batch, [0, 0])
+    with pytest.raises(InputError, match=re.escape(message)):
+        objective_validation(genome, toy_bundle, 0)
+
+
+@pytest.mark.parametrize("genes, value", [
+    ((1,), np.nan), ((4,), np.inf), ((6,), np.nan), ((7,), -np.inf), ((8,), np.nan),
+    ((0, 6), np.nan), ((2, 5, 8), np.nan), ((6,), -1e-4), ((7,), -2.0), ((6, 7), -1.0),
+], ids=str)
+def test_a_bad_longterm_gene_is_the_scenarios_input_error(toy_bundle, genes, value):
+    """Not finite anywhere, or a negative sigma: the error the decoded
+    scenario raises, naming the same field."""
+    layout = longterm_layout(2020, 2023)
+    genome = np.zeros(len(layout))
+    genome[3:6] = 45.0
+    genome[list(genes)] = value
+    message = _scenario_error(toy_bundle, layout, genome)
+    with pytest.raises(InputError, match=re.escape(message)):
+        Objective(toy_bundle, layout).scores(genome[None], [0])
+    with pytest.raises(InputError, match=re.escape(message)):
+        ga_run(small_cfg(population_size=2, max_generations=0, bounds=layout.bounds),
+               lambda g, s: Objective(toy_bundle, layout)(genome, s))
+
+
+def test_ga_writes_telemetry_that_matches_its_generation_log(tmp_path):
+    cfg = small_cfg(max_generations=4, stall_generations=1000)
+    log_path, telemetry_path = tmp_path / "log.csv", tmp_path / "telemetry.json"
+    result = ga_run(cfg, fails_above_60, log_path=log_path, telemetry_path=telemetry_path)
+    with open(telemetry_path) as fh:
+        telemetry = json.load(fh)
+    with open(log_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    generations = sorted({int(r["generation"]) for r in rows})
+    assert [entry["generation"] for entry in telemetry] == generations \
+        == list(range(result.n_generations))
+    for entry, rec in zip(telemetry, result.generations):
+        fitness = np.array([float(r["fitness"]) for r in rows
+                            if int(r["generation"]) == entry["generation"]])
+        assert entry["evaluated"] + entry["reused"] == len(fitness) == cfg.population_size
+        assert entry["best_fitness"] == fitness.min() == rec.best_fitness
+        assert entry["median_fitness"] == float(np.median(fitness[np.isfinite(fitness)]))
+        assert entry["seconds"] >= 0.0
+    # generation 0 scores the population itself
+    assert telemetry[0]["failed"] == int(np.isinf(result.generations[0].fitnesses).sum()) > 0
+    assert all(entry["evaluated"] > 0 for entry in telemetry)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,21 @@ def test_calibrate_target_missing_type_exits_one(tmp_path, capsys):
     assert not (out / "best.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["validation", "longterm"])
+def test_calibrate_writes_telemetry_next_to_its_outputs(tmp_path, mode):
+    rc, out = _calibrate(tmp_path, {y: ALL_TYPES for y in range(2020, 2024)}, mode)
+    assert rc == 0
+    with open(out / "generation_log.csv", newline="") as fh:
+        fitness = [float(r["fitness"]) for r in csv.DictReader(fh)]
+    with open(out / "telemetry.json") as fh:
+        [entry] = json.load(fh)  # --gens 0: generation 0 only
+    assert entry["generation"] == 0
+    assert entry["evaluated"] + entry["reused"] == len(fitness) == 2
+    assert entry["failed"] == 0
+    assert entry["best_fitness"] == min(fitness)
+    assert entry["seconds"] >= 0.0
+
+
 def test_calibrate_longterm_target_missing_first_year(tmp_path, capsys):
     target = {y: ALL_TYPES for y in (2021, 2022, 2023)}
     rc, out = _calibrate(tmp_path / "all", target, "longterm")

@@ -269,7 +269,7 @@ def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_
     appraisals, plans = [], []
 
     def counting_appraise(plan, beliefs, nuclear_subsidy):
-        appraisals.append(world.year)
+        appraisals.append((world.year, len(beliefs)))
         return agents.appraise(plan, beliefs, nuclear_subsidy)
 
     def counting_plan(menu, rep_year, scenario, year):
@@ -285,9 +285,10 @@ def test_one_appraisal_per_distinct_belief_set(monkeypatch, sigma_c, appraisals_
     years = []
     run(world, years.append)
     investing = range(2020, 2024)
-    # two GenCos: byte-equal beliefs at zero sigma share one appraisal, and
-    # every appraisal of a year reads that year's one plan
-    assert appraisals == [y for y in investing for _ in range(appraisals_per_year)]
+    # one stacked appraisal per year; two GenCos: byte-equal beliefs at zero
+    # sigma are one belief set of the stack, and every appraisal of a year
+    # reads that year's one plan
+    assert appraisals == [(y, appraisals_per_year) for y in investing]
     assert plans == list(investing)
     assert any(r.investments for r in years)
     # every logged NPV is the GenCo's own appraisal, to the batched tolerance
