@@ -246,12 +246,11 @@ def appraisal_plan(menu: tuple[InvestmentCandidate, ...], rep_year: Representati
 PRICE_CELLS = 1 << 16
 
 
-def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float):
+def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float) -> np.ndarray:
     """NPV of each candidate of the plan's menu under each belief set of
     an (S, 2, horizon) stack, as an (S, candidates) array, from one pass
-    over the plan's rows; one (2, horizon) belief set gives a list.
-    Nothing about a company but its beliefs enters, so companies holding
-    byte-equal beliefs share one appraisal.
+    over the plan's rows. Nothing about a company but its beliefs
+    enters, so companies holding byte-equal beliefs share one appraisal.
 
     A dispatchable row earns in exactly the hours `expected_cashflow`
     sells in: the predicted price, computed as there, covers the cost.
@@ -266,16 +265,15 @@ def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float):
     which make the same matrix-vector product per set as a set alone
     does; a (sets x rows, hours) product may sum in another order.
     """
-    stack = beliefs[None] if beliefs.ndim == 2 else beliefs
-    if stack.shape[-1] < plan.horizon:
-        raise ValueError(f"belief curves cover {stack.shape[-1]} years, need {plan.horizon}")
-    believed = stack[:, :, plan.column]
+    if beliefs.shape[-1] < plan.horizon:
+        raise ValueError(f"belief curves cover {beliefs.shape[-1]} years, need {plan.horizon}")
+    believed = beliefs[:, :, plan.column]
     m, c = believed[:, 0], believed[:, 1]
     n = plan.dispatchable
     margin = m * plan.cf_demand_sum + (c - plan.cost) * plan.cf_sum
     demand = plan.scale[:n, None] * plan.demand
     step = max(1, PRICE_CELLS // max(demand.size, 1))
-    for start in range(0, len(stack), step):
+    for start in range(0, len(beliefs), step):
         sets = slice(start, start + step)
         prices = demand * m[sets, :n, None]
         prices += c[sets, :n, None]
@@ -284,11 +282,10 @@ def appraise(plan: AppraisalPlan, beliefs: np.ndarray, nuclear_subsidy: float):
         prices -= plan.cost[:n, None]
         # price - cost >= 0 exactly where price >= cost, so the max keeps the sold hours
         margin[sets, :n] = np.maximum(prices, 0.0, out=prices) @ plan.hour_weights
-    sets, candidates = len(stack), len(plan.fixed)
+    sets, candidates = len(beliefs), len(plan.fixed)
     bins = (np.arange(sets)[:, None] * candidates + plan.candidate).ravel()
-    npvs = plan.fixed + np.bincount(bins, (margin * plan.weight).ravel(),
+    return plan.fixed + np.bincount(bins, (margin * plan.weight).ravel(),
                                     sets * candidates).reshape(sets, candidates)
-    return npvs[0].tolist() if beliefs.ndim == 2 else npvs
 
 
 def npv(cashflows, discount_rate: float) -> float:

@@ -86,21 +86,6 @@ class GenomeLayout:
             "nuclear_subsidy": float(genome[2 * n + 2]),
         }
 
-    def check(self, genomes, scenario) -> np.ndarray:
-        """A batch of genomes as a (G, genes) float array. A gene that is
-        not finite, or a negative sigma, raises the InputError of the
-        scenario that `decode` gives `scenario`: only such a genome
-        builds its scenario."""
-        genomes = np.asarray(genomes, dtype=float)
-        if genomes.ndim != 2 or genomes.shape[1] != len(self):
-            raise InputError(f"genome length {genomes.shape[-1]} != layout length {len(self)}")
-        bad = ~np.isfinite(genomes).all(axis=1)
-        if self.kind == "longterm":
-            bad |= (genomes[:, -3:-1] < 0).any(axis=1)
-        if bad.any():
-            replace(scenario, **self.decode(genomes[bad][0]))
-        return genomes
-
     def sigmas(self, genomes: np.ndarray, scenario) -> tuple[np.ndarray, np.ndarray]:
         """Each genome's belief noise (sigma_m, sigma_c) under `scenario`."""
         if self.kind == "validation":
@@ -112,8 +97,17 @@ class GenomeLayout:
         under the evaluation `seeds`, and each one's nuclear subsidy. The
         beliefs follow the held-value rule of the scenario's own curves,
         so each genome believes what the scenario `decode` gives would.
-        Raises InputError as `check` does."""
-        genomes = self.check(genomes, scenario)
+        A gene that is not finite, or a negative sigma, raises the
+        InputError of the scenario that `decode` gives: only such a
+        genome builds its scenario."""
+        genomes = np.asarray(genomes, dtype=float)
+        if genomes.ndim != 2 or genomes.shape[1] != len(self):
+            raise InputError(f"genome length {genomes.shape[-1]} != layout length {len(self)}")
+        bad = ~np.isfinite(genomes).all(axis=1)
+        if self.kind == "longterm":
+            bad |= (genomes[:, -3:-1] < 0).any(axis=1)
+        if bad.any():
+            replace(scenario, **self.decode(genomes[bad][0]))
         first, curves = 0, genomes[:, None, :2]
         subsidies = np.full(len(genomes), scenario.nuclear_subsidy)
         if self.kind == "longterm":
@@ -182,18 +176,18 @@ class ScenarioBundle:
     cost_table: object
     target: dict[int, dict[str, float]]  # year -> type -> share
     include_first_year: bool = True
-    # shared by every evaluation of this bundle; None simulates each afresh
-    histories: HistoryStore | None = field(default=None, compare=False, repr=False)
 
 
-def _mix_errors(bundle: ScenarioBundle, layout: GenomeLayout, genomes, seeds) -> np.ndarray:
+def _mix_errors(bundle: ScenarioBundle, layout: GenomeLayout, histories: HistoryStore,
+                genomes, seeds) -> np.ndarray:
     """Each genome's summed mix error over the scored years of its
-    simulated trajectory under its evaluation seed, from one walk of the
-    bundle's history store; `inf` for a genome whose walk failed (the
-    failure is logged). An InputError propagates."""
+    simulated trajectory under its evaluation seed, from one walk of
+    `histories`; `inf` for a genome whose walk failed (the failure is
+    logged). An InputError propagates, also one of `check_target`, which
+    comes before any simulation."""
     scenario = bundle.scenario
+    check_target(bundle, layout, "target")
     beliefs, subsidies = layout.overrides(genomes, scenario, seeds)
-    histories = HistoryStore() if bundle.histories is None else bundle.histories
     paths = histories.walk(scenario, bundle.registry, bundle.rep_year, bundle.cost_table,
                            beliefs, subsidies)
     scored = [(year - scenario.start_year, bundle.target[year])
@@ -221,14 +215,14 @@ def _mix_errors(bundle: ScenarioBundle, layout: GenomeLayout, genomes, seeds) ->
 def objective_validation(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                          layout: GenomeLayout | None = None) -> float:
     """Mix error of the final simulated year against the target."""
-    return float(_mix_errors(bundle, layout or validation_layout(), [genome], [eval_seed])[0])
+    return Objective(bundle, layout or validation_layout())(genome, eval_seed)
 
 
 def objective_longterm(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                        layout: GenomeLayout | None = None) -> float:
     """Summed per-year mix error over the whole simulated trajectory."""
     layout = layout or longterm_layout(bundle.scenario.start_year, bundle.scenario.end_year)
-    return float(_mix_errors(bundle, layout, [genome], [eval_seed])[0])
+    return Objective(bundle, layout)(genome, eval_seed)
 
 
 def check_target(bundle: ScenarioBundle, layout: GenomeLayout, source) -> None:
@@ -256,16 +250,14 @@ class Objective:
 
     bundle: ScenarioBundle
     layout: GenomeLayout
-
-    def __post_init__(self):
-        object.__setattr__(self, "bundle",
-                           replace(self.bundle, histories=HistoryStore()))
+    histories: HistoryStore = field(default_factory=HistoryStore, init=False,
+                                    compare=False, repr=False)
 
     def scores(self, genomes, seeds) -> np.ndarray:
         """The fitness of each genome under its evaluation seed, from one
         walk of the history store: `inf` for a genome whose simulation
         failed. A genome's fitness does not depend on its batch."""
-        return _mix_errors(self.bundle, self.layout, genomes, seeds)
+        return _mix_errors(self.bundle, self.layout, self.histories, genomes, seeds)
 
     def __call__(self, genome, eval_seed: int) -> float:
         return float(self.scores([genome], [eval_seed])[0])

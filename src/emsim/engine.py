@@ -155,6 +155,7 @@ class World:
     plants: list[PowerPlant]
     funds: dict[str, float]             # genco id -> funds, the one ledger
     plans: PlanStore
+    nuclear_subsidy: float              # per nuclear MWh, paid and believed
     commitments: list[Commitment] = field(default_factory=list)
     seed: int = 0
 
@@ -167,13 +168,14 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
                seed: int | None = None, plans: PlanStore | None = None) -> World:
     """Build a world at the scenario's start year.
 
-    Registry plants start operating except those already past their
-    operating period, which retire immediately. The registry itself is
-    never mutated: the world works on copies. Worlds handed the same
-    `plans` share their appraisal plans and bids; by default a world
-    builds its own.
+    Registry plants start operating, in plant id order, except those
+    already past their operating period, which retire immediately; so the
+    registry's row order changes nothing. The registry itself is never
+    mutated: the world works on copies. The world pays and believes the
+    scenario's nuclear subsidy. Worlds handed the same `plans` share
+    their appraisal plans and bids; by default a world builds its own.
     """
-    plants = [copy.copy(p) for p in registry.plants]
+    plants = [copy.copy(p) for p in sorted(registry.plants, key=lambda p: p.plant_id)]
     year = scenario.start_year
     for plant in plants:
         if plant.owner_id not in registry.funds:
@@ -195,6 +197,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
         plans=PlanStore() if plans is None else plans,
+        nuclear_subsidy=scenario.nuclear_subsidy,
     )
 
 
@@ -233,7 +236,7 @@ def open_year(world: World) -> YearResult:
     costs = world.plans.bids(operating, scenario, year)
     days = tuple(dispatch_year(operating, costs, world.rep_year, scenario.price_cap,
                                scenario.demand_scale_at(year)))
-    energy, revenue, subsidy, unserved = annual_totals(operating, days, scenario.nuclear_subsidy)
+    energy, revenue, subsidy, unserved = annual_totals(operating, days, world.nuclear_subsidy)
 
     # settle, in sorted company order; each company's sums follow fleet order
     settlements = {gid: Settlement(funds_start=world.funds[gid]) for gid in sorted(world.funds)}
@@ -261,7 +264,7 @@ def decide(world: World, settlements: dict[str, Settlement],
     year's candidate menu (`candidate_menu(world.cost_table, world.year)`)
     under each genome's beliefs: a (genomes, companies, candidates)
     array. Every distinct belief set is appraised once, in one stacked
-    `appraise` call, with the world scenario's nuclear subsidy. Nothing is
+    `appraise` call, with the world's nuclear subsidy. Nothing is
     changed. The scenario's final year makes no commitments, so it is
     never decided."""
     year = world.year
@@ -272,7 +275,7 @@ def decide(world: World, settlements: dict[str, Settlement],
     index: dict[bytes, int] = {}
     inverse = [index.setdefault(b.tobytes(), len(index)) for b in sets]
     distinct = sets[np.unique(inverse, return_index=True)[1]]
-    npvs = appraise(plan, distinct, world.scenario.nuclear_subsidy)[inverse]
+    npvs = appraise(plan, distinct, world.nuclear_subsidy)[inverse]
     funds = np.array([s.funds_start + s.delta for s in settlements.values()])
     return funds, npvs.reshape(*stack.shape[:2], len(menu))
 
@@ -415,84 +418,81 @@ class HistoryStore:
              subsidies: np.ndarray) -> list:
         """Each genome's `objective_mix()` of every simulated year, in year
         order, as `run` gives them under `scenario` with the genome's
-        beliefs and nuclear subsidy (`subsidies[g]`). The genomes of one
-        subsidy share a root key, computed once; groups walk one after
+        beliefs and nuclear subsidy (`subsidies[g]`, which must be finite).
+        The genomes of one subsidy share a root; groups walk one after
         another, in the order of their first genome.
 
-        When a phase raises, each genome at that node gets the exception
-        in place of its mixes, and no node is attached; an InputError
-        propagates."""
+        Each step takes the genomes at one node: it builds the node (a
+        group's root, or a node's child under an edge; either is the held
+        one when there is one), appends its mix to their paths and decides
+        them. When a step raises, its genomes get the exception in place
+        of their mixes and no node is attached; an InputError propagates."""
+        subsidies = np.asarray(subsidies, dtype=float)
+        bad = subsidies[~np.isfinite(subsidies)]
+        if len(bad):
+            raise InputError(f"nuclear_subsidy must be finite (got {float(bad[0])!r})")
         paths: list = [[] for _ in range(len(subsidies))]
         groups: dict[bytes, list[int]] = {}
-        for g, subsidy in enumerate(np.asarray(subsidies, dtype=float)):
+        for g, subsidy in enumerate(subsidies):
             groups.setdefault(subsidy.tobytes(), []).append(g)
         inputs = (scenario.cost_inputs(), scenario.scheduled_retirements)
-        for members in groups.values():
-            subsidy = float(subsidies[members[0]])
-            key = (*inputs, np.array([scenario.price_cap, subsidy]).tobytes(),
-                   registry, rep_year, cost_table)
+        # (parent node, or None for a root; edge, or the root's subsidy; genomes)
+        todo = [(None, float(subsidies[g[0]]), np.array(g)) for g in reversed(groups.values())]
+        root = None
+        while todo:
+            parent, edge, members = todo.pop()
             try:
-                root = self._root_for(key, scenario, subsidy)
-            except InputError:
-                raise
-            except Exception as exc:
-                _fail(paths, members, exc)
-                continue
-            todo = [(root, np.array(members))]
-            while todo:
-                node, members = todo.pop()
+                if parent is None:
+                    key = (*inputs, np.array([scenario.price_cap, edge]).tobytes(),
+                           registry, rep_year, cost_table)
+                    node = root = self._root_for(key, scenario, edge)
+                elif edge in parent.children:
+                    node = parent.children[edge]
+                else:
+                    node = self._child(parent, edge)
+                    if self._root is root:  # the store did not empty during this walk
+                        parent.children[edge] = node
+                        self._hold(node)
                 for g in members:
                     paths[g].append(node.mix)
                 world = node.world
-                if world.year >= world.scenario.end_year:
+                if world.year >= scenario.end_year:
                     continue
-                try:
-                    menu = candidate_menu(world.cost_table, world.year)
-                    funds, npvs = decide(world, node.settlements, beliefs.take(members))
-                    best, affordable = commit_rule(funds, menu, npvs)
-                except InputError:
-                    raise
-                except Exception as exc:
-                    _fail(paths, members, exc)
-                    continue
-                edges: dict[tuple[int, ...], list[int]] = {}
-                for i, edge in enumerate(np.where(affordable, best, -1).tolist()):
-                    edges.setdefault(tuple(edge), []).append(i)
-                for edge, on in edges.items():
-                    child = node.children.get(edge)
-                    if child is None:
-                        try:
-                            child = self._child(node, edge, menu)
-                        except InputError:
-                            raise
-                        except Exception as exc:
-                            _fail(paths, members[on], exc)
-                            continue
-                        if self._root is root:  # the store did not empty during this walk
-                            node.children[edge] = child
-                            self._hold(child)
-                    todo.append((child, members[on]))
+                funds, npvs = decide(world, node.settlements, beliefs.take(members))
+                best, affordable = commit_rule(funds, candidate_menu(cost_table, world.year), npvs)
+            except InputError:
+                raise
+            except Exception as exc:
+                for g in members:
+                    paths[g] = exc
+                continue
+            edges: dict[tuple[int, ...], list[int]] = {}
+            for i, edge in enumerate(np.where(affordable, best, -1).tolist()):
+                edges.setdefault(tuple(edge), []).append(i)
+            todo.extend((node, edge, members[on]) for edge, on in edges.items())
         return paths
 
     def _root_for(self, key: tuple, scenario: ScenarioConfig, subsidy: float) -> _Node:
-        """The root under `key`, built afresh unless it is the root held."""
+        """The root under `key`, whose world pays `subsidy`, built afresh
+        unless it is the root held."""
         if self._root is not None and _same_key(key, self._key):
             return self._root
         self._clear()
-        if np.array(subsidy).tobytes() != np.array(scenario.nuclear_subsidy).tobytes():
-            scenario = replace(scenario, nuclear_subsidy=subsidy)
-        root = self._root = _Node(init_world(scenario, *key[3:], plans=self.plans))
+        world = init_world(scenario, *key[3:], plans=self.plans)
+        world.nuclear_subsidy = subsidy
+        root = self._root = _Node(world)
         self._key = key
         self._hold(root)
         return root
 
     @staticmethod
-    def _child(node: _Node, edge: tuple[int, ...], menu) -> _Node:
+    def _child(node: _Node, edge: tuple[int, ...]) -> _Node:
         """The node after `node` under `edge`. The new world shares the
         parent's plants except those under construction, which the close
         phase brings online: it gets copies of them and of the
         commitments that build them, and of the funds and settlements."""
         parent = node.world
+        menu = candidate_menu(parent.cost_table, parent.year)
         building = {id(c.plant): copy.copy(c.plant) for c in parent.commitments}
         world = replace(
             parent, plants=[building.get(id(p), p) for p in parent.plants],
@@ -502,11 +502,6 @@ class HistoryStore:
         close_year(world, settlements, [commit(gid, parent.year, menu[index])
                                         for gid, index in zip(settlements, edge) if index >= 0])
         return _Node(world)
-
-
-def _fail(paths: list, members, exc: Exception) -> None:
-    for g in members:
-        paths[g] = exc
 
 
 def _same_key(a: tuple, b: tuple) -> bool:

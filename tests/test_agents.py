@@ -379,7 +379,7 @@ def test_plan_appraisal_matches_the_reference_loop():
         root, genco = int(rng.integers(1000)), int(rng.integers(6))
         plan = appraisal_plan(menu, rep_year, scenario, year)
         beliefs = belief_curves(scenario, root, genco, year, plan.horizon)
-        npvs = appraise(plan, beliefs, scenario.nuclear_subsidy)
+        [npvs] = appraise(plan, beliefs[None], scenario.nuclear_subsidy)
         assert len(npvs) == len(menu)
         for candidate, value in zip(menu, npvs):
             flows = _reference_cashflow(candidate, scenario, root, genco, rep_year, year)
@@ -425,7 +425,7 @@ def test_stacked_appraisal_matches_each_belief_set_alone(subsidy):
             stacked = appraise(plan, sets[order], subsidy)
             assert stacked.shape == (size, len(menu))
             for row, i in zip(stacked, order):
-                assert row.tobytes() == np.array(appraise(plan, sets[i], subsidy)).tobytes()
+                assert row.tobytes() == appraise(plan, sets[i][None], subsidy)[0].tobytes()
             dispatchable = plan.column[:plan.dispatchable]
             negative_dispatchable |= bool((sets[:, 0, dispatchable] < 0).any())
             nuclear |= bool(plan.nuclear.any())
@@ -440,14 +440,14 @@ def test_plan_appraisal_needs_curves_for_every_year():
     plan = appraisal_plan((cand,), flat_rep_year(1000.0), scenario, 2020)
     curves = belief_curves(scenario, 0, 0, 2020, horizon(cand) - 1)
     with pytest.raises(ValueError, match="cover 4 years, need 5"):
-        appraise(plan, curves, 0.0)
+        appraise(plan, curves[None], 0.0)
     with pytest.raises(InputError, match="outside scenario"):
         appraisal_plan((cand,), flat_rep_year(1000.0), scenario, 2025)
 
 
 def test_plan_appraisal_of_an_empty_menu():
     plan = appraisal_plan((), flat_rep_year(1000.0), plain_scenario(), 2020)
-    assert appraise(plan, np.zeros((2, 0)), 10.0) == []
+    assert appraise(plan, np.zeros((1, 2, 0)), 10.0).shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +488,7 @@ def test_candidate_menu_built_once_per_table_and_year(monkeypatch):
 def invest(menu, scenario, funds, rep_year=None, genco_id="g1"):
     curves = belief_curves(scenario, 0, 0, 2020, max(horizon(c) for c in menu))
     plan = appraisal_plan(menu, rep_year or flat_rep_year(1000.0), scenario, 2020)
-    npvs = appraise(plan, curves, scenario.nuclear_subsidy)
+    npvs = appraise(plan, curves[None], scenario.nuclear_subsidy)[0].tolist()
     return invest_step(genco_id, funds, 2020, menu, npvs)
 
 

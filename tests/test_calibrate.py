@@ -729,6 +729,47 @@ def test_a_failed_walk_scores_inf_and_spares_the_rest_of_its_batch(toy_bundle, m
     assert scores[~failed].tobytes() == expected[~failed].tobytes()
 
 
+def test_a_failed_root_scores_inf_for_its_subsidy_group_only(toy_bundle, monkeypatch):
+    """Long-term genomes of two nuclear-subsidy genes walk two roots in
+    one batch; when every open phase under one subsidy raises, that
+    group's root fails, and the other group scores as in a clean run."""
+    layout = longterm_layout(2020, 2023)
+    genomes = np.array(store_genomes(layout))
+    genomes[1::2, -1] = 50.0  # the groups interleave in the batch
+    seeds = [7] * len(genomes)
+    expected = Objective(toy_bundle, layout).scores(genomes, seeds)
+    real = engine.annual_totals
+
+    def broken(operating, days, nuclear_subsidy):
+        if nuclear_subsidy == 50.0:
+            raise RuntimeError("open broke")
+        return real(operating, days, nuclear_subsidy)
+
+    monkeypatch.setattr(engine, "annual_totals", broken)
+    scores = Objective(toy_bundle, layout).scores(genomes, seeds)
+    failed = genomes[:, -1] == 50.0
+    assert np.isinf(scores).tolist() == failed.tolist()
+    assert np.isfinite(expected).all()
+    assert scores[~failed].tobytes() == expected[~failed].tobytes()
+
+
+@pytest.mark.parametrize("entry", [objective_validation, objective_longterm])
+def test_a_target_without_a_scored_year_is_an_input_error(toy_bundle, monkeypatch, entry):
+    """Named before anything is simulated, as `check_target` names it."""
+    bundle = replace(toy_bundle, target={2020: toy_bundle.target[2020]})
+    layout = (validation_layout() if entry is objective_validation
+              else longterm_layout(2020, 2023))
+    genome = np.array([0.002, 40.0]) if entry is objective_validation else np.zeros(len(layout))
+    calls = []
+    monkeypatch.setattr(engine, "open_year", calls.append)
+    missing = "wind, nuclear, solar, CCGT, coal"
+    with pytest.raises(InputError, match=f"no {missing} share for year 202[13]"):
+        entry(genome, bundle, 1, layout)
+    with pytest.raises(InputError, match=f"no {missing} share for year 202[13]"):
+        Objective(bundle, layout).scores(genome[None], [1])
+    assert calls == []
+
+
 def _scenario_error(bundle, layout, genome) -> str:
     """The InputError that decoding `genome` into the bundle's scenario raises."""
     with pytest.raises(InputError) as raised:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,11 @@ import pytest
 import emsim
 from emsim import repdays
 from emsim.cli import main
-from emsim.ingest import SERIES_NAMES, load_hourly_series
+from emsim.ingest import SERIES_NAMES, PlantRegistry, load_hourly_series
 from emsim.repdays import save_representative_days
 from toys import (
     invest_scenario,
+    make_plant,
     synthetic_ts,
     write_cost_csv,
     write_hourly_csv,
@@ -568,6 +570,52 @@ def test_simulate_byte_identical_reruns(tmp_path):
         assert rc == 0
         outputs.append([(out / f).read_bytes() for f in (
             "mix_by_year.csv", "funds_by_year.csv", "investments.csv", "dispatch_log.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def _permute_rows(path, seed) -> None:
+    """Rewrite a CSV file with its data rows in a shuffled order."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(rows))
+    assert (order != np.arange(len(rows))).any()
+    path.write_text(header + "".join(rows[i] for i in order))
+
+
+@pytest.mark.parametrize("table", ["registry", "costs"])
+def test_simulate_does_not_depend_on_the_order_of_input_rows(tmp_path, table):
+    """Permuted registry or cost-table rows give byte-identical result
+    CSVs. Each company owns plants of several types and random
+    capacities, so the last bits of its settlement sums depend on the
+    order they are added in."""
+    scenario, registry, rep, costs = invest_scenario()
+    rng = np.random.default_rng(1)
+    plants = registry.plants
+    for i, ptype in enumerate(["CCGT", "Coal", "PV"] * 2):
+        capacity = float(np.round(rng.uniform(100.0, 3000.0), 3))
+        plants += (make_plant(f"{ptype.lower()}{i + 1}", f"g{1 + i % 2}", ptype, capacity,
+                              int(rng.integers(2012, 2020)),
+                              costs.lookup(ptype, capacity, 2020)),)
+    registry = PlantRegistry(plants=tuple(sorted(plants, key=lambda p: p.plant_id)),
+                             funds=registry.funds)
+    outputs = []
+    for name in ("sorted", "permuted"):
+        folder = tmp_path / name
+        folder.mkdir()
+        paths = {"scenario": folder / "scenario.yaml", "registry": folder / "registry.csv",
+                 "repdays": folder / "repdays.csv", "costs": folder / "costs.csv"}
+        write_scenario_yaml(paths["scenario"], replace(scenario, price_curve=(0.002, 40.0),
+                                                       sigma_c=5.0))
+        write_registry_csv(paths["registry"], registry)
+        save_representative_days(rep, paths["repdays"])
+        write_cost_csv(paths["costs"], costs)
+        if name == "permuted":
+            _permute_rows(paths[table], 5)
+        out = folder / "out"
+        assert main(["simulate", *[a for role in ("scenario", "registry", "repdays", "costs")
+                                   for a in (f"--{role}", str(paths[role]))],
+                     "--seed", "3", "--dispatch-log", "--out", str(out)]) == 0
+        outputs.append({f: (out / f).read_bytes() for f in (
+            "mix_by_year.csv", "funds_by_year.csv", "investments.csv", "dispatch_log.csv")})
     assert outputs[0] == outputs[1]
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from emsim import agents, engine
-from emsim.agents import Commitment, belief_curves, candidate_menu, expected_cashflow, npv
+from emsim.agents import Beliefs, Commitment, belief_curves, candidate_menu, expected_cashflow, npv
 from emsim.engine import (NODE_SLOTS, HistoryStore, PlanStore, Settlement, init_world, run,
                           step_year)
 from emsim.market import annual_totals, dispatch_year
@@ -665,6 +666,26 @@ def test_failed_root_leaves_an_empty_store(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         store.mixes(replace(scenario, price_cap=250.0), registry, rep, table, 3)
     assert len(store) == 0
+
+
+@pytest.mark.parametrize("subsidy", [np.nan, np.inf, -np.inf], ids=str)
+def test_a_non_finite_subsidy_is_an_input_error(monkeypatch, subsidy):
+    """The error a scenario with that subsidy raises, before anything
+    is simulated and with the held root kept."""
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    with pytest.raises(InputError) as raised:
+        replace(scenario, nuclear_subsidy=subsidy)
+    store = HistoryStore()
+    store.mixes(scenario, registry, rep, table, 3)
+    nodes = len(store)
+    calls = count_dispatches(monkeypatch)
+    beliefs = Beliefs.of(scenario, 3)
+    beliefs = replace(beliefs, **{f: np.repeat(getattr(beliefs, f), 2, axis=0)
+                                  for f in ("curves", "sigma_m", "sigma_c", "seeds")})
+    with pytest.raises(InputError, match=re.escape(str(raised.value))):
+        store.walk(scenario, registry, rep, table, beliefs, np.array([0.0, subsidy]))
+    assert calls == []
+    assert len(store) == nodes
 
 
 def test_history_store_empties_at_its_slot_bound(monkeypatch):
