@@ -16,7 +16,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +25,7 @@ from . import calibrate as cal
 from . import engine, repdays
 from .ingest import (
     InputError,
+    available_cpus,
     bundled_cost_table,
     csv_rows,
     load_cost_table,
@@ -396,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mutpb", type=float, default=0.2)
     p.add_argument("--gens", type=int, default=50)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=available_cpus())
     p.add_argument("--exclude-first-year", action="store_true",
                    help="drop the start year from the long-term objective")
     p.add_argument("--out", required=True)

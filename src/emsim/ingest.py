@@ -13,6 +13,7 @@ import bisect
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -41,6 +42,14 @@ CF_SERIES = {"Offshore": "offshore_cf", "Onshore": "onshore_cf", "PV": "solar_cf
 
 class InputError(ValueError):
     """An input file or configuration failed validation."""
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, _parse_float,
-                     _parse_int, csv_rows)
+                     _parse_int, available_cpus, csv_rows)
 
 log = logging.getLogger(__name__)
 
@@ -96,21 +98,27 @@ class Clustering:
     inertia_history: tuple[float, ...]  # within-cluster SSE per Lloyd iteration
 
 
-def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_distances(x: np.ndarray, centroids: np.ndarray, x_norms=None) -> np.ndarray:
+    """(points, centroids) squared distances; `x_norms` is `(x * x).sum(axis=1)`
+    when the caller holds it. Doubling the product, not x, scales by a power
+    of two either way, so the bits are those of `(2.0 * x) @ centroids.T`."""
+    if x_norms is None:
+        x_norms = (x * x).sum(axis=1)
     d2 = (
-        (x * x).sum(axis=1)[:, None]
+        x_norms[:, None]
         + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * x @ centroids.T
+        - 2.0 * (x @ centroids.T)
     )
     return np.maximum(d2, 0.0)
 
 
-def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator,
+                    x_norms=None) -> np.ndarray:
     """k-means++ seeding."""
     n = len(x)
     chosen = [int(rng.integers(n))]
     for _ in range(1, k):
-        d2 = _sq_distances(x, x[chosen]).min(axis=1)
+        d2 = _sq_distances(x, x[chosen], x_norms).min(axis=1)
         total = d2.sum()
         if total <= 0.0:
             remaining = [i for i in range(n) if i not in set(chosen)]
@@ -120,7 +128,7 @@ def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
-def _assign(x, centroids):
+def _assign(x, centroids, x_norms=None):
     """Nearest-centroid labels and the distances they were read from.
 
     Each empty cluster is reseeded (in place) with the point farthest
@@ -128,7 +136,7 @@ def _assign(x, centroids):
     (points, k) distances belong to the final centroids.
     """
     k = len(centroids)
-    d2 = _sq_distances(x, centroids)
+    d2 = _sq_distances(x, centroids, x_norms)
     labels = np.argmin(d2, axis=1)
     for _ in range(k):
         empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
@@ -139,7 +147,7 @@ def _assign(x, centroids):
             far = int(np.argmax(dist_own))
             centroids[cid] = x[far]
             dist_own[far] = -np.inf  # don't reuse for another empty cluster
-        d2 = _sq_distances(x, centroids)
+        d2 = _sq_distances(x, centroids, x_norms)
         labels = np.argmin(d2, axis=1)
     return labels, d2
 
@@ -155,18 +163,19 @@ def kmeans(dm: DayMatrix, k: int, seed=0) -> Clustering:
     if not 1 <= k <= dm.n_days:
         raise InputError(f"k={k} outside [1, {dm.n_days}]")
     x = dm.normalized
+    x_norms = (x * x).sum(axis=1)  # fixed rows: one norm per day for every distance matrix
     rows = np.arange(len(x))
     rng = np.random.default_rng(seed)
-    centroids = _init_centroids(x, k, rng)
+    centroids = _init_centroids(x, k, rng, x_norms)
 
-    labels, d2 = _assign(x, centroids)
+    labels, d2 = _assign(x, centroids, x_norms)
     history = [float(d2[rows, labels].sum())]
 
     for _ in range(MAX_ITER):
         new_centroids = np.empty_like(centroids)
         for cid in range(k):
             new_centroids[cid] = x[labels == cid].mean(axis=0)
-        labels, d2 = _assign(x, new_centroids)
+        labels, d2 = _assign(x, new_centroids, x_norms)
         history.append(float(d2[rows, labels].sum()))
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
@@ -299,7 +308,7 @@ def summarize(values, weights) -> SeriesSummary:
     curves = np.empty((n_series, HOURS_PER_YEAR))
     ranges = np.empty(n_series)
     for s, v in enumerate(values):
-        means[s] = float(v @ weights) / weights.sum()
+        means[s] = float((v * weights).sum()) / weights.sum()  # no BLAS dot: see `pearson`
         order = np.argsort(-v, kind="stable")
         desc, w = v[order], weights[order]
         idx = np.searchsorted(np.cumsum(w) / w.sum(), grid, side="left")
@@ -352,14 +361,16 @@ def pearson(x, y, weights=None) -> float:
     if len(x) != len(y):
         raise InputError("series lengths differ")
     w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
+    # numpy reductions, not BLAS dot products: OpenBLAS splits a long dot
+    # across its threads, which would make the bits depend on their count
     wsum = w.sum()
-    dx = x - (w @ x) / wsum
-    dy = y - (w @ y) / wsum
-    vx = w @ (dx * dx)
-    vy = w @ (dy * dy)
+    dx = x - (w * x).sum() / wsum
+    dy = y - (w * y).sum() / wsum
+    vx = (w * (dx * dx)).sum()
+    vy = (w * (dy * dy)).sum()
     if vx <= 0.0 or vy <= 0.0:
         raise InputError("correlation undefined for zero-variance series")
-    return float((w @ (dx * dy)) / np.sqrt(vx * vy))
+    return float((w * (dx * dy)).sum() / np.sqrt(vx * vy))
 
 
 def ce_av(observed: SeriesSummary, approx: SeriesSummary) -> float:
@@ -380,11 +391,13 @@ def ce_av(observed: SeriesSummary, approx: SeriesSummary) -> float:
 
 
 def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) -> list[dict]:
-    """Cluster and score each distinct k of `k_list` once, in ascending order.
+    """Cluster and score each distinct k of `k_list` once; rows in ascending k.
 
     Each row holds k, the method, the three metrics and, under "year", the
     representative year they score. A k is clustered on the RNG stream of
-    (seed, k, method), so its days do not depend on the other k listed.
+    (seed, k, method), so its days do not depend on the other k listed,
+    and the k values may run on `_sweep_threads` threads without changing
+    a bit. The error raised is that of the smallest failing k.
     """
     code = {"medoid": 0, "centroid": 1}.get(method)
     if code is None:
@@ -397,23 +410,62 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
                          f"of {dm.n_days} (lower --k or --sweep)")
     _check_varies(ts.values, "the observed data")
     observed = summarize(ts.values, np.ones(ts.n_hours))
-    rows = []
-    for k in ks:
-        clustering = kmeans(dm, k, seed=[_seed_int(seed), k, code])
+    root = _seed_int(seed)
+
+    def score(k: int) -> dict:
+        clustering = kmeans(dm, k, seed=[root, k, code])
         year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
         _check_varies(year.values, f"the k={k} representative days")
         approx = summarize(year.values, year.hour_weights)
-        rows.append({
+        return {
             "k": k,
             "method": method,
             "ce_av": ce_av(observed, approx),
             "nrmse_av": nrmse_av(observed, approx),
             "ree_av": ree_av(observed, approx),
             "year": year,
-        })
-        log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", k, method,
-                 rows[-1]["ce_av"], rows[-1]["nrmse_av"], rows[-1]["ree_av"])
+        }
+
+    rows = []
+    for row in _in_k_order(score, ks, _sweep_threads(len(ks))):
+        rows.append(row)
+        log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", row["k"], method,
+                 row["ce_av"], row["nrmse_av"], row["ree_av"])
     return rows
+
+
+# the variables a BLAS library reads its thread count from
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _sweep_threads(n_k: int) -> int:
+    """Threads for a sweep of `n_k` values: the CPUs BLAS leaves free.
+
+    Each k's matrix products run on the BLAS library's own threads, which
+    take every CPU unless one of `_BLAS_THREAD_VARS` caps them (the largest
+    set value counts), so default BLAS threading gives one sweep thread
+    and a one-thread BLAS one sweep thread per CPU.
+    """
+    caps = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit() and int(v) > 0]
+    blas = max(caps) if caps else available_cpus()
+    return max(1, min(n_k, available_cpus() // blas))
+
+
+def _in_k_order(score, ks, threads: int):
+    """Yield `score(k)` for each k of the ascending `ks`, on the calling
+    thread when `threads` is 1 (stopping at the first failure), else on a
+    pool of `threads` that starts the largest (slowest) k first; the first
+    error yielded is that of the smallest failing k."""
+    if threads == 1:
+        yield from map(score, ks)
+        return
+    pool = ThreadPoolExecutor(threads)
+    try:
+        futures = {k: pool.submit(score, k) for k in reversed(ks)}
+        for k in ks:
+            yield futures[k].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _check_varies(values: np.ndarray, where: str) -> None:

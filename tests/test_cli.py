@@ -477,6 +477,16 @@ def test_calibrate_without_a_finite_fitness_exits_two(tmp_path, capsys, monkeypa
     assert not (out / "best.csv").exists()
 
 
+def test_calibrate_default_workers_are_the_cpus_this_process_may_use(monkeypatch):
+    from emsim.cli import build_parser
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = build_parser().parse_args(["calibrate", "validation", "--scenario", "s",
+                                      "--registry", "r", "--repdays", "d", "--target", "t",
+                                      "--out", "o"])
+    assert args.workers == 1
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--workers", "0", "parallel_workers must be >= 1 (got 0)"),
     ("--workers", "-2", "parallel_workers must be >= 1 (got -2)"),

@@ -1,6 +1,7 @@
 """Loader and cost-table tests."""
 
 import csv
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -12,6 +13,7 @@ from emsim.ingest import (
     PlantCosts,
     ScenarioConfig,
     _complete_day_mask,
+    available_cpus,
     bundled_cost_table,
     load_cost_table,
     load_hourly_series,
@@ -22,6 +24,21 @@ from emsim.ingest import (
 from toys import synthetic_ts, write_hourly_csv
 
 COST_FIELDS = [f.name for f in fields(PlantCosts)]
+
+
+@pytest.mark.parametrize("affinity, cpu_count, want", [
+    ({1}, 8, 1),      # pinned to one of eight CPUs
+    ({0, 3}, 8, 2),
+    (None, 6, 6),     # no affinity call on this OS
+    (None, None, 1),  # and no CPU count either
+])
+def test_available_cpus_reads_the_affinity_set(monkeypatch, affinity, cpu_count, want):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    assert available_cpus() == want
 
 
 # ---------------------------------------------------------------------------

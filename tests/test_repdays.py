@@ -1,7 +1,15 @@
 """Clustering, year assembly and approximation-metric tests."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import emsim
 
 from emsim import repdays
 from emsim.ingest import SERIES_NAMES, InputError, TimeSeriesSet
@@ -246,9 +254,9 @@ def test_kmeans_computes_one_distance_matrix_per_assignment(monkeypatch, k):
     dm = build_day_matrix(synthetic_ts(200))
     calls = []
 
-    def counted(x, centroids):
+    def counted(x, centroids, x_norms=None):
         calls.append(len(centroids))
-        return _sq_distances(x, centroids)
+        return _sq_distances(x, centroids, x_norms)
 
     monkeypatch.setattr(repdays, "_sq_distances", counted)
     clustering = kmeans(dm, k, seed=0)
@@ -498,6 +506,115 @@ def test_evaluate_k_range_names_a_constant_series():
     ts.series("offshore_cf")[:48] = 0.2
     with pytest.raises(InputError, match="'offshore_cf' \\(constant in the k=1 representative"):
         evaluate_k_range(ts, [1], seed=0)
+
+
+def _sweep(monkeypatch, threads, *args, **kwargs):
+    monkeypatch.setattr(repdays, "_sweep_threads", lambda n_k: min(n_k, threads))
+    return evaluate_k_range(*args, **kwargs)
+
+
+@pytest.mark.parametrize("method", ["medoid", "centroid"])
+def test_evaluate_k_range_rows_do_not_depend_on_the_thread_count(monkeypatch, caplog, method):
+    ts = synthetic_ts(120, seed=5)
+    ks = [6, 1, 3, 2, 9, 3]
+    one = _sweep(monkeypatch, 1, ts, ks, method=method, seed=4)
+    caplog.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as it can
+    try:
+        with caplog.at_level("INFO", logger="emsim.repdays"):
+            four = _sweep(monkeypatch, 4, ts, ks, method=method, seed=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r["k"] for r in four] == [1, 2, 3, 6, 9]
+    for a, b in zip(one, four):
+        assert (a["k"], a["method"]) == (b["k"], b["method"])
+        for metric in ("ce_av", "nrmse_av", "ree_av"):
+            assert a[metric] == b[metric], metric
+        for name in ("values", "hour_weights", "cluster_weights"):
+            assert np.array_equal(getattr(a["year"], name), getattr(b["year"], name)), name
+    # one log line per k, in ascending k, from the calling thread
+    assert [r.getMessage().split()[0] for r in caplog.records] == \
+        ["k=1", "k=2", "k=3", "k=6", "k=9"]
+    assert {r.thread for r in caplog.records} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cpus, blas, n_k, want", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 24, 2),
+    (2, {}, 24, 1),                                            # BLAS takes every CPU
+    (8, {"OPENBLAS_NUM_THREADS": "2"}, 24, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),                  # at most one per k
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 24, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 24, 1),  # the largest cap
+    (4, {"MKL_NUM_THREADS": "8"}, 24, 1),
+    (4, {"OMP_NUM_THREADS": "junk"}, 24, 1),
+])
+def test_the_sweep_threads_share_the_cpus_with_blas(monkeypatch, cpus, blas, n_k, want):
+    for name in repdays._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(repdays, "available_cpus", lambda: cpus)
+    assert repdays._sweep_threads(n_k) == want
+
+
+def test_a_one_thread_sweep_stops_at_the_first_failing_k(monkeypatch):
+    kmeans = repdays.kmeans
+    clustered = []
+
+    def failing(dm, k, seed=0):
+        clustered.append((k, threading.get_ident()))
+        if k in (3, 5):
+            raise InputError(f"k={k} failed")
+        return kmeans(dm, k, seed=seed)
+
+    monkeypatch.setattr(repdays, "kmeans", failing)
+    with pytest.raises(InputError, match="^k=3 failed$"):
+        _sweep(monkeypatch, 1, synthetic_ts(20, seed=1), [1, 2, 3, 4, 5, 6], seed=0)
+    assert clustered == [(k, threading.get_ident()) for k in (1, 2, 3)]
+
+
+def test_a_pooled_sweep_raises_the_error_of_the_smallest_failing_k(monkeypatch):
+    kmeans = repdays.kmeans
+    larger_failed = threading.Event()
+
+    def failing(dm, k, seed=0):
+        if k == 5:
+            larger_failed.set()
+            raise InputError("k=5 failed")
+        if k == 3:
+            larger_failed.wait(5)  # the larger k fails first, as it is submitted first
+            raise InputError("k=3 failed")
+        return kmeans(dm, k, seed=seed)
+
+    monkeypatch.setattr(repdays, "kmeans", failing)
+    with pytest.raises(InputError, match="^k=3 failed$"):
+        _sweep(monkeypatch, 4, synthetic_ts(20, seed=1), [1, 2, 3, 4, 5, 6], seed=0)
+
+
+_SUMMARY_BITS = """
+import numpy as np
+from emsim.repdays import pearson, summarize
+rng = np.random.default_rng(8)
+values = rng.random((4, 43800)) * np.array([[30000.0], [1.0], [1.0], [1.0]])
+for weights in (np.ones(43800), rng.random(43800)):
+    s = summarize(values, weights)
+    print([float(v).hex() for v in (*s.means, *s.correlations)],
+          float(pearson(values[0], values[1], weights)).hex())
+"""
+
+
+def test_summary_bits_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product over a long series splits its sum across the
+    # BLAS threads, so its last bits follow their count
+    src = os.pathsep.join([str(Path(emsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        outputs.append(subprocess.run([sys.executable, "-c", _SUMMARY_BITS], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_full_pipeline_metrics_finite():
