@@ -114,14 +114,18 @@ def _sq_distances(x: np.ndarray, centroids: np.ndarray, x_norms=None) -> np.ndar
 
 def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator,
                     x_norms=None) -> np.ndarray:
-    """k-means++ seeding."""
+    """k-means++ seeding. Each point's squared distance to its nearest
+    chosen point is kept as a running minimum, so each pick computes the
+    distances to the newest point only."""
     n = len(x)
     chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
-        d2 = _sq_distances(x, x[chosen], x_norms).min(axis=1)
+        d2 = np.minimum(d2, _sq_distances(x, x[chosen[-1:]], x_norms)[:, 0])
         total = d2.sum()
         if total <= 0.0:
-            remaining = [i for i in range(n) if i not in set(chosen)]
+            taken = set(chosen)
+            remaining = [i for i in range(n) if i not in taken]
             chosen.append(int(rng.choice(remaining)))
         else:
             chosen.append(int(rng.choice(n, p=d2 / total)))

@@ -3,16 +3,23 @@
 import csv
 import os
 from dataclasses import fields
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emsim import ingest
 from emsim.agents import InvestmentCandidate, candidate_menu
 from emsim.ingest import (
+    SERIES_COLUMNS,
     InputError,
     PlantCosts,
     ScenarioConfig,
+    TimeSeriesSet,
     _complete_day_mask,
+    _parse_float,
+    _parse_timestamp,
     available_cpus,
     bundled_cost_table,
     load_cost_table,
@@ -156,6 +163,167 @@ def test_non_increasing_timestamps(tmp_path):
     with pytest.raises(InputError, match="increasing"):
         load_hourly_series(path)
 
+
+
+def _reference_load_hourly_series(path):
+    """The per-row loop the block loader replaces: a dict per row, the
+    per-cell parsers for every cell and one datetime64 per stamp."""
+    path = Path(path)
+    stamps, values = [], []
+    rejected = total = 0
+    prev = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in ("timestamp",) + SERIES_COLUMNS if c not in header]
+        if missing:
+            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+        row_no = 1
+        for cells in reader:
+            if not cells:
+                continue
+            row_no += 1
+            if len(cells) != len(header):
+                raise InputError(f"{path}: {len(cells)} cells where the header has "
+                                 f"{len(header)} (row {row_no})")
+            row = dict(zip(header, cells))
+            total += 1
+            try:
+                ts = _parse_timestamp(row["timestamp"])
+            except ValueError:
+                raise InputError(f"{path}: bad timestamp {row['timestamp']!r} (row {row_no})")
+            if prev is not None and ts <= prev:
+                raise InputError(f"{path}: timestamps not strictly increasing (row {row_no})")
+            prev = ts
+            vals = tuple(_parse_float(row[c], path, row_no, c) for c in SERIES_COLUMNS)
+            if vals[0] < 0.0 or any(v < 0.0 or v > 1.0 for v in vals[1:]):
+                rejected += 1
+                continue
+            stamps.append(ts)
+            values.append(vals)
+    if total and rejected / total > 0.01:
+        raise InputError(f"{path}: {rejected} of {total} rows rejected (>1% out of range)")
+    ts_arr = np.array(stamps, dtype="datetime64[s]")
+    val_arr = np.array(values, dtype=float).reshape(-1, 4)
+    keep = _complete_day_mask(ts_arr)
+    return TimeSeriesSet(timestamps=ts_arr[keep], values=np.ascontiguousarray(val_arr[keep].T),
+                         dropped_hours=int(len(ts_arr) - keep.sum()), rejected_rows=rejected)
+
+
+def _outcome(load, path):
+    """All four fields of the loaded set as bytes, or the error message."""
+    try:
+        ts = load(path)
+    except InputError as exc:
+        return str(exc)
+    return (ts.timestamps.dtype.str, ts.timestamps.tobytes(), ts.values.shape,
+            ts.values.tobytes(), ts.dropped_hours, ts.rejected_rows)
+
+
+def _stamp_text(rng, hour: datetime) -> str:
+    """The hour as naive, 'Z', offset or fractional-second ISO text."""
+    form = rng.integers(6)
+    if form == 1:
+        return hour.isoformat() + "Z"
+    if form == 2:
+        return (hour + timedelta(hours=1)).isoformat() + "+01:00"
+    if form == 3:
+        return (hour - timedelta(hours=5, minutes=30)).isoformat() + "-05:30"
+    if form == 4:  # a fraction floors to the whole second
+        return (hour + timedelta(microseconds=int(rng.integers(1, 10**6)))).isoformat()
+    return hour.isoformat()
+
+
+def _random_hourly_file(rng, path, n_rows, faults=0):
+    """An hourly CSV of `n_rows` from a random start, with missing hours
+    (so partial days), out-of-range rows, extra, repeated and reordered
+    columns, blank lines and every stamp form of `_stamp_text`; `faults` random
+    cells or stamps are made bad."""
+    start = datetime(2012, 2, 27) + timedelta(hours=int(rng.integers(24 * 400)))
+    offsets = np.sort(rng.choice(n_rows + n_rows // 20 + 1, size=n_rows, replace=False))
+    rows = []
+    for h in offsets.tolist():
+        demand = float(rng.uniform(0.0, 50000.0))
+        demand = repr(demand) if rng.random() < 0.5 else f"{demand:.1f}"
+        cfs = [repr(float(rng.random())) for _ in range(3)]
+        if rng.random() < 0.004:  # out of range: rejected, unless too many are
+            cfs[int(rng.integers(3))] = "1.5"
+        if rng.random() < 0.002:
+            demand = "-3.0"
+        rows.append([_stamp_text(rng, start + timedelta(hours=h)), demand, *cfs])
+    for _ in range(faults):
+        i, col = int(rng.integers(n_rows)), int(rng.integers(5))
+        if col == 0:
+            rows[i][0] = rows[i - 1][0] if i and rng.random() < 0.5 else "soon"
+        else:
+            rows[i][col] = str(rng.choice(["oops", "nan", "inf", "-inf", ""]))
+    # a repeated column name reads its last column, as a dict of the row does
+    extras = [("region", "GB"), ("note", ""), ("solar_cf", "0.25")][:int(rng.integers(4))]
+    header = ["timestamp", *SERIES_COLUMNS, *(name for name, _ in extras)]
+    order = rng.permutation(len(header))
+    lines = [",".join(header[j] for j in order)]
+    for row in rows:
+        cells = row + [cell for _, cell in extras]
+        lines.append(",".join(cells[j] for j in order))
+        if rng.random() < 0.03:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_block_loader_equals_the_per_row_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "hourly.csv"
+    loaded = failed = 0
+    for case in range(400):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", int(rng.choice([1, 2, 5, 24, 37, 100])))
+        _random_hourly_file(rng, path, int(rng.integers(1, 6 * 24 + 1)),
+                            faults=int(rng.integers(3)) if case % 3 == 0 else 0)
+        want = _outcome(_reference_load_hourly_series, path)
+        assert _outcome(load_hourly_series, path) == want, case
+        loaded += isinstance(want, tuple)
+        failed += isinstance(want, str)
+    assert loaded > 200 and failed > 50
+
+
+def test_block_loader_equals_the_per_row_loop_past_one_block(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "hourly.csv"
+    _random_hourly_file(rng, path, 2 * ingest.BLOCK_ROWS + 500)
+    want = _outcome(_reference_load_hourly_series, path)
+    assert isinstance(want, tuple) and want[4] > 0 and want[5] > 0  # hours dropped, rows rejected
+    assert _outcome(load_hourly_series, path) == want
+
+
+def _hours_with(edits):
+    """3.5 days of rows, each edit setting one cell: (row index, column,
+    text), where an int text copies that row's stamp; row index i is file
+    row i + 2."""
+    rows = [[str(c) for c in r] for r in _hour_rows(84)]
+    for i, col, text in edits:
+        rows[i][col] = rows[text][0] if isinstance(text, int) else text
+    return rows
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a non-increasing stamp in block 1 before a non-numeric cell in block 2
+    (_hours_with([(10, 0, 9), (30, 1, "oops")]), "timestamps not strictly increasing (row 12)"),
+    # a bad timestamp and a bad value in one row: the stamp is checked first
+    (_hours_with([(40, 0, "soon"), (40, 2, "x")]), "bad timestamp 'soon' (row 42)"),
+    # the first row of block 2 repeats the last stamp of block 1
+    (_hours_with([(24, 0, 23)]), "timestamps not strictly increasing (row 26)"),
+    # a nan in the last, partial block
+    (_hours_with([(80, 3, "nan")]), "non-finite value 'nan' in column 'onshore_cf' (row 82)"),
+    # a bad cell before a short row of the same block
+    (_hours_with([(30, 1, "oops")])[:35] + [["2013-01-02T11:00:00", "1"]],
+     "non-numeric value 'oops' in column 'demand_mw' (row 32)"),
+])
+def test_the_first_fault_wins_across_blocks(tmp_path, monkeypatch, rows, message):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 24)  # blocks of rows 2-25, 26-49, 50-73, 74-85
+    path = tmp_path / "bad.csv"
+    _write_rows(path, rows)
+    want = _outcome(_reference_load_hourly_series, path)
+    assert want == f"{path}: {message}"
+    assert _outcome(load_hourly_series, path) == want
 
 def _reference_complete_day_mask(timestamps):
     """The per-row loop the run-length mask replaces."""
@@ -506,6 +674,14 @@ def test_registry_row_with_other_cell_count_names_file_and_row(tmp_path, row, ce
                                          r"\(row 3\)"):
         load_plant_registry(path, bundled_cost_table())
 
+
+
+def test_registry_bad_cell_before_a_short_row_is_reported_first(tmp_path):
+    path = tmp_path / "reg.csv"
+    path.write_text("plant_id,owner_id,type,capacity_mw,construction_year\n"
+                    "a,g1,CCGT,1200,2010\nb,g1,CCGT,huge,2010\nc,g1\n")
+    with pytest.raises(InputError, match=r"reg\.csv: .*'capacity_mw' \(row 3\)"):
+        load_plant_registry(path, bundled_cost_table())
 
 def test_cost_table_short_row_names_file_and_row(tmp_path):
     path = tmp_path / "costs.csv"

@@ -249,6 +249,38 @@ def test_kmeans_equals_reference_loop_exactly():
     assert len(reseeds) >= 2  # the grid cases reseeded an emptied cluster
 
 
+
+def _reference_init_centroids(x, k, rng):
+    """The k-means++ seeding that rebuilt the (points, chosen) distance
+    matrix on every pick."""
+    n = len(x)
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        d2 = _sq_distances(x, x[chosen]).min(axis=1)
+        total = d2.sum()
+        if total <= 0.0:
+            remaining = [i for i in range(n) if i not in set(chosen)]
+            chosen.append(int(rng.choice(remaining)))
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+    return x[chosen].copy()
+
+
+def test_init_centroids_equals_the_full_matrix_seeding():
+    days = build_day_matrix(synthetic_ts(365, seed=9)).normalized
+    # three distinct days, so a k past 3 picks from the rest at random
+    repeated = build_day_matrix(_repeated_days_ts([0, 1, 1, 2, 0, 2, 1, 1], seed=3)).normalized
+    cases = [(days, root, k, code) for root in (0, 101, 303) for k in (1, 2, 3, 8, 17, 24)
+             for code in (0, 1)]
+    cases += [(repeated, root, k, code) for root in (5, 6) for k in (2, 3, 5, 8) for code in (0, 1)]
+    for x, root, k, code in cases:
+        for x_norms in (None, (x * x).sum(axis=1)):
+            got_rng, want_rng = (np.random.default_rng([root, k, code]) for _ in range(2))
+            got = _init_centroids(x, k, got_rng, x_norms)
+            want = _reference_init_centroids(x, k, want_rng)
+            assert got.tobytes() == want.tobytes(), (root, k, code)
+            assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)  # as many draws taken
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_kmeans_computes_one_distance_matrix_per_assignment(monkeypatch, k):
     dm = build_day_matrix(synthetic_ts(200))
