@@ -396,42 +396,46 @@ def _pooled_scores(genomes: np.ndarray, seeds) -> list[float]:
     return _scores(_worker_objective, genomes, seeds)
 
 
-def _fitness_keys(objective, genomes: np.ndarray, seeds) -> list[tuple]:
-    """What each fitness depends on: the genome, and the evaluation seed
-    unless the objective is an `Objective` that says the seed cannot
-    matter. A plain callable is always keyed with its seed."""
+def _eval_seed(run_seed: int, generation: int, index: int) -> int:
+    """The evaluation seed of the individual born at (generation, index):
+    one stream per (run seed, generation, index), reproducible under any
+    evaluation order or worker count."""
+    return int(np.random.SeedSequence((run_seed, generation, index)).generate_state(1)[0])
+
+
+def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarray,
+              run_seed: int, generation: int) -> tuple[np.ndarray, int]:
+    """Fitness per genome of a generation and the number of genomes
+    actually evaluated.
+
+    Genome i's evaluation seed is that of (run seed, generation, i), drawn
+    only when it can matter: always for a plain callable, and for an
+    `Objective` when `seeds_matter` says so. The
+    genome and that seed key `fitness_of`, which holds every fitness this
+    run has computed; a key already in it, or repeated within `genomes`,
+    is evaluated once. The genomes to evaluate form one batch, or with a
+    pool one contiguous batch per worker, the first scored by the calling
+    process and each other one a single pool task, so a process's genomes
+    walk its history store together. The result is the same under any
+    worker count. Raises RuntimeError when no genome of the generation
+    scores a finite value."""
     matters = (objective.seeds_matter(genomes) if isinstance(objective, Objective)
                else np.ones(len(genomes), dtype=bool))
-    return [(g.tobytes(), int(s) if m else None) for g, s, m in zip(genomes, seeds, matters)]
-
-
-def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarray, seeds,
-              generation: int) -> tuple[np.ndarray, int]:
-    """Fitness per genome and the number of genomes actually evaluated.
-
-    `fitness_of` holds every fitness this run has computed, by
-    `_fitness_keys`; a key already in it, or repeated within `genomes`, is
-    evaluated once. The genomes to evaluate form one batch, or with a
-    pool one contiguous batch per worker, each a single task, so a
-    worker's genomes walk its history store together. The result is the
-    same under any worker count. Raises RuntimeError when no genome of
-    the generation scores a finite value."""
-    keys = _fitness_keys(objective, genomes, seeds)
+    keys = [(g.tobytes(), _eval_seed(run_seed, generation, i) if m else None)
+            for i, (g, m) in enumerate(zip(genomes, matters))]
     todo: dict = {}
-    for key, genome, seed in zip(keys, genomes, seeds):
+    for key, genome in zip(keys, genomes):
         if key not in fitness_of:
-            todo.setdefault(key, (genome, seed))
+            todo.setdefault(key, genome)
     if todo:
-        batch = np.array([g for g, _ in todo.values()])
-        batch_seeds = [s for _, s in todo.values()]
-        if pool is None:
-            values = _scores(objective, batch, batch_seeds)
-        else:
-            size = -(-len(todo) // workers)
-            starts = range(0, len(todo), size)
-            values = [value for chunk in pool.map(
-                _pooled_scores, [batch[i:i + size] for i in starts],
-                [batch_seeds[i:i + size] for i in starts]) for value in chunk]
+        batch = np.array(list(todo.values()))
+        batch_seeds = [0 if seed is None else seed for _, seed in todo]  # 0: the seed cannot matter
+        size = -(-len(todo) // workers)
+        futures = [pool.submit(_pooled_scores, batch[i:i + size], batch_seeds[i:i + size])
+                   for i in range(size, len(todo), size)]
+        values = _scores(objective, batch[:size], batch_seeds[:size])
+        for future in futures:
+            values += future.result()
         fitness_of.update(zip(todo, values))
     fitness = np.array([fitness_of[key] for key in keys])
     if not np.isfinite(fitness).any():
@@ -446,11 +450,13 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
     per-gene gaussian mutation clamped to bounds; survivors are the best
     of parents plus offspring. Evaluation seeds derive from (seed,
     generation, index) so results are reproducible under any worker
-    scheduling. One worker pool serves the whole run when
-    `parallel_workers` > 1, and each distinct genome (with its seed, when
-    that can matter) is evaluated once per run. Each generation's log
-    line is also kept as one entry of the JSON list written to
-    `telemetry_path` when the run ends, also when it fails.
+    scheduling; a seed is drawn only for an evaluation it can change and
+    for the best individual. When `parallel_workers` > 1, one pool of
+    `parallel_workers` - 1 processes serves the whole run, the calling
+    process scoring one batch of each generation itself, and each distinct
+    genome (with its seed, when that can matter) is evaluated once per
+    run. Each generation's log line is also kept as one entry of the JSON
+    list written to `telemetry_path` when the run ends, also when it fails.
     """
     rng = np.random.default_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])
@@ -459,18 +465,13 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
     pop_size = cfg.population_size
     sigma = MUTATION_SIGMA_FRAC * (hi - lo)
 
-    def seeds_for(generation: int) -> np.ndarray:
-        # one stream per (run seed, generation, index): reproducible under
-        # any evaluation order or worker count
-        return np.array([
-            int(np.random.SeedSequence((cfg.seed, generation, i)).generate_state(1)[0])
-            for i in range(pop_size)
-        ])
+    def origins(generation: int) -> np.ndarray:
+        return np.column_stack([np.full(pop_size, generation), np.arange(pop_size)])
 
     population = rng.uniform(lo, hi, size=(pop_size, n_genes))
-    pop_seeds = seeds_for(0)
+    pop_origins = origins(0)  # the (generation, index) each individual was born at
 
-    pool = (ProcessPoolExecutor(cfg.parallel_workers, initializer=_init_worker,
+    pool = (ProcessPoolExecutor(cfg.parallel_workers - 1, initializer=_init_worker,
                                 initargs=(objective,))
             if cfg.parallel_workers > 1 else None)
     fitness_of: dict = {}  # at most pop_size x (max_generations + 1) entries
@@ -505,7 +506,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
 
     try:
         fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers, fitness_of,
-                                         population, list(pop_seeds), 0)
+                                         population, cfg.seed, 0)
         writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
         record_generation(0, fitness, n_evaluated)
         for gen in range(1, cfg.max_generations + 1):
@@ -532,17 +533,16 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
             offspring[mask] += noise[mask]
             np.clip(offspring, lo, hi, out=offspring)
 
-            child_seeds = seeds_for(gen)
             child_fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers,
-                                                   fitness_of, offspring, list(child_seeds), gen)
+                                                   fitness_of, offspring, cfg.seed, gen)
 
             merged = np.vstack([population, offspring])
             merged_fit = np.concatenate([fitness, child_fitness])
-            merged_seeds = np.concatenate([pop_seeds, child_seeds])
+            merged_origins = np.concatenate([pop_origins, origins(gen)])
             order = np.argsort(merged_fit, kind="stable")[:pop_size]
             population = merged[order]
             fitness = merged_fit[order]
-            pop_seeds = merged_seeds[order]
+            pop_origins = merged_origins[order]
 
             record_generation(gen, child_fitness, n_evaluated)
 
@@ -562,7 +562,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
 
     best_idx = int(np.argmin(fitness))
     best = Individual(population[best_idx].copy(), float(fitness[best_idx]),
-                      int(pop_seeds[best_idx]))
+                      _eval_seed(cfg.seed, *pop_origins[best_idx]))
     return GAResult(best=best, generations=records)
 
 

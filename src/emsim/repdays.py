@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -394,17 +394,19 @@ def ce_av(observed: SeriesSummary, approx: SeriesSummary) -> float:
     return float(2.0 / (n * (n - 1)) * total)
 
 
+_METHOD_CODES = {"medoid": 0, "centroid": 1}  # a method's word in each k's RNG stream
+
+
 def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) -> list[dict]:
     """Cluster and score each distinct k of `k_list` once; rows in ascending k.
 
     Each row holds k, the method, the three metrics and, under "year", the
     representative year they score. A k is clustered on the RNG stream of
     (seed, k, method), so its days do not depend on the other k listed,
-    and the k values may run on `_sweep_threads` threads without changing
-    a bit. The error raised is that of the smallest failing k.
+    and the k values may run on `_sweep_workers` processes without
+    changing a bit. The error raised is that of the smallest failing k.
     """
-    code = {"medoid": 0, "centroid": 1}.get(method)
-    if code is None:
+    if method not in _METHOD_CODES:
         raise InputError(f"unknown representative method '{method}'")
     ks = sorted({int(k) for k in k_list})
     dm = build_day_matrix(ts)
@@ -414,60 +416,82 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
                          f"of {dm.n_days} (lower --k or --sweep)")
     _check_varies(ts.values, "the observed data")
     observed = summarize(ts.values, np.ones(ts.n_hours))
-    root = _seed_int(seed)
-
-    def score(k: int) -> dict:
-        clustering = kmeans(dm, k, seed=[root, k, code])
-        year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
-        _check_varies(year.values, f"the k={k} representative days")
-        approx = summarize(year.values, year.hour_weights)
-        return {
-            "k": k,
-            "method": method,
-            "ce_av": ce_av(observed, approx),
-            "nrmse_av": nrmse_av(observed, approx),
-            "ree_av": ree_av(observed, approx),
-            "year": year,
-        }
+    sweep = (dm, observed, method, _seed_int(seed))
 
     rows = []
-    for row in _in_k_order(score, ks, _sweep_threads(len(ks))):
+    for row in _in_k_order(ks, sweep, _sweep_workers(len(ks))):
         rows.append(row)
         log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", row["k"], method,
                  row["ce_av"], row["nrmse_av"], row["ree_av"])
     return rows
 
 
+def _score_k(k: int, dm: DayMatrix, observed: SeriesSummary, method: str, root: int) -> dict:
+    """One row of the sweep: cluster `dm` into k days, assemble their
+    year and score it against the `observed` summary."""
+    clustering = kmeans(dm, k, seed=[root, k, _METHOD_CODES[method]])
+    year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
+    _check_varies(year.values, f"the k={k} representative days")
+    approx = summarize(year.values, year.hour_weights)
+    return {
+        "k": k,
+        "method": method,
+        "ce_av": ce_av(observed, approx),
+        "nrmse_av": nrmse_av(observed, approx),
+        "ree_av": ree_av(observed, approx),
+        "year": year,
+    }
+
+
 # the variables a BLAS library reads its thread count from
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _sweep_threads(n_k: int) -> int:
-    """Threads for a sweep of `n_k` values: the CPUs BLAS leaves free.
+def _sweep_workers(n_k: int) -> int:
+    """Processes for a sweep of `n_k` values, the calling one included:
+    the CPUs BLAS leaves free.
 
     Each k's matrix products run on the BLAS library's own threads, which
     take every CPU unless one of `_BLAS_THREAD_VARS` caps them (the largest
-    set value counts), so default BLAS threading gives one sweep thread
-    and a one-thread BLAS one sweep thread per CPU.
+    set value counts), so default BLAS threading gives one sweep process
+    and a one-thread BLAS one sweep process per CPU, at most one per k.
     """
     caps = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit() and int(v) > 0]
     blas = max(caps) if caps else available_cpus()
     return max(1, min(n_k, available_cpus() // blas))
 
 
-def _in_k_order(score, ks, threads: int):
-    """Yield `score(k)` for each k of the ascending `ks`, on the calling
-    thread when `threads` is 1 (stopping at the first failure), else on a
-    pool of `threads` that starts the largest (slowest) k first; the first
-    error yielded is that of the smallest failing k."""
-    if threads == 1:
-        yield from map(score, ks)
+# The sweep (day matrix, observed summary, method, root seed) of a pool
+# worker process, set once by the pool's initializer.
+_worker_sweep = None
+
+
+def _init_sweep_worker(*sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _pooled_score(k: int) -> dict:
+    return _score_k(k, *_worker_sweep)
+
+
+def _in_k_order(ks, sweep: tuple, workers: int):
+    """Yield `_score_k(k, *sweep)` for each k of the ascending `ks`.
+
+    With one worker the calling process scores them in order and stops at
+    the first failure. Otherwise every k goes to a pool of `workers` - 1
+    processes, largest (slowest) first, and the calling process walks the
+    k values in ascending order, scoring itself each k no worker has
+    started yet; the first error yielded is that of the smallest failing k.
+    """
+    if workers == 1:
+        yield from (_score_k(k, *sweep) for k in ks)
         return
-    pool = ThreadPoolExecutor(threads)
+    pool = ProcessPoolExecutor(workers - 1, initializer=_init_sweep_worker, initargs=sweep)
     try:
-        futures = {k: pool.submit(score, k) for k in reversed(ks)}
+        futures = {k: pool.submit(_pooled_score, k) for k in reversed(ks)}
         for k in ks:
-            yield futures[k].result()
+            yield _score_k(k, *sweep) if futures[k].cancel() else futures[k].result()
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -627,24 +627,74 @@ def test_chunked_pool_matches_serial_with_failing_genomes(toy_bundle):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_ga_pool_gets_one_batch_per_worker(monkeypatch, workers):
+    # each generation's batches, in order: the caller's, then the submitted ones
     batches = []
+    scores = calibrate._scores
 
     class RecordingPool(calibrate.ProcessPoolExecutor):
-        def map(self, fn, *iterables, **kwargs):
-            tasks = list(zip(*iterables))
-            batches.append([len(genomes) for genomes, _ in tasks])
-            return super().map(fn, *zip(*tasks), **kwargs)
+        def submit(self, fn, genomes, seeds):
+            batches[-1].append(len(genomes))
+            return super().submit(fn, genomes, seeds)
+
+    def caller_scores(objective, genomes, seeds):
+        batches[-1].insert(0, len(genomes))
+        return scores(objective, genomes, seeds)
 
     monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
-    ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
-                     parallel_workers=workers), quadratic)
-    assert len(batches) == 4
-    # one task per worker, each a contiguous batch of ceil(n / workers) genomes
+    monkeypatch.setattr(calibrate, "_scores", caller_scores)
+    evaluate = calibrate._evaluate
+
+    def recording_evaluate(*args):
+        batches.append([])
+        return evaluate(*args)
+
+    monkeypatch.setattr(calibrate, "_evaluate", recording_evaluate)
+    result = ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
+                              parallel_workers=workers), quadratic)
+    assert len(batches) == result.n_generations == 4
+    # one batch per process, the calling one included, each a contiguous
+    # batch of ceil(n / workers) genomes
     for sizes in batches:
         n = sum(sizes)
         size = -(-n // workers)
         assert len(sizes) <= workers
         assert sizes == [min(size, n - start) for start in range(0, n, size)]
+    assert multiprocessing.active_children() == []
+
+
+def scored_with_seed(genome, seed):
+    """A fitness from which the evaluation seed can be read back."""
+    return quadratic(genome, seed) + (int(seed) % 1000) * 1e-3
+
+
+def test_ga_draws_a_seed_only_where_it_can_matter(monkeypatch, toy_bundle):
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def born_seeds(result):
+        # the seed of each (run seed, generation, index) an individual can be born at
+        return {int(np.random.SeedSequence((cfg.seed, rec.generation, i)).generate_state(1)[0])
+                for rec in result.generations for i in range(len(rec.genomes))}
+
+    cfg = small_cfg(population_size=6, max_generations=2, stall_generations=1000)
+    objective = Objective(toy_bundle, validation_layout())
+    assert not objective.seeds_matter(np.array([[0.001, 10.0]])).any()  # sigma = 0
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        zero_sigma = ga_run(cfg, objective)
+        assert len(built) == 1  # the best individual's, after the run
+        built.clear()
+        seeded = ga_run(cfg, scored_with_seed)
+        # a plain callable draws one seed per evaluation, plus the best's
+        assert len(built) == cfg.population_size * (cfg.max_generations + 1) + 1
+    assert zero_sigma.best.eval_seed in born_seeds(zero_sigma)
+    # the best individual's seed is the one it was scored under
+    assert seeded.best.eval_seed in born_seeds(seeded)
+    assert seeded.best.fitness == scored_with_seed(seeded.best.genome, seeded.best.eval_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Clustering, year assembly and approximation-metric tests."""
 
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
-import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -540,35 +542,75 @@ def test_evaluate_k_range_names_a_constant_series():
         evaluate_k_range(ts, [1], seed=0)
 
 
-def _sweep(monkeypatch, threads, *args, **kwargs):
-    monkeypatch.setattr(repdays, "_sweep_threads", lambda n_k: min(n_k, threads))
+def _sweep(monkeypatch, workers, *args, **kwargs):
+    monkeypatch.setattr(repdays, "_sweep_workers", lambda n_k: min(n_k, workers))
     return evaluate_k_range(*args, **kwargs)
 
 
-@pytest.mark.parametrize("method", ["medoid", "centroid"])
-def test_evaluate_k_range_rows_do_not_depend_on_the_thread_count(monkeypatch, caplog, method):
-    ts = synthetic_ts(120, seed=5)
-    ks = [6, 1, 3, 2, 9, 3]
-    one = _sweep(monkeypatch, 1, ts, ks, method=method, seed=4)
-    caplog.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as it can
-    try:
-        with caplog.at_level("INFO", logger="emsim.repdays"):
-            four = _sweep(monkeypatch, 4, ts, ks, method=method, seed=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [r["k"] for r in four] == [1, 2, 3, 6, 9]
-    for a, b in zip(one, four):
+def _assert_same_rows(a_rows, b_rows):
+    assert [a["k"] for a in a_rows] == [b["k"] for b in b_rows]
+    for a, b in zip(a_rows, b_rows):
         assert (a["k"], a["method"]) == (b["k"], b["method"])
         for metric in ("ce_av", "nrmse_av", "ree_av"):
             assert a[metric] == b[metric], metric
         for name in ("values", "hour_weights", "cluster_weights"):
             assert np.array_equal(getattr(a["year"], name), getattr(b["year"], name)), name
-    # one log line per k, in ascending k, from the calling thread
+
+
+@pytest.mark.parametrize("method", ["medoid", "centroid"])
+def test_evaluate_k_range_rows_do_not_depend_on_the_worker_count(monkeypatch, caplog, method):
+    ts = synthetic_ts(120, seed=5)
+    ks = [6, 1, 3, 2, 9, 3]
+    one = _sweep(monkeypatch, 1, ts, ks, method=method, seed=4)
+    score, by_caller = repdays._score_k, []
+
+    def recording_score(k, *sweep):
+        by_caller.append(k)  # a forked worker appends to its own copy
+        return score(k, *sweep)
+
+    monkeypatch.setattr(repdays, "_score_k", recording_score)
+    caplog.clear()
+    with caplog.at_level("INFO", logger="emsim.repdays"):
+        four = _sweep(monkeypatch, 4, ts, ks, method=method, seed=4)
+    assert [r["k"] for r in four] == [1, 2, 3, 6, 9]
+    _assert_same_rows(one, four)
+    # the workers start from the largest k, the calling process from the smallest
+    assert by_caller[:1] == [1] and by_caller == sorted(by_caller)
+    # one log line per k, in ascending k, from the calling process
     assert [r.getMessage().split()[0] for r in caplog.records] == \
         ["k=1", "k=2", "k=3", "k=6", "k=9"]
-    assert {r.thread for r in caplog.records} == {threading.get_ident()}
+    assert {r.process for r in caplog.records} == {os.getpid()}
+    assert multiprocessing.active_children() == []
+
+
+SPAWN_SWEEP = """
+import multiprocessing, pickle, sys
+from emsim import repdays
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    with open(sys.argv[1], "rb") as fh:
+        ts, ks, method = pickle.load(fh)
+    repdays._sweep_workers = lambda n_k: 3
+    rows = repdays.evaluate_k_range(ts, ks, method=method, seed=4)
+    with open(sys.argv[2], "wb") as fh:
+        pickle.dump(rows, fh)
+"""
+
+
+def test_a_spawned_sweep_matches_the_serial_bits(monkeypatch, tmp_path):
+    # spawn (the macOS default) starts workers from a fresh import, so
+    # they see only what the pool's initializer hands them
+    ts, ks = synthetic_ts(60, seed=5), [1, 2, 3, 5, 8]
+    serial = _sweep(monkeypatch, 1, ts, ks, method="centroid", seed=4)
+    with open(tmp_path / "sweep.pkl", "wb") as fh:
+        pickle.dump((ts, ks, "centroid"), fh)
+    src = os.pathsep.join([str(Path(emsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", SPAWN_SWEEP, str(tmp_path / "sweep.pkl"),
+                    str(tmp_path / "rows.pkl")], env=env, check=True, timeout=120)
+    with open(tmp_path / "rows.pkl", "rb") as fh:
+        _assert_same_rows(serial, pickle.load(fh))
 
 
 @pytest.mark.parametrize("cpus, blas, n_k, want", [
@@ -587,15 +629,15 @@ def test_the_sweep_threads_share_the_cpus_with_blas(monkeypatch, cpus, blas, n_k
     for name, value in blas.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(repdays, "available_cpus", lambda: cpus)
-    assert repdays._sweep_threads(n_k) == want
+    assert repdays._sweep_workers(n_k) == want
 
 
-def test_a_one_thread_sweep_stops_at_the_first_failing_k(monkeypatch):
+def test_a_one_worker_sweep_stops_at_the_first_failing_k(monkeypatch):
     kmeans = repdays.kmeans
     clustered = []
 
     def failing(dm, k, seed=0):
-        clustered.append((k, threading.get_ident()))
+        clustered.append(k)
         if k in (3, 5):
             raise InputError(f"k={k} failed")
         return kmeans(dm, k, seed=seed)
@@ -603,25 +645,30 @@ def test_a_one_thread_sweep_stops_at_the_first_failing_k(monkeypatch):
     monkeypatch.setattr(repdays, "kmeans", failing)
     with pytest.raises(InputError, match="^k=3 failed$"):
         _sweep(monkeypatch, 1, synthetic_ts(20, seed=1), [1, 2, 3, 4, 5, 6], seed=0)
-    assert clustered == [(k, threading.get_ident()) for k in (1, 2, 3)]
+    assert clustered == [1, 2, 3]
+
+
+@dataclass(frozen=True)
+class FailingDays(DayMatrix):
+    """A picklable day matrix whose centroid profiles fail for the listed k,
+    so the failure reaches pool workers under any start method."""
+
+    failing_k: tuple = ()
+
+    def denormalize(self, vec):
+        if len(vec) in self.failing_k:
+            raise InputError(f"k={len(vec)} failed")
+        return super().denormalize(vec)
 
 
 def test_a_pooled_sweep_raises_the_error_of_the_smallest_failing_k(monkeypatch):
-    kmeans = repdays.kmeans
-    larger_failed = threading.Event()
-
-    def failing(dm, k, seed=0):
-        if k == 5:
-            larger_failed.set()
-            raise InputError("k=5 failed")
-        if k == 3:
-            larger_failed.wait(5)  # the larger k fails first, as it is submitted first
-            raise InputError("k=3 failed")
-        return kmeans(dm, k, seed=seed)
-
-    monkeypatch.setattr(repdays, "kmeans", failing)
+    build = repdays.build_day_matrix
+    monkeypatch.setattr(repdays, "build_day_matrix",
+                        lambda ts: FailingDays(**vars(build(ts)), failing_k=(3, 5)))
     with pytest.raises(InputError, match="^k=3 failed$"):
-        _sweep(monkeypatch, 4, synthetic_ts(20, seed=1), [1, 2, 3, 4, 5, 6], seed=0)
+        _sweep(monkeypatch, 4, synthetic_ts(20, seed=1), [1, 2, 3, 4, 5, 6],
+               method="centroid", seed=0)
+    assert multiprocessing.active_children() == []
 
 
 _SUMMARY_BITS = """
