@@ -14,14 +14,13 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .agents import Beliefs
 from .engine import OBJECTIVE_TYPES, HistoryStore
-from .ingest import InputError
+from .ingest import InputError, WorkerPool
 
 log = logging.getLogger(__name__)
 
@@ -375,25 +374,13 @@ def _fitness(objective, genome, seed) -> float:
         return math.inf
 
 
-def _scores(objective, genomes: np.ndarray, seeds) -> list[float]:
-    """The fitness of each genome: one batch for an `Objective`, one
-    `_fitness` call per genome for any other callable."""
+def _score_batch(batch, objective) -> list[float]:
+    """The fitness of each genome of a (genomes, seeds) batch: one batch
+    for an `Objective`, one `_fitness` call per genome for any callable."""
+    genomes, seeds = batch
     if isinstance(objective, Objective):
         return objective.scores(genomes, seeds).tolist()
     return [_fitness(objective, g, s) for g, s in zip(genomes, seeds)]
-
-
-# The objective of a pool worker process, set once by the pool's initializer.
-_worker_objective = None
-
-
-def _init_worker(objective) -> None:
-    global _worker_objective
-    _worker_objective = objective
-
-
-def _pooled_scores(genomes: np.ndarray, seeds) -> list[float]:
-    return _scores(_worker_objective, genomes, seeds)
 
 
 def _eval_seed(run_seed: int, generation: int, index: int) -> int:
@@ -403,7 +390,7 @@ def _eval_seed(run_seed: int, generation: int, index: int) -> int:
     return int(np.random.SeedSequence((run_seed, generation, index)).generate_state(1)[0])
 
 
-def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarray,
+def _evaluate(objective, pool: WorkerPool, fitness_of: dict, genomes: np.ndarray,
               run_seed: int, generation: int) -> tuple[np.ndarray, int]:
     """Fitness per genome of a generation and the number of genomes
     actually evaluated.
@@ -413,12 +400,11 @@ def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarr
     `Objective` when `seeds_matter` says so. The
     genome and that seed key `fitness_of`, which holds every fitness this
     run has computed; a key already in it, or repeated within `genomes`,
-    is evaluated once. The genomes to evaluate form one batch, or with a
-    pool one contiguous batch per worker, the first scored by the calling
-    process and each other one a single pool task, so a process's genomes
-    walk its history store together. The result is the same under any
-    worker count. Raises RuntimeError when no genome of the generation
-    scores a finite value."""
+    is evaluated once. The genomes to evaluate form one contiguous batch
+    per worker of `pool`, the first scored by the calling process and each
+    other one a single pool task, so a process's genomes walk its history
+    store together. The result is the same under any worker count. Raises
+    RuntimeError when no genome of the generation scores a finite value."""
     matters = (objective.seeds_matter(genomes) if isinstance(objective, Objective)
                else np.ones(len(genomes), dtype=bool))
     keys = [(g.tobytes(), _eval_seed(run_seed, generation, i) if m else None)
@@ -430,12 +416,9 @@ def _evaluate(objective, pool, workers: int, fitness_of: dict, genomes: np.ndarr
     if todo:
         batch = np.array(list(todo.values()))
         batch_seeds = [0 if seed is None else seed for _, seed in todo]  # 0: the seed cannot matter
-        size = -(-len(todo) // workers)
-        futures = [pool.submit(_pooled_scores, batch[i:i + size], batch_seeds[i:i + size])
-                   for i in range(size, len(todo), size)]
-        values = _scores(objective, batch[:size], batch_seeds[:size])
-        for future in futures:
-            values += future.result()
+        size = -(-len(todo) // pool.workers)
+        batches = [(batch[i:i + size], batch_seeds[i:i + size]) for i in range(0, len(todo), size)]
+        values = [value for scores in pool.in_order(batches) for value in scores]
         fitness_of.update(zip(todo, values))
     fitness = np.array([fitness_of[key] for key in keys])
     if not np.isfinite(fitness).any():
@@ -451,8 +434,8 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
     of parents plus offspring. Evaluation seeds derive from (seed,
     generation, index) so results are reproducible under any worker
     scheduling; a seed is drawn only for an evaluation it can change and
-    for the best individual. When `parallel_workers` > 1, one pool of
-    `parallel_workers` - 1 processes serves the whole run, the calling
+    for the best individual. One `WorkerPool` of `parallel_workers`
+    processes, at most one per genome, serves the whole run, the calling
     process scoring one batch of each generation itself, and each distinct
     genome (with its seed, when that can matter) is evaluated once per
     run. Each generation's log line is also kept as one entry of the JSON
@@ -471,9 +454,6 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
     population = rng.uniform(lo, hi, size=(pop_size, n_genes))
     pop_origins = origins(0)  # the (generation, index) each individual was born at
 
-    pool = (ProcessPoolExecutor(cfg.parallel_workers - 1, initializer=_init_worker,
-                                initargs=(objective,))
-            if cfg.parallel_workers > 1 else None)
     fitness_of: dict = {}  # at most pop_size x (max_generations + 1) entries
     writer = None
     records: list[GenerationRecord] = []
@@ -504,61 +484,59 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
         last_record = now
         telemetry.append(entry)
 
-    try:
-        fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers, fitness_of,
-                                         population, cfg.seed, 0)
-        writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
-        record_generation(0, fitness, n_evaluated)
-        for gen in range(1, cfg.max_generations + 1):
-            # tournament selection from the current population
-            contenders = rng.integers(0, pop_size, size=(pop_size, TOURNAMENT_SIZE))
-            winners = contenders[np.arange(pop_size), np.argmin(fitness[contenders], axis=1)]
-            offspring = population[winners].copy()
+    with WorkerPool(min(cfg.parallel_workers, pop_size), _score_batch, objective) as pool:
+        try:
+            fitness, n_evaluated = _evaluate(objective, pool, fitness_of, population, cfg.seed, 0)
+            writer = _GenerationLogWriter(log_path, n_genes) if log_path else None
+            record_generation(0, fitness, n_evaluated)
+            for gen in range(1, cfg.max_generations + 1):
+                # tournament selection from the current population
+                contenders = rng.integers(0, pop_size, size=(pop_size, TOURNAMENT_SIZE))
+                winners = contenders[np.arange(pop_size), np.argmin(fitness[contenders], axis=1)]
+                offspring = population[winners].copy()
 
-            # blend crossover on consecutive pairs
-            for a in range(0, pop_size - 1, 2):
-                if rng.random() < cfg.crossover_prob:
-                    p1, p2 = offspring[a].copy(), offspring[a + 1].copy()
-                    low = np.minimum(p1, p2)
-                    high = np.maximum(p1, p2)
-                    span = high - low
-                    c_lo = low - BLEND_ALPHA * span
-                    c_hi = high + BLEND_ALPHA * span
-                    offspring[a] = rng.uniform(c_lo, c_hi)
-                    offspring[a + 1] = rng.uniform(c_lo, c_hi)
+                # blend crossover on consecutive pairs
+                for a in range(0, pop_size - 1, 2):
+                    if rng.random() < cfg.crossover_prob:
+                        p1, p2 = offspring[a].copy(), offspring[a + 1].copy()
+                        low = np.minimum(p1, p2)
+                        high = np.maximum(p1, p2)
+                        span = high - low
+                        c_lo = low - BLEND_ALPHA * span
+                        c_hi = high + BLEND_ALPHA * span
+                        offspring[a] = rng.uniform(c_lo, c_hi)
+                        offspring[a + 1] = rng.uniform(c_lo, c_hi)
 
-            # per-gene gaussian mutation
-            mask = rng.random(offspring.shape) < cfg.mutation_prob
-            noise = rng.normal(0.0, 1.0, size=offspring.shape) * sigma
-            offspring[mask] += noise[mask]
-            np.clip(offspring, lo, hi, out=offspring)
+                # per-gene gaussian mutation
+                mask = rng.random(offspring.shape) < cfg.mutation_prob
+                noise = rng.normal(0.0, 1.0, size=offspring.shape) * sigma
+                offspring[mask] += noise[mask]
+                np.clip(offspring, lo, hi, out=offspring)
 
-            child_fitness, n_evaluated = _evaluate(objective, pool, cfg.parallel_workers,
-                                                   fitness_of, offspring, cfg.seed, gen)
+                child_fitness, n_evaluated = _evaluate(objective, pool, fitness_of, offspring,
+                                                       cfg.seed, gen)
 
-            merged = np.vstack([population, offspring])
-            merged_fit = np.concatenate([fitness, child_fitness])
-            merged_origins = np.concatenate([pop_origins, origins(gen)])
-            order = np.argsort(merged_fit, kind="stable")[:pop_size]
-            population = merged[order]
-            fitness = merged_fit[order]
-            pop_origins = merged_origins[order]
+                merged = np.vstack([population, offspring])
+                merged_fit = np.concatenate([fitness, child_fitness])
+                merged_origins = np.concatenate([pop_origins, origins(gen)])
+                order = np.argsort(merged_fit, kind="stable")[:pop_size]
+                population = merged[order]
+                fitness = merged_fit[order]
+                pop_origins = merged_origins[order]
 
-            record_generation(gen, child_fitness, n_evaluated)
+                record_generation(gen, child_fitness, n_evaluated)
 
-            if len(best_history) > cfg.stall_generations:
-                recent = best_history[-(cfg.stall_generations + 1)]
-                if recent - best_history[-1] < STALL_TOL:
-                    log.info("fitness stalled after generation %d; stopping", gen)
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        if writer:
-            writer.close()
-        if telemetry_path:
-            with open(telemetry_path, "w") as fh:
-                json.dump(telemetry, fh, indent=1)
+                if len(best_history) > cfg.stall_generations:
+                    recent = best_history[-(cfg.stall_generations + 1)]
+                    if recent - best_history[-1] < STALL_TOL:
+                        log.info("fitness stalled after generation %d; stopping", gen)
+                        break
+        finally:
+            if writer:
+                writer.close()
+            if telemetry_path:
+                with open(telemetry_path, "w") as fh:
+                    json.dump(telemetry, fh, indent=1)
 
     best_idx = int(np.argmin(fitness))
     best = Individual(population[best_idx].copy(), float(fitness[best_idx]),

@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -50,6 +51,56 @@ def available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# The (fn, *shared) of a pool worker process, set once by the pool's initializer.
+_worker_call = None
+
+
+def _init_worker(*call) -> None:
+    global _worker_call
+    _worker_call = call
+
+
+def _call_in_worker(item):
+    fn, *shared = _worker_call
+    return fn(item, *shared)
+
+
+class WorkerPool:
+    """`workers` processes, the calling one included, that compute
+    `fn(item, *shared)`. The `workers` - 1 pool processes (none for one
+    worker) get `fn` and `shared` once, from the pool's initializer, so a
+    task carries only its item. A `with` block shuts the pool down."""
+
+    def __init__(self, workers: int, fn, *shared):
+        self.workers, self._fn, self._shared = workers, fn, shared
+        self._pool = (ProcessPoolExecutor(workers - 1, initializer=_init_worker,
+                                          initargs=(fn, *shared))
+                      if workers > 1 else None)
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def in_order(self, items):
+        """Yield `fn(item, *shared)` for each item, in item order. The
+        calling process computes the first item; the workers take the rest
+        last first. With more items than processes, the calling process
+        also computes each later item that no worker has started; with no
+        more, every submitted item has a process of its own and is left to
+        it. The error raised is that of the first failing item."""
+        items = list(items)
+        futures = ({i: self._pool.submit(_call_in_worker, items[i])
+                    for i in range(len(items) - 1, 0, -1)} if self._pool is not None else {})
+        take_back = len(items) > self.workers
+        for i, item in enumerate(items):
+            future = futures.get(i)
+            yield (self._fn(item, *self._shared)
+                   if future is None or (take_back and future.cancel()) else future.result())
 
 
 # ---------------------------------------------------------------------------

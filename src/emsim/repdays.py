@@ -14,14 +14,13 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, _parse_float,
-                     _parse_int, available_cpus, csv_rows)
+from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, WorkerPool,
+                     _parse_float, _parse_int, available_cpus, csv_rows)
 
 log = logging.getLogger(__name__)
 
@@ -419,10 +418,12 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
     sweep = (dm, observed, method, _seed_int(seed))
 
     rows = []
-    for row in _in_k_order(ks, sweep, _sweep_workers(len(ks))):
-        rows.append(row)
-        log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", row["k"], method,
-                 row["ce_av"], row["nrmse_av"], row["ree_av"])
+    # the calling process clusters the smallest k, the workers start from the largest
+    with WorkerPool(_sweep_workers(len(ks)), _score_k, *sweep) as pool:
+        for row in pool.in_order(ks):
+            rows.append(row)
+            log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", row["k"], method,
+                     row["ce_av"], row["nrmse_av"], row["ree_av"])
     return rows
 
 
@@ -459,41 +460,6 @@ def _sweep_workers(n_k: int) -> int:
     caps = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit() and int(v) > 0]
     blas = max(caps) if caps else available_cpus()
     return max(1, min(n_k, available_cpus() // blas))
-
-
-# The sweep (day matrix, observed summary, method, root seed) of a pool
-# worker process, set once by the pool's initializer.
-_worker_sweep = None
-
-
-def _init_sweep_worker(*sweep) -> None:
-    global _worker_sweep
-    _worker_sweep = sweep
-
-
-def _pooled_score(k: int) -> dict:
-    return _score_k(k, *_worker_sweep)
-
-
-def _in_k_order(ks, sweep: tuple, workers: int):
-    """Yield `_score_k(k, *sweep)` for each k of the ascending `ks`.
-
-    With one worker the calling process scores them in order and stops at
-    the first failure. Otherwise every k goes to a pool of `workers` - 1
-    processes, largest (slowest) first, and the calling process walks the
-    k values in ascending order, scoring itself each k no worker has
-    started yet; the first error yielded is that of the smallest failing k.
-    """
-    if workers == 1:
-        yield from (_score_k(k, *sweep) for k in ks)
-        return
-    pool = ProcessPoolExecutor(workers - 1, initializer=_init_sweep_worker, initargs=sweep)
-    try:
-        futures = {k: pool.submit(_pooled_score, k) for k in reversed(ks)}
-        for k in ks:
-            yield _score_k(k, *sweep) if futures[k].cancel() else futures[k].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _check_varies(values: np.ndarray, where: str) -> None:
@@ -534,31 +500,35 @@ def save_representative_days(rep: RepresentativeYear, path) -> None:
 
 
 def load_representative_days(path) -> RepresentativeYear:
+    """The year a `save_representative_days` file describes; each row a
+    distinct (cluster, hour), its weight and capacity factors in [0, 1]."""
     path = Path(path)
-    by_cluster: dict[int, dict[int, list[float]]] = {}
+    cells: dict[tuple[int, int], list[float]] = {}
     weights: dict[int, float] = {}
     for row_no, row in csv_rows(path, REPDAYS_COLUMNS):
         c = _parse_int(row["cluster"], path, row_no, "cluster")
         h = _parse_int(row["hour"], path, row_no, "hour")
         if not 1 <= h <= HOURS_PER_DAY:
             raise InputError(f"{path}: hour must be in 1..24 (row {row_no})")
+        if (c, h) in cells:
+            raise InputError(f"{path}: repeated hour {h} of cluster {c} (row {row_no})")
         w = _parse_float(row["weight"], path, row_no, "weight")
         if c in weights and weights[c] != w:
             raise InputError(f"{path}: inconsistent weight for cluster {c} (row {row_no})")
         weights[c] = w
-        vals = [_parse_float(row[col], path, row_no, col) for col in REPDAYS_COLUMNS[3:]]
-        by_cluster.setdefault(c, {})[h] = vals
-    if not by_cluster:
+        cells[c, h] = [_parse_float(row[col], path, row_no, col) for col in REPDAYS_COLUMNS[3:]]
+        for col, value in [("weight", w), *zip(REPDAYS_COLUMNS[3:], cells[c, h])]:
+            high = np.inf if col == "demand_mw" else 1.0
+            if not 0.0 <= value <= high:
+                raise InputError(f"{path}: {col} {value!r} outside [0, {high:g}] (row {row_no})")
+    if not weights:
         raise InputError(f"{path}: no representative days found")
-    clusters = sorted(by_cluster)
-    if clusters != list(range(len(clusters))):
+    if sorted(weights) != list(range(len(weights))):
         raise InputError(f"{path}: cluster ids must be 0..k-1")
-    profiles = np.empty((len(clusters), N_SERIES, HOURS_PER_DAY))
-    for c in clusters:
-        hours = by_cluster[c]
-        if sorted(hours) != list(range(1, HOURS_PER_DAY + 1)):
+    profiles = np.full((len(weights), N_SERIES, HOURS_PER_DAY), np.nan)
+    for (c, h), vals in cells.items():
+        profiles[c, :, h - 1] = vals
+    for c, day in enumerate(profiles):
+        if np.isnan(day).any():
             raise InputError(f"{path}: cluster {c} does not cover hours 1..24")
-        for h, vals in hours.items():
-            profiles[c, :, h - 1] = vals
-    w = np.array([weights[c] for c in clusters])
-    return assemble_year(profiles, w)
+    return assemble_year(profiles, np.array([weights[c] for c in range(len(weights))]))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emsim import calibrate, engine
+from emsim import calibrate, engine, ingest
 from emsim.calibrate import (
     GAConfig,
     Objective,
@@ -281,16 +281,35 @@ def test_ga_pooled_later_generation_without_finite_fitness_raises():
 def test_ga_run_opens_at_most_one_pool(monkeypatch, workers, pools):
     opened = []
 
-    class CountingPool(calibrate.ProcessPoolExecutor):
+    class CountingPool(ingest.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(ingest, "ProcessPoolExecutor", CountingPool)
     result = ga_run(small_cfg(max_generations=4, stall_generations=1000,
                               parallel_workers=workers), quadratic)
     assert result.n_generations == 5
     assert len(opened) == pools
+    assert multiprocessing.active_children() == []
+
+
+def test_ga_opens_no_more_processes_than_a_generation_has_batches(monkeypatch):
+    opened = []
+
+    class CountingPool(ingest.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(ingest, "ProcessPoolExecutor", CountingPool)
+    cfg = small_cfg(population_size=4, max_generations=2, stall_generations=1000)
+    serial = ga_run(cfg, quadratic)
+    pooled = ga_run(replace(cfg, parallel_workers=6), quadratic)
+    # four genomes make at most four batches: the caller's and three pool tasks
+    assert opened == [3]
+    assert pooled.best.genome.tobytes() == serial.best.genome.tobytes()
+    assert pooled.best.fitness == serial.best.fitness
     assert multiprocessing.active_children() == []
 
 
@@ -625,32 +644,43 @@ def test_chunked_pool_matches_serial_with_failing_genomes(toy_bundle):
     assert multiprocessing.active_children() == []
 
 
+@dataclass
+class RecordingQuadratic:
+    """A picklable `quadratic` that counts the genomes scored in the
+    process it runs in: a pool worker counts them in its own copy."""
+
+    scored: int = 0
+
+    def __call__(self, genome, seed):
+        self.scored += 1
+        return quadratic(genome, seed)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_ga_pool_gets_one_batch_per_worker(monkeypatch, workers):
     # each generation's batches, in order: the caller's, then the submitted ones
     batches = []
-    scores = calibrate._scores
+    objective = RecordingQuadratic()
 
-    class RecordingPool(calibrate.ProcessPoolExecutor):
-        def submit(self, fn, genomes, seeds):
-            batches[-1].append(len(genomes))
-            return super().submit(fn, genomes, seeds)
+    class RecordingPool(ingest.ProcessPoolExecutor):
+        def submit(self, fn, batch):
+            batches[-1].append(len(batch[0]))
+            return super().submit(fn, batch)
 
-    def caller_scores(objective, genomes, seeds):
-        batches[-1].insert(0, len(genomes))
-        return scores(objective, genomes, seeds)
-
-    monkeypatch.setattr(calibrate, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(calibrate, "_scores", caller_scores)
+    monkeypatch.setattr(ingest, "ProcessPoolExecutor", RecordingPool)
     evaluate = calibrate._evaluate
 
     def recording_evaluate(*args):
         batches.append([])
-        return evaluate(*args)
+        before = objective.scored
+        result = evaluate(*args)
+        # the submitted batches go last first
+        batches[-1] = [objective.scored - before, *reversed(batches[-1])]
+        return result
 
     monkeypatch.setattr(calibrate, "_evaluate", recording_evaluate)
     result = ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
-                              parallel_workers=workers), quadratic)
+                              parallel_workers=workers), objective)
     assert len(batches) == result.n_generations == 4
     # one batch per process, the calling one included, each a contiguous
     # batch of ceil(n / workers) genomes

@@ -345,6 +345,22 @@ def test_simulate_non_finite_input_exits_one(tmp_path, capsys, name, old, new, m
     assert not (out / "investments.csv").exists()
 
 
+def test_simulate_out_of_range_repdays_row_exits_one(tmp_path, capsys):
+    paths = _write_sim_inputs(tmp_path)
+    lines = paths["repdays"].read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[3] = "-5.0"  # demand_mw
+    lines[3] = ",".join(cells)
+    paths["repdays"].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(out)])
+    assert rc == 1
+    assert f"{paths['repdays']}: demand_mw -5.0 outside [0, inf] (row 4)" in capsys.readouterr().err
+    assert not (out / "investments.csv").exists()
+
+
 def test_simulate_short_registry_row_exits_one(tmp_path, capsys):
     paths = _write_sim_inputs(tmp_path)
     with open(paths["registry"], "a") as fh:

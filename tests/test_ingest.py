@@ -1,7 +1,9 @@
 """Loader and cost-table tests."""
 
 import csv
+import multiprocessing
 import os
+import time
 from dataclasses import fields
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -17,6 +19,7 @@ from emsim.ingest import (
     PlantCosts,
     ScenarioConfig,
     TimeSeriesSet,
+    WorkerPool,
     _complete_day_mask,
     _parse_float,
     _parse_timestamp,
@@ -46,6 +49,56 @@ def test_available_cpus_reads_the_affinity_set(monkeypatch, affinity, cpu_count,
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     assert available_cpus() == want
+
+
+def square_or_fail(item, caller, started, caller_delay, worker_delay, failing):
+    """`item` squared, with the id of the process that computed it, after
+    that process's delay; raises for the `failing` items. A worker sets the
+    `started` event; the calling process waits for it, when one is given,
+    so it starts only after a worker has taken the first submitted item."""
+    if os.getpid() == caller:
+        if started is not None:
+            assert started.wait(30)
+        time.sleep(caller_delay)
+    else:
+        started.set()
+        time.sleep(worker_delay)
+    if item in failing:
+        raise ValueError(f"item {item} failed")
+    return item * item, os.getpid()
+
+
+def _started(workers):
+    return multiprocessing.Event() if workers > 1 else None
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_pool_yields_in_item_order_and_the_caller_takes_what_no_worker_started(workers):
+    items = list(range(10))
+    # slow workers: the caller overtakes them
+    with WorkerPool(workers, square_or_fail, os.getpid(), _started(workers),
+                    0.0, 0.1, ()) as pool:
+        results = list(pool.in_order(items))
+    assert [value for value, _ in results] == [i * i for i in items]
+    by_caller = [i for i, (_, pid) in zip(items, results) if pid == os.getpid()]
+    if workers == 1:
+        assert by_caller == items
+    else:  # the first item is never submitted, and the workers start from the last
+        assert by_caller[:2] == [0, 1] and 9 not in by_caller
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_pool_raises_the_error_of_the_first_failing_item(workers):
+    results = []
+    # a slow caller: the workers fail on item 9 before it reads item 6
+    with pytest.raises(ValueError, match="^item 6 failed$"):
+        with WorkerPool(workers, square_or_fail, os.getpid(), _started(workers),
+                        0.05, 0.0, (6, 9)) as pool:
+            for value, _ in pool.in_order(range(10)):
+                results.append(value)
+    assert results == [i * i for i in range(6)]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

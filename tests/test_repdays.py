@@ -1,11 +1,13 @@
 """Clustering, year assembly and approximation-metric tests."""
 
+import csv
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -557,18 +559,29 @@ def _assert_same_rows(a_rows, b_rows):
             assert np.array_equal(getattr(a["year"], name), getattr(b["year"], name)), name
 
 
+SCORE_K = repdays._score_k
+
+
+@dataclass(frozen=True)
+class RecordingScore:
+    """A picklable `_score_k` that lists the k values scored in the process
+    it runs in: a pool worker lists them in its own copy."""
+
+    scored: list = field(default_factory=list)
+
+    def __call__(self, k, *sweep):
+        self.scored.append(k)
+        return SCORE_K(k, *sweep)
+
+
 @pytest.mark.parametrize("method", ["medoid", "centroid"])
 def test_evaluate_k_range_rows_do_not_depend_on_the_worker_count(monkeypatch, caplog, method):
     ts = synthetic_ts(120, seed=5)
     ks = [6, 1, 3, 2, 9, 3]
     one = _sweep(monkeypatch, 1, ts, ks, method=method, seed=4)
-    score, by_caller = repdays._score_k, []
-
-    def recording_score(k, *sweep):
-        by_caller.append(k)  # a forked worker appends to its own copy
-        return score(k, *sweep)
-
-    monkeypatch.setattr(repdays, "_score_k", recording_score)
+    recording = RecordingScore()
+    by_caller = recording.scored
+    monkeypatch.setattr(repdays, "_score_k", recording)
     caplog.clear()
     with caplog.at_level("INFO", logger="emsim.repdays"):
         four = _sweep(monkeypatch, 4, ts, ks, method=method, seed=4)
@@ -737,6 +750,36 @@ def test_representative_days_parse_error_names_file_and_row(tmp_path, column):
     lines[5] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match=r"rep\.csv: .*'" + column + r"' \(row 6\)"):
+        load_representative_days(path)
+
+
+@pytest.mark.parametrize("row, column, value, message", [
+    (6, "hour", "4", "repeated hour 4 of cluster 0 (row 6)"),
+    (6, "solar_cf", "1.7", "solar_cf 1.7 outside [0, 1] (row 6)"),
+    (6, "demand_mw", "-5.0", "demand_mw -5.0 outside [0, inf] (row 6)"),
+    # weights that sum to 1, one per cluster
+    (None, "weight", (-0.5, 1.5), "weight -0.5 outside [0, 1] (row 2)"),
+    (None, "weight", (1.5, -0.5), "weight 1.5 outside [0, 1] (row 2)"),
+], ids=["repeated_hour", "cf_above_one", "negative_demand", "negative_weight", "weight_above_one"])
+def test_representative_days_bad_row_names_file_and_row(tmp_path, row, column, value, message):
+    ts = synthetic_ts(30, seed=41)
+    dm = build_day_matrix(ts)
+    clustering = kmeans(dm, 2, seed=2)
+    path = tmp_path / "rep.csv"
+    save_representative_days(
+        assemble_year(select_representative(clustering, dm), clustering.weights), path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row_no, cells in enumerate(rows, 2):
+        if row is None:
+            cells[column] = repr(value[int(cells["cluster"])])
+        elif row_no == row:
+            cells[column] = value
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_representative_days(path)
 
 
