@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,26 +56,48 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
-                    inputs: dict[str, Path], end: bool = False,
-                    started: str | None = None) -> str:
-    manifest = {
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "config": {k: v for k, v in sorted(vars(args).items())
-                   if k not in ("func",) and v is not None},
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in inputs.items()},
-        "seed": getattr(args, "seed", None),
-        "started": started or datetime.now(timezone.utc).isoformat(),
-        "finished": datetime.now(timezone.utc).isoformat() if end else None,
-    }
-    manifest["config"] = {k: (str(v) if isinstance(v, Path) else v)
-                          for k, v in manifest["config"].items()}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest["started"]
+class _Manifest:
+    """A run's manifest.json, written before the run's work starts and
+    again, by `main`, when the run ends."""
+
+    def __init__(self):
+        self.path = None
+
+    def start(self, out_dir: Path, subcommand: str, args: argparse.Namespace,
+              inputs: dict[str, Path]) -> None:
+        self.path, self.args = out_dir / "manifest.json", args
+        self.body = {
+            "subcommand": subcommand,
+            "tool_version": __version__,
+            "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
+                       for name, p in inputs.items()},
+            "started": datetime.now(timezone.utc).isoformat(),
+            "finished": None, "status": None, "wall_s": None, "peak_rss_mb": None,
+        }
+        self.save()
+
+    def save(self, **ending) -> None:
+        """Write the manifest again, with the configuration and seed as the
+        run's arguments hold them now and the `ending` fields."""
+        self.body.update(ending, seed=getattr(self.args, "seed", None),
+                         config={k: (str(v) if isinstance(v, Path) else v)
+                                 for k, v in sorted(vars(self.args).items())
+                                 if k not in ("func",) and v is not None})
+        with open(self.path, "w") as fh:
+            json.dump(self.body, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _peak_rss_mb() -> dict[str, float] | None:
+    """The peak resident memory of this process and of its largest child
+    waited for, in MB, where the platform reports them."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss: bytes on macOS, else KB
+    return {"self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
+            "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit}
 
 
 def _prepare_out(args) -> Path:
@@ -101,36 +124,39 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _int_at_least(text: str, low: int, bad: str = "invalid int value") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{bad}: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low} (got {value})")
+    return value
+
+
 def _k_list(text: str) -> list[int]:
-    """Comma separated cluster counts, for --sweep."""
-    ks = []
-    for item in text.split(","):
-        try:
-            ks.append(int(item))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {item!r}") from None
-    return ks
+    """Comma separated cluster counts, each at least 1, for --sweep."""
+    return [_int_at_least(item, 1, "not an integer") for item in text.split(",")]
+
+
+def _k(text: str) -> int:
+    """A cluster count of at least 1, for --k."""
+    return _int_at_least(text, 1)
 
 
 def _seed(text: str) -> int:
     """A non-negative integer, for --seed."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {seed})")
-    return seed
+    return _int_at_least(text, 0)
 
 
 # ---------------------------------------------------------------------------
 # repdays
 
 
-def cmd_repdays(args) -> int:
+def cmd_repdays(args, manifest: _Manifest) -> int:
     out = _prepare_out(args)
     input_path = _require_file(args.input)
-    started = _write_manifest(out, "repdays", args, {"input": input_path})
+    manifest.start(out, "repdays", args, {"input": input_path})
 
     ts = load_hourly_series(input_path)
     log.info("loaded %d complete days (%d hours, %d dropped)",
@@ -149,7 +175,6 @@ def cmd_repdays(args) -> int:
         [[r["k"], r["method"], _fmt(r["ce_av"]), _fmt(r["nrmse_av"]), _fmt(r["ree_av"])]
          for r in (rows[k] for k in sweep)],
     )
-    _write_manifest(out, "repdays", args, {"input": input_path}, end=True, started=started)
     return 0
 
 
@@ -226,26 +251,25 @@ class _DispatchLogSink:
             fh.close()
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, manifest: _Manifest) -> int:
     out = _prepare_out(args)
     inputs = {"scenario": _require_file(args.scenario),
               "registry": _require_file(args.registry),
               "repdays": _require_file(args.repdays)}
     if args.costs:
         inputs["costs"] = _require_file(args.costs)
-    started = _write_manifest(out, "simulate", args, inputs)
+    manifest.start(out, "simulate", args, inputs)
 
     scenario, cost_table, registry, rep = _load_bundle_inputs(args)
     if args.seed is None:
         args.seed = scenario.rng_seed
-        _write_manifest(out, "simulate", args, inputs, started=started)
+        manifest.save()
     world = engine.init_world(scenario, registry, rep, cost_table, seed=args.seed)
     sink = _DispatchLogSink(out, args.dispatch_log)
     try:
         engine.run(world, sink=sink)
     finally:
         sink.close()
-    _write_manifest(out, "simulate", args, inputs, end=True, started=started)
     return 0
 
 
@@ -278,7 +302,7 @@ _GA_OPTIONS = {"population_size": "--pop", "crossover_prob": "--cxpb",
                "parallel_workers": "--workers"}
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, manifest: _Manifest) -> int:
     out = _prepare_out(args)
     inputs = {"scenario": _require_file(args.scenario),
               "registry": _require_file(args.registry),
@@ -286,7 +310,7 @@ def cmd_calibrate(args) -> int:
               "target": _require_file(args.target)}
     if args.costs:
         inputs["costs"] = _require_file(args.costs)
-    started = _write_manifest(out, "calibrate", args, inputs)
+    manifest.start(out, "calibrate", args, inputs)
 
     scenario, cost_table, registry, rep = _load_bundle_inputs(args)
     target = _load_target(inputs["target"])
@@ -322,7 +346,6 @@ def cmd_calibrate(args) -> int:
     )
     log.info("best fitness %.6f after %d generations",
              result.best.fitness, result.n_generations - 1)
-    _write_manifest(out, "calibrate", args, inputs, end=True, started=started)
     return 0
 
 
@@ -330,11 +353,11 @@ def cmd_calibrate(args) -> int:
 # metrics
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args, manifest: _Manifest) -> int:
     out = _prepare_out(args)
     inputs = {"simulated": _require_file(args.simulated),
               "observed": _require_file(args.observed)}
-    started = _write_manifest(out, "metrics", args, inputs)
+    manifest.start(out, "metrics", args, inputs)
 
     simulated = _load_target(inputs["simulated"])
     observed = _load_target(inputs["observed"])
@@ -349,7 +372,6 @@ def cmd_metrics(args) -> int:
         [[t, _fmt(m["mae"]), "" if m["mase"] is None else _fmt(m["mase"]), _fmt(m["rmse"])]
          for t, m in sorted(metrics.items())],
     )
-    _write_manifest(out, "metrics", args, inputs, end=True, started=started)
     return 0
 
 
@@ -366,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("repdays", help="reduce hourly data to representative days")
     p.add_argument("--input", required=True, help="hourly series CSV")
-    p.add_argument("--k", type=int, default=8, help="number of clusters")
+    p.add_argument("--k", type=_k, default=8, help="number of clusters")
     p.add_argument("--method", choices=["medoid", "centroid"], default="medoid")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sweep", type=_k_list,
@@ -416,7 +438,28 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
 
+# a run's status in its manifest, by its exit code
+_STATUS = {0: "ok", 1: "input_error", 2: "runtime_failure"}
+
+
 def main(argv=None) -> int:
+    """Run one command. A run that wrote its manifest writes it once more
+    when it ends, with its status, wall time and peak memory."""
+    clock = time.perf_counter()
+    manifest = _Manifest()
+    code = _run(argv, manifest)
+    if manifest.path is not None:
+        try:
+            manifest.save(status=_STATUS[code], wall_s=time.perf_counter() - clock,
+                          peak_rss_mb=_peak_rss_mb(),
+                          finished=datetime.now(timezone.utc).isoformat())
+        except OSError as exc:
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return 2
+    return code
+
+
+def _run(argv, manifest: _Manifest) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -425,7 +468,7 @@ def main(argv=None) -> int:
             return 1
         logging.basicConfig(level=_LOG_LEVELS[args.log_level],
                             format="%(levelname)s %(name)s: %(message)s")
-        return args.func(args)
+        return args.func(args, manifest)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import logging
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -87,20 +89,24 @@ class WorkerPool:
             self._pool.shutdown(cancel_futures=True)
 
     def in_order(self, items):
-        """Yield `fn(item, *shared)` for each item, in item order. The
-        calling process computes the first item; the workers take the rest
-        last first. With more items than processes, the calling process
-        also computes each later item that no worker has started; with no
-        more, every submitted item has a process of its own and is left to
-        it. The error raised is that of the first failing item."""
+        """Submit the items now and return an iterator over `fn(item,
+        *shared)` for each item, in item order. The calling process computes
+        the first item; the workers take the rest last first. With more
+        items than processes, the calling process also computes each later
+        item that no worker has started; with no more, every submitted item
+        has a process of its own and is left to it. The error raised is
+        that of the first failing item."""
         items = list(items)
         futures = ({i: self._pool.submit(_call_in_worker, items[i])
                     for i in range(len(items) - 1, 0, -1)} if self._pool is not None else {})
         take_back = len(items) > self.workers
-        for i, item in enumerate(items):
-            future = futures.get(i)
-            yield (self._fn(item, *self._shared)
-                   if future is None or (take_back and future.cancel()) else future.result())
+
+        def results():
+            for i, item in enumerate(items):
+                future = futures.get(i)
+                yield (self._fn(item, *self._shared)
+                       if future is None or (take_back and future.cancel()) else future.result())
+        return results()
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +192,8 @@ def _epoch_seconds(text: str) -> int:
     return (_utc_datetime(text) - _EPOCH) // _SECOND
 
 
-# Data rows a CSV loader holds at a time: the hourly loader parses each
-# block of this many rows into arrays in one step. Larger blocks parsed a
+# Data rows a CSV loader holds at a time: the hourly loader's row walk
+# parses each block of this many rows into arrays in one step. Larger blocks parsed a
 # 43,800-row file no faster and left more of the process's memory resident.
 BLOCK_ROWS = 1024
 
@@ -238,6 +244,9 @@ def csv_rows(path, required):
             yield row_no, dict(zip(header, cells))
 
 
+HOURLY_COLUMNS = ("timestamp",) + SERIES_COLUMNS
+
+
 def load_hourly_series(path) -> TimeSeriesSet:
     """Load the hourly series CSV, keeping only complete 24-hour days.
 
@@ -247,34 +256,21 @@ def load_hourly_series(path) -> TimeSeriesSet:
     rejected/missing hours) are dropped and the dropped-hour count is
     reported on the returned set.
 
-    Each block of rows is parsed into arrays in one step; a block that
-    fails to parse, holds a non-finite value or breaks the stamps' order
-    is walked again row by row, which raises the error of its first
-    faulty row.
+    A file `_bulk_parse` takes is parsed in one step. Any other is parsed
+    in blocks of rows, each into arrays in one step; a block that fails to
+    parse, holds a non-finite value or breaks the stamps' order is walked
+    again row by row, which raises the error of its first faulty row.
     """
     path = Path(path)
     stamp_blocks = [np.empty(0, dtype="datetime64[s]")]
     value_blocks = [np.empty((len(SERIES_COLUMNS), 0))]
     rejected = 0
     total = 0
-    prev = None
-    required = ("timestamp",) + SERIES_COLUMNS
-    for header, first, rows in _csv_blocks(path, required):
-        index = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-        cols = [index[c] for c in required]
-        try:
-            stamps, values = _parse_block(rows, cols)
-        except (ValueError, OverflowError):
-            sound = False
-        else:
-            sound = (np.isfinite(values).all() and (np.diff(stamps) > 0).all()
-                     and (prev is None or stamps[0] > prev))
-        if not sound:
-            stamps, values = _walk_block(path, first, rows, cols, prev)
-        prev = stamps[-1]
-        total += len(rows)
+    bulk = _bulk_parse(path)
+    for stamps, values in ([bulk] if bulk is not None else _parsed_blocks(path)):
+        total += len(stamps)
         keep = (values[0] >= 0.0) & ((values[1:] >= 0.0) & (values[1:] <= 1.0)).all(axis=0)
-        rejected += len(rows) - int(keep.sum())
+        rejected += len(stamps) - int(keep.sum())
         stamp_blocks.append(stamps[keep])
         value_blocks.append(values[:, keep])
 
@@ -299,6 +295,83 @@ def load_hourly_series(path) -> TimeSeriesSet:
         dropped_hours=dropped,
         rejected_rows=rejected,
     )
+
+
+def _in_order(stamps, values, prev=None) -> bool:
+    """Whether parsed rows hold finite values only and strictly increasing
+    stamps, the first after `prev` (the stamp that ends the rows before)."""
+    return bool(np.isfinite(values).all() and (np.diff(stamps) > 0).all()
+                and (prev is None or stamps[0] > prev))
+
+
+def _bulk_parse(path):
+    """The stamps and (4, rows) values of an hourly CSV in one step, or None
+    for a file the step does not take; the row walk then parses it.
+
+    The step takes a file whose text splits into cells at every comma (it
+    holds no quote or NUL), whose rows all have the header's cell count,
+    whose series cells `np.loadtxt` reads as finite values, and whose stamps
+    increase and are numpy's ISO text to the second, all with a 'Z' or all
+    without. Its values are then those the row walk reads. The first row is
+    checked before the rest of the file is read, so a file of other stamps
+    costs two lines. Its stamp must be one `fromisoformat` reads; so are
+    the later ones, which increase from it and stop short of year 10000,
+    which does not print in 19 characters.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            first = fh.readline()
+            index = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+            cells = first.rstrip("\r\n").split(",")
+            if not set(HOURLY_COLUMNS) <= index.keys() or len(cells) != len(header):
+                return None
+            cols = [index[c] for c in HOURLY_COLUMNS]
+            stamp = cells[cols[0]]
+            bare = stamp.removesuffix("Z")
+            if len(bare) != 19 or datetime.fromisoformat(bare).isoformat() != bare:
+                return None
+            body = first + fh.read()
+        if '"' in body or "\0" in body:
+            return None
+        last = len(header) - 1  # read too, so that every row holds the header's cells or more
+        dtype = [("stamp", "S21")] + [(name, float) for name in SERIES_COLUMNS]
+        if last not in cols:
+            cols, dtype = cols + [last], dtype + [("last", "U1")]
+        # as bytes, a quarter of the memory a StringIO of the body takes
+        table = np.loadtxt(io.BytesIO(body.encode()), dtype=dtype, delimiter=",", usecols=cols,
+                           comments=None, ndmin=1, encoding="utf-8")
+        texts = table["stamp"]  # 21 bytes: a cell longer than a 'Z' stamp cannot print back
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns of an offset; the text check rejects it
+            stamps = texts.astype("S19").astype("datetime64[s]")
+        printed = stamps.astype("S19")  # np.datetime_as_string(stamps, unit="s"), as bytes
+    except ValueError:  # an undecodable file, or a cell the step cannot read
+        return None
+    if stamp != bare:
+        printed = np.char.add(printed, b"Z")
+    values = np.stack([table[name] for name in SERIES_COLUMNS])
+    sound = (body.count(",") == len(table) * last  # so no row holds more cells either
+             and (printed == texts).all() and _in_order(stamps, values))
+    return (stamps, values) if sound else None
+
+
+def _parsed_blocks(path):
+    """Yield the stamps and (4, rows) values of each block of `_csv_blocks`."""
+    prev = None
+    for header, first, rows in _csv_blocks(path, HOURLY_COLUMNS):
+        index = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+        cols = [index[c] for c in HOURLY_COLUMNS]
+        try:
+            stamps, values = _parse_block(rows, cols)
+        except (ValueError, OverflowError):
+            sound = False
+        else:
+            sound = _in_order(stamps, values, prev)
+        if not sound:
+            stamps, values = _walk_block(path, first, rows, cols, prev)
+        prev = stamps[-1]
+        yield stamps, values
 
 
 def _parse_block(rows, cols) -> tuple[np.ndarray, np.ndarray]:

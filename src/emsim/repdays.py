@@ -98,17 +98,17 @@ class Clustering:
 
 
 def _sq_distances(x: np.ndarray, centroids: np.ndarray, x_norms=None) -> np.ndarray:
-    """(points, centroids) squared distances; `x_norms` is `(x * x).sum(axis=1)`
-    when the caller holds it. Doubling the product, not x, scales by a power
-    of two either way, so the bits are those of `(2.0 * x) @ centroids.T`."""
+    """(points, centroids) squared distances, (|x|^2 + |c|^2) - 2 x.c built
+    in place; `x_norms` is `(x * x).sum(axis=1)` when the caller holds it.
+    Doubling the product, not x, scales by a power of two either way, so the
+    bits are those of `(2.0 * x) @ centroids.T`."""
     if x_norms is None:
         x_norms = (x * x).sum(axis=1)
-    d2 = (
-        x_norms[:, None]
-        + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * (x @ centroids.T)
-    )
-    return np.maximum(d2, 0.0)
+    d2 = np.add.outer(x_norms, (centroids * centroids).sum(axis=1))
+    product = x @ centroids.T
+    product *= 2.0
+    d2 -= product
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _init_centroids(x: np.ndarray, k: int, rng: np.random.Generator,
@@ -176,8 +176,9 @@ def kmeans(dm: DayMatrix, k: int, seed=0) -> Clustering:
 
     for _ in range(MAX_ITER):
         new_centroids = np.empty_like(centroids)
-        for cid in range(k):
-            new_centroids[cid] = x[labels == cid].mean(axis=0)
+        for cid in range(k):  # the sums and the one division of each cluster's mean
+            np.add.reduce(x[labels == cid], axis=0, out=new_centroids[cid])
+        new_centroids /= np.bincount(labels, minlength=k)[:, None]
         labels, d2 = _assign(x, new_centroids, x_norms)
         history.append(float(d2[rows, labels].sum()))
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
@@ -409,39 +410,40 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
         raise InputError(f"unknown representative method '{method}'")
     ks = sorted({int(k) for k in k_list})
     dm = build_day_matrix(ts)
-    distinct = len(np.unique(dm.normalized, axis=0))
+    distinct = distinct_rows(dm.normalized)
     if ks[-1] > distinct:
         raise InputError(f"max k {ks[-1]} exceeds the {distinct} distinct days "
                          f"of {dm.n_days} (lower --k or --sweep)")
     _check_varies(ts.values, "the observed data")
-    observed = summarize(ts.values, np.ones(ts.n_hours))
-    sweep = (dm, observed, method, _seed_int(seed))
 
     rows = []
-    # the calling process clusters the smallest k, the workers start from the largest
-    with WorkerPool(_sweep_workers(len(ks)), _score_k, *sweep) as pool:
-        for row in pool.in_order(ks):
-            rows.append(row)
-            log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", row["k"], method,
-                     row["ce_av"], row["nrmse_av"], row["ree_av"])
+    # the calling process clusters the smallest k, the workers start from the
+    # largest while the calling process summarises the observed series
+    with WorkerPool(_sweep_workers(len(ks)), _score_k, dm, method, _seed_int(seed)) as pool:
+        clustered = pool.in_order(ks)
+        observed = summarize(ts.values, np.ones(ts.n_hours))
+        for k, (year, approx) in zip(ks, clustered):
+            metrics = {"ce_av": ce_av(observed, approx), "nrmse_av": nrmse_av(observed, approx),
+                       "ree_av": ree_av(observed, approx)}
+            log.info("k=%d (%s): ce=%.5f nrmse=%.5f ree=%.5f", k, method, *metrics.values())
+            rows.append({"k": k, "method": method, **metrics, "year": year})
     return rows
 
 
-def _score_k(k: int, dm: DayMatrix, observed: SeriesSummary, method: str, root: int) -> dict:
-    """One row of the sweep: cluster `dm` into k days, assemble their
-    year and score it against the `observed` summary."""
+def distinct_rows(x: np.ndarray) -> int:
+    """The number of distinct rows of a finite 2-D array, `len(np.unique(x,
+    axis=0))`; adding 0.0 turns -0.0 into 0.0, which np.unique counts as one."""
+    return len({row.tobytes() for row in x + 0.0})
+
+
+def _score_k(k: int, dm: DayMatrix, method: str,
+             root: int) -> tuple[RepresentativeYear, SeriesSummary]:
+    """The per-k work of the sweep: cluster `dm` into k days, assemble their
+    year and summarise it for scoring against the observed series."""
     clustering = kmeans(dm, k, seed=[root, k, _METHOD_CODES[method]])
     year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
     _check_varies(year.values, f"the k={k} representative days")
-    approx = summarize(year.values, year.hour_weights)
-    return {
-        "k": k,
-        "method": method,
-        "ce_av": ce_av(observed, approx),
-        "nrmse_av": nrmse_av(observed, approx),
-        "ree_av": ree_av(observed, approx),
-        "year": year,
-    }
+    return year, summarize(year.values, year.hour_weights)
 
 
 # the variables a BLAS library reads its thread count from

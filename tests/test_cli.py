@@ -135,6 +135,22 @@ def test_repdays_bad_sweep_exits_one(tmp_path, capsys, sweep, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--k", "0"], "argument --k: must be >= 1 (got 0)"),
+    (["--k", "-1"], "argument --k: must be >= 1 (got -1)"),
+    (["--sweep", "2,0"], "argument --sweep: must be >= 1 (got 0)"),
+])
+def test_repdays_cluster_count_below_one_exits_one_before_loading(tmp_path, capsys, option,
+                                                                  message):
+    out = tmp_path / "out"
+    # the input does not exist: the arguments fail before anything is read
+    assert main(["repdays", "--input", str(tmp_path / "absent.csv"), *option,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err
+    assert not out.exists()
+
+
 def test_repdays_constant_series_named(tmp_path, capsys):
     ts = synthetic_ts(20, seed=1)
     ts.series("offshore_cf")[:] = 0.0
@@ -643,6 +659,29 @@ def test_simulate_does_not_depend_on_the_order_of_input_rows(tmp_path, table):
         outputs.append({f: (out / f).read_bytes() for f in (
             "mix_by_year.csv", "funds_by_year.csv", "investments.csv", "dispatch_log.csv")})
     assert outputs[0] == outputs[1]
+
+
+def test_manifest_records_how_the_run_ended(tmp_path, monkeypatch):
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, synthetic_ts(20, seed=1))
+    assert main(["repdays", "--input", str(data), "--k", "2", "--out", str(tmp_path / "ok")]) == 0
+    ok = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert ok["status"] == "ok" and ok["finished"] is not None and ok["wall_s"] > 0
+    assert ok["peak_rss_mb"]["self"] > 0 and ok["peak_rss_mb"]["children"] >= 0
+
+    ts = synthetic_ts(20, seed=1)
+    ts.series("offshore_cf")[:] = 0.0
+    write_hourly_csv(data, ts)
+    assert main(["repdays", "--input", str(data), "--k", "2", "--out", str(tmp_path / "bad")]) == 1
+    bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert bad["status"] == "input_error" and bad["finished"] is not None
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(repdays, "evaluate_k_range", fail)
+    assert main(["repdays", "--input", str(data), "--k", "2", "--out", str(tmp_path / "rt")]) == 2
+    assert json.loads((tmp_path / "rt" / "manifest.json").read_text())["status"] == \
+        "runtime_failure"
 
 
 def test_manifest_written_before_failure(tmp_path):

@@ -101,6 +101,16 @@ def test_worker_pool_raises_the_error_of_the_first_failing_item(workers):
     assert multiprocessing.active_children() == []
 
 
+def test_worker_pool_submits_before_the_first_result_is_read():
+    # the calling process can do other work while the workers start
+    started = multiprocessing.Event()
+    with WorkerPool(2, square_or_fail, os.getpid(), started, 0.0, 0.0, ()) as pool:
+        results = pool.in_order(range(3))
+        assert started.wait(30)
+        assert [value for value, _ in results] == [0, 1, 4]
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # hourly series
 
@@ -273,9 +283,9 @@ def _outcome(load, path):
             ts.values.tobytes(), ts.dropped_hours, ts.rejected_rows)
 
 
-def _stamp_text(rng, hour: datetime) -> str:
-    """The hour as naive, 'Z', offset or fractional-second ISO text."""
-    form = rng.integers(6)
+def _stamp_text(form: int, rng, hour: datetime) -> str:
+    """The hour as naive (forms 0 and 5), 'Z', offset or fractional-second
+    ISO text."""
     if form == 1:
         return hour.isoformat() + "Z"
     if form == 2:
@@ -287,15 +297,18 @@ def _stamp_text(rng, hour: datetime) -> str:
     return hour.isoformat()
 
 
-def _random_hourly_file(rng, path, n_rows, faults=0):
+def _random_hourly_file(rng, path, n_rows, faults=0, form=None) -> bool:
     """An hourly CSV of `n_rows` from a random start, with missing hours
     (so partial days), out-of-range rows, extra, repeated and reordered
-    columns, blank lines and every stamp form of `_stamp_text`; `faults` random
-    cells or stamps are made bad."""
+    columns, blank lines and every stamp form of `_stamp_text`, or only
+    `form`; `faults` random cells or stamps are made bad. Returns whether
+    the loader's bulk step takes the file: its stamps are all naive or all
+    'Z', and it holds no bad cell."""
     start = datetime(2012, 2, 27) + timedelta(hours=int(rng.integers(24 * 400)))
     offsets = np.sort(rng.choice(n_rows + n_rows // 20 + 1, size=n_rows, replace=False))
+    forms = [int(rng.integers(6)) if form is None else form for _ in range(n_rows)]
     rows = []
-    for h in offsets.tolist():
+    for h, f in zip(offsets.tolist(), forms):
         demand = float(rng.uniform(0.0, 50000.0))
         demand = repr(demand) if rng.random() < 0.5 else f"{demand:.1f}"
         cfs = [repr(float(rng.random())) for _ in range(3)]
@@ -303,7 +316,7 @@ def _random_hourly_file(rng, path, n_rows, faults=0):
             cfs[int(rng.integers(3))] = "1.5"
         if rng.random() < 0.002:
             demand = "-3.0"
-        rows.append([_stamp_text(rng, start + timedelta(hours=h)), demand, *cfs])
+        rows.append([_stamp_text(f, rng, start + timedelta(hours=h)), demand, *cfs])
     for _ in range(faults):
         i, col = int(rng.integers(n_rows)), int(rng.integers(5))
         if col == 0:
@@ -321,21 +334,39 @@ def _random_hourly_file(rng, path, n_rows, faults=0):
         if rng.random() < 0.03:
             lines.append("")
     path.write_text("\n".join(lines) + "\n")
+    return (set(forms) <= {0, 5} or set(forms) == {1}) and not faults
+
+
+def _steps_taken(monkeypatch) -> list[bool]:
+    """Record, per `load_hourly_series` call, whether its bulk step took the file."""
+    taken, bulk_parse = [], ingest._bulk_parse
+
+    def recording(path):
+        parsed = bulk_parse(path)
+        taken.append(parsed is not None)
+        return parsed
+    monkeypatch.setattr(ingest, "_bulk_parse", recording)
+    return taken
 
 
 def test_block_loader_equals_the_per_row_loop(tmp_path, monkeypatch):
     rng = np.random.default_rng(2024)
     path = tmp_path / "hourly.csv"
+    taken = _steps_taken(monkeypatch)
     loaded = failed = 0
     for case in range(400):
         monkeypatch.setattr(ingest, "BLOCK_ROWS", int(rng.choice([1, 2, 5, 24, 37, 100])))
-        _random_hourly_file(rng, path, int(rng.integers(1, 6 * 24 + 1)),
-                            faults=int(rng.integers(3)) if case % 3 == 0 else 0)
+        # one file in four has naive stamps only, one in four 'Z' stamps only
+        bulk = _random_hourly_file(rng, path, int(rng.integers(1, 6 * 24 + 1)),
+                                   faults=int(rng.integers(3)) if case % 3 == 0 else 0,
+                                   form={1: 0, 2: 1}.get(case % 4))
         want = _outcome(_reference_load_hourly_series, path)
         assert _outcome(load_hourly_series, path) == want, case
+        assert taken[-1] == bulk, case
         loaded += isinstance(want, tuple)
         failed += isinstance(want, str)
     assert loaded > 200 and failed > 50
+    assert sum(taken) > 150  # the files of one stamp form without a bad cell
 
 
 def test_block_loader_equals_the_per_row_loop_past_one_block(tmp_path):
@@ -377,6 +408,83 @@ def test_the_first_fault_wins_across_blocks(tmp_path, monkeypatch, rows, message
     want = _outcome(_reference_load_hourly_series, path)
     assert want == f"{path}: {message}"
     assert _outcome(load_hourly_series, path) == want
+
+
+def _edge_case_text(case: str) -> str:
+    """Two days of hourly rows written as `case` says; the first row is
+    file row 2."""
+    header = ["timestamp", *SERIES_COLUMNS]
+    rows = [[f"2013-03-0{1 + h // 24}T{h % 24:02d}:00:00", f"{30000 + 7 * h}.5",
+             f"{h / 100}", f"0.{h % 10}", "0.25"] for h in range(48)]
+    end, blank = "\n", None
+    if case == "z":
+        rows = [[r[0] + "Z", *r[1:]] for r in rows]
+    elif case == "z but one":
+        rows = [[r[0] + "Z", *r[1:]] for r in rows[:-1]] + rows[-1:]
+    elif case == "z, one with a character after":
+        rows = [[r[0] + "Z", *r[1:]] for r in rows]
+        rows[8][0] += "x"
+    elif case == "year 0":  # numpy reads it, fromisoformat does not
+        rows[0][0] = "0000-03-01T00:00:00"
+    elif case == "+01:00":
+        rows = [[f"2013-03-0{1 + (h + 1) // 24}T{(h + 1) % 24:02d}:00:00+01:00", *r[1:]]
+                for h, r in enumerate(rows)]
+    elif case == "an offset after the first":  # 05:00 UTC, though it reads 05:30
+        rows[5][0] = "2013-03-01T05:30:00+00:30"
+    elif case == "fractional second":
+        rows[7][0] += ".5"
+    elif case == "space separated":
+        rows[7][0] = rows[7][0].replace("T", " ")
+    elif case == "crlf":
+        end = "\r\n"
+    elif case == "blank lines":
+        blank = ""
+    elif case == "whitespace-only line":
+        blank = "  "
+    elif case == "# in a cell":
+        header.append("note")
+        rows = [[*r, "#1"] for r in rows]
+    elif case == "1_0":
+        rows[9][1] = "3_0000"
+    elif case == "extra, reordered and repeated columns":
+        header = ["region", "offshore_cf", "timestamp", "solar_cf", "demand_mw", "onshore_cf",
+                  "solar_cf"]
+        rows = [["GB", r[4], r[0], "0.9", r[1], r[3], r[2]] for r in rows]
+    elif case == "an extra cell":
+        rows[30].append("1")
+    elif case == "NUL after a stamp":
+        rows[12][0] += "\0"
+    elif case == "stamp out of order":
+        rows[20][0] = rows[19][0]
+    elif case == "nan":
+        rows[25][2] = "nan"
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    if case == "quoted cells":
+        lines = [",".join(f'"{cell}"' for cell in line.split(",")) for line in lines]
+    if blank is not None:
+        lines[10:10] = [blank]
+    return end.join(lines) + end
+
+
+@pytest.mark.parametrize("case, bulk", [
+    ("canonical", True), ("z", True), ("crlf", True), ("blank lines", True),
+    ("# in a cell", True), ("extra, reordered and repeated columns", True),
+    ("z but one", False), ("z, one with a character after", False), ("year 0", False),
+    ("+01:00", False), ("an offset after the first", False),
+    ("fractional second", False), ("space separated", False), ("quoted cells", False),
+    ("whitespace-only line", False), ("1_0", False), ("an extra cell", False),
+    ("NUL after a stamp", False), ("stamp out of order", False), ("nan", False),
+])
+def test_the_bulk_step_takes_only_what_the_row_walk_reads_alike(tmp_path, monkeypatch, case,
+                                                                bulk):
+    path = tmp_path / "hourly.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(_edge_case_text(case))
+    taken = _steps_taken(monkeypatch)
+    want = _outcome(_reference_load_hourly_series, path)
+    assert _outcome(load_hourly_series, path) == want
+    assert taken == [bulk]
+
 
 def _reference_complete_day_mask(timestamps):
     """The per-row loop the run-length mask replaces."""

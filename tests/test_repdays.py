@@ -27,6 +27,7 @@ from emsim.repdays import (
     assemble_year,
     build_day_matrix,
     ce_av,
+    distinct_rows,
     evaluate_k_range,
     kmeans,
     load_representative_days,
@@ -522,6 +523,16 @@ def test_metrics_zero_when_k_equals_day_count():
     assert rows[0]["nrmse_av"] == pytest.approx(0.0, abs=1e-9)
     assert rows[0]["ce_av"] == pytest.approx(0.0, abs=1e-9)
     assert rows[0]["ree_av"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_distinct_rows_counts_as_np_unique_does():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        pool = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(int(rng.integers(1, 6)), 4))
+        x = pool[rng.integers(len(pool), size=int(rng.integers(1, 30)))]
+        assert distinct_rows(x) == len(np.unique(x, axis=0))
+    # -0.0 and 0.0 are one value, so these rows are one row
+    assert distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0]])) == 1
 
 
 def test_evaluate_k_range_rejects_oversized_k():
