@@ -402,9 +402,10 @@ def _evaluate(objective, pool: WorkerPool, fitness_of: dict, genomes: np.ndarray
     run has computed; a key already in it, or repeated within `genomes`,
     is evaluated once. The genomes to evaluate form one contiguous batch
     per worker of `pool`, the first scored by the calling process and each
-    other one a single pool task, so a process's genomes walk its history
-    store together. The result is the same under any worker count. Raises
-    RuntimeError when no genome of the generation scores a finite value."""
+    other one by the first process to claim it, so a batch's genomes walk
+    one history store together. The result is the same under any worker
+    count. Raises RuntimeError when no genome of the generation scores a
+    finite value."""
     matters = (objective.seeds_matter(genomes) if isinstance(objective, Objective)
                else np.ones(len(genomes), dtype=bool))
     keys = [(g.tobytes(), _eval_seed(run_seed, generation, i) if m else None)
@@ -436,10 +437,11 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
     scheduling; a seed is drawn only for an evaluation it can change and
     for the best individual. One `WorkerPool` of `parallel_workers`
     processes, at most one per genome, serves the whole run, the calling
-    process scoring one batch of each generation itself, and each distinct
-    genome (with its seed, when that can matter) is evaluated once per
-    run. Each generation's log line is also kept as one entry of the JSON
-    list written to `telemetry_path` when the run ends, also when it fails.
+    process scoring the first batch of each generation and any batch no
+    worker has claimed, and each distinct genome (with its seed, when that
+    can matter) is evaluated once per run. Each generation's log line is
+    also kept as one entry of the JSON list written to `telemetry_path`
+    when the run ends, also when it fails.
     """
     rng = np.random.default_rng(cfg.seed)
     lo = np.array([b[0] for b in cfg.bounds])

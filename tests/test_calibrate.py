@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emsim import calibrate, engine, ingest
+from emsim import calibrate, engine
 from emsim.calibrate import (
     GAConfig,
     Objective,
@@ -277,37 +277,35 @@ def test_ga_pooled_later_generation_without_finite_fitness_raises():
     assert multiprocessing.active_children() == []
 
 
+def _process_starts(monkeypatch) -> list:
+    """The names of the processes this process starts from now on."""
+    started, start = [], multiprocessing.process.BaseProcess.start
+
+    def recording(self):
+        started.append(self.name)
+        start(self)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return started
+
+
 @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
 def test_ga_run_opens_at_most_one_pool(monkeypatch, workers, pools):
-    opened = []
-
-    class CountingPool(ingest.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(ingest, "ProcessPoolExecutor", CountingPool)
+    # one pool process for two workers, started once for all five generations
+    started = _process_starts(monkeypatch)
     result = ga_run(small_cfg(max_generations=4, stall_generations=1000,
                               parallel_workers=workers), quadratic)
     assert result.n_generations == 5
-    assert len(opened) == pools
+    assert len(started) == pools
     assert multiprocessing.active_children() == []
 
 
 def test_ga_opens_no_more_processes_than_a_generation_has_batches(monkeypatch):
-    opened = []
-
-    class CountingPool(ingest.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(ingest, "ProcessPoolExecutor", CountingPool)
+    started = _process_starts(monkeypatch)
     cfg = small_cfg(population_size=4, max_generations=2, stall_generations=1000)
     serial = ga_run(cfg, quadratic)
     pooled = ga_run(replace(cfg, parallel_workers=6), quadratic)
-    # four genomes make at most four batches: the caller's and three pool tasks
-    assert opened == [3]
+    # four genomes make at most four batches: the caller's and three pool processes'
+    assert len(started) == 3
     assert pooled.best.genome.tobytes() == serial.best.genome.tobytes()
     assert pooled.best.fitness == serial.best.fitness
     assert multiprocessing.active_children() == []
@@ -329,7 +327,7 @@ if __name__ == "__main__":
 
 def test_ga_spawned_workers_match_serial(toy_bundle, tmp_path):
     # spawn (the macOS default) starts workers from a fresh import, so
-    # they see only what the pool's initializer hands them
+    # they see only what the pool hands them when it starts them
     objective = Objective(toy_bundle, validation_layout())
     cfg = small_cfg(population_size=6, max_generations=2, stall_generations=1000)
     serial = ga_run(cfg, objective)
@@ -644,51 +642,61 @@ def test_chunked_pool_matches_serial_with_failing_genomes(toy_bundle):
     assert multiprocessing.active_children() == []
 
 
-@dataclass
-class RecordingQuadratic:
-    """A picklable `quadratic` that counts the genomes scored in the
-    process it runs in: a pool worker counts them in its own copy."""
+@dataclass(frozen=True)
+class LoggedQuadratic:
+    """A picklable `quadratic` whose batches `logged_score_batch` records,
+    one line per batch, in the file at `path`, from whichever process
+    scores them."""
 
-    scored: int = 0
+    path: str
 
     def __call__(self, genome, seed):
-        self.scored += 1
         return quadratic(genome, seed)
 
 
+SCORE_BATCH = calibrate._score_batch
+
+
+def logged_score_batch(batch, objective):
+    """`calibrate._score_batch`, appending the scoring process's id and the
+    batch's (genome, seed) keys to `objective.path`."""
+    scores = SCORE_BATCH(batch, objective)
+    keys = " ".join(f"{genome.tobytes().hex()}:{seed}" for genome, seed in zip(*batch))
+    with open(objective.path, "a") as fh:
+        fh.write(f"{os.getpid()} {keys}\n")
+    return scores
+
+
 @pytest.mark.parametrize("workers", [2, 3])
-def test_ga_pool_gets_one_batch_per_worker(monkeypatch, workers):
-    # each generation's batches, in order: the caller's, then the submitted ones
-    batches = []
-    objective = RecordingQuadratic()
-
-    class RecordingPool(ingest.ProcessPoolExecutor):
-        def submit(self, fn, batch):
-            batches[-1].append(len(batch[0]))
-            return super().submit(fn, batch)
-
-    monkeypatch.setattr(ingest, "ProcessPoolExecutor", RecordingPool)
+def test_ga_pool_gets_one_batch_per_worker(monkeypatch, tmp_path, workers):
+    log = tmp_path / "batches.log"
+    log.touch()
+    monkeypatch.setattr(calibrate, "_score_batch", logged_score_batch)
+    generations = []  # per generation: its evaluation count and its batch lines
     evaluate = calibrate._evaluate
 
     def recording_evaluate(*args):
-        batches.append([])
-        before = objective.scored
-        result = evaluate(*args)
-        # the submitted batches go last first
-        batches[-1] = [objective.scored - before, *reversed(batches[-1])]
-        return result
+        before = len(log.read_text().splitlines())
+        fitness, n_evaluated = evaluate(*args)
+        generations.append((n_evaluated, log.read_text().splitlines()[before:]))
+        return fitness, n_evaluated
 
     monkeypatch.setattr(calibrate, "_evaluate", recording_evaluate)
     result = ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
-                              parallel_workers=workers), objective)
-    assert len(batches) == result.n_generations == 4
-    # one batch per process, the calling one included, each a contiguous
-    # batch of ceil(n / workers) genomes
-    for sizes in batches:
-        n = sum(sizes)
+                              parallel_workers=workers), LoggedQuadratic(str(log)))
+    assert len(generations) == result.n_generations == 4
+    pids = set()
+    for n, lines in generations:
+        pids.update(line.split()[0] for line in lines)
+        batches = [line.split()[1:] for line in lines]
+        # one contiguous batch of ceil(n / workers) genomes per process, the
+        # calling one included, each scored once
         size = -(-n // workers)
-        assert len(sizes) <= workers
-        assert sizes == [min(size, n - start) for start in range(0, n, size)]
+        assert sorted(map(len, batches), reverse=True) == [min(size, n - start)
+                                                           for start in range(0, n, size)]
+        assert len({key for batch in batches for key in batch}) == n
+    # the calling process scores the first batch of each generation
+    assert str(os.getpid()) in pids and len(pids) <= workers
     assert multiprocessing.active_children() == []
 
 

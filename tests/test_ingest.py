@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import fields
 from datetime import datetime, timedelta
@@ -55,7 +56,7 @@ def square_or_fail(item, caller, started, caller_delay, worker_delay, failing):
     """`item` squared, with the id of the process that computed it, after
     that process's delay; raises for the `failing` items. A worker sets the
     `started` event; the calling process waits for it, when one is given,
-    so it starts only after a worker has taken the first submitted item."""
+    so it starts only after a worker has claimed an item."""
     if os.getpid() == caller:
         if started is not None:
             assert started.wait(30)
@@ -83,7 +84,7 @@ def test_worker_pool_yields_in_item_order_and_the_caller_takes_what_no_worker_st
     by_caller = [i for i, (_, pid) in zip(items, results) if pid == os.getpid()]
     if workers == 1:
         assert by_caller == items
-    else:  # the first item is never submitted, and the workers start from the last
+    else:  # the caller computes the first item, and the workers claim from the last
         assert by_caller[:2] == [0, 1] and 9 not in by_caller
     assert multiprocessing.active_children() == []
 
@@ -108,6 +109,85 @@ def test_worker_pool_submits_before_the_first_result_is_read():
         results = pool.in_order(range(3))
         assert started.wait(30)
         assert [value for value, _ in results] == [0, 1, 4]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_caller_computes_every_item_no_worker_has_claimed():
+    # one pool process that takes 0.5 s an item: it claims the last item, and
+    # the calling process computes the first two instead of waiting for it
+    started = multiprocessing.Event()
+    with WorkerPool(2, square_or_fail, os.getpid(), started, 0.0, 0.5, ()) as pool:
+        results = pool.in_order(range(3))
+        assert started.wait(30)
+        begin = time.perf_counter()
+        results = list(results)
+        elapsed = time.perf_counter() - begin
+    assert [value for value, _ in results] == [0, 1, 4]
+    assert [pid for _, pid in results[:2]] == [os.getpid()] * 2
+    assert elapsed < 2 * 0.5
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_drops_a_result_of_an_earlier_round():
+    # the pool process is still on item 2 of round one when round two
+    # starts; its result (4) reaches the calling process during round two,
+    # after the calling process has claimed item 2 of round two
+    with WorkerPool(2, square_or_fail, os.getpid(), multiprocessing.Event(),
+                    0.2, 0.5, ()) as pool:
+        first = pool.in_order(range(3))
+        assert next(first)[0] == 0
+        assert [value for value, _ in pool.in_order(range(3, 7))] == [9, 16, 25, 36]
+        with pytest.raises(RuntimeError, match="later in_order call"):
+            next(first)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_stops_a_worker_mid_item_when_its_iterator_is_abandoned():
+    started = multiprocessing.Event()
+    begin = time.perf_counter()
+    with WorkerPool(2, square_or_fail, os.getpid(), started, 0.0, 30.0, ()) as pool:
+        results = pool.in_order(range(3))
+        assert next(results)[0] == 0  # once the pool process has begun item 2
+    assert time.perf_counter() - begin < 30
+    assert multiprocessing.active_children() == []
+
+
+class Unreadable(Exception):
+    """An error that pickles but cannot be unpickled: its pickle holds one
+    of the two arguments its constructor needs."""
+
+    def __init__(self, what, why):
+        super().__init__(what)
+
+
+def unsendable(item, caller, started):
+    """`item`, in the calling process once a pool process has started an
+    item; in a pool process, an outcome that cannot reach the calling
+    process: a lock ("result"), an error holding a lock ("error"), an
+    `Unreadable` error or none, the process exiting ("exit")."""
+    if os.getpid() == caller:
+        assert started.wait(30)
+        return item
+    started.set()
+    if item == "result":
+        return threading.Lock()
+    if item == "error":
+        raise ValueError(threading.Lock())
+    if item == "exit":
+        os._exit(3)
+    raise Unreadable(item, "why")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("result", "cannot send back a lock"), ("error", "cannot send back a ValueError"),
+    ("unreadable", "cannot read back"), ("exit", "exited before sending its result"),
+])
+def test_worker_pool_raises_an_outcome_that_cannot_come_back_as_the_items_error(kind, message):
+    with WorkerPool(2, unsendable, os.getpid(), multiprocessing.Event()) as pool:
+        results = pool.in_order(["first", kind])
+        assert next(results) == "first"
+        with pytest.raises(RuntimeError, match=message):
+            next(results)
     assert multiprocessing.active_children() == []
 
 
@@ -484,6 +564,15 @@ def test_the_bulk_step_takes_only_what_the_row_walk_reads_alike(tmp_path, monkey
     want = _outcome(_reference_load_hourly_series, path)
     assert _outcome(load_hourly_series, path) == want
     assert taken == [bulk]
+
+
+def test_a_stamp_with_a_nul_is_a_bad_timestamp(tmp_path):
+    path = tmp_path / "hourly.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(_edge_case_text("NUL after a stamp"))
+    with pytest.raises(InputError) as err:
+        load_hourly_series(path)
+    assert str(err.value) == f"{path}: bad timestamp '2013-03-01T12:00:00\\x00' (row 14)"
 
 
 def _reference_complete_day_mask(timestamps):

@@ -624,7 +624,7 @@ if __name__ == "__main__":
 
 def test_a_spawned_sweep_matches_the_serial_bits(monkeypatch, tmp_path):
     # spawn (the macOS default) starts workers from a fresh import, so
-    # they see only what the pool's initializer hands them
+    # they see only what the pool hands them when it starts them
     ts, ks = synthetic_ts(60, seed=5), [1, 2, 3, 5, 8]
     serial = _sweep(monkeypatch, 1, ts, ks, method="centroid", seed=4)
     with open(tmp_path / "sweep.pkl", "wb") as fh:
