@@ -23,7 +23,7 @@ import pickle
 import socket
 import warnings
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 
@@ -291,80 +291,42 @@ def _parse_int(text: str, path, row_no: int, col: str) -> int:
     return int(value)
 
 
-def _utc_datetime(text: str) -> datetime:
-    """ISO-8601 to a naive datetime; offsets (incl. 'Z') become UTC."""
+def _parse_timestamp(text: str) -> np.datetime64:
+    """ISO-8601 to naive datetime64[s]; offsets (incl. 'Z') become UTC."""
     if "\0" in text:  # fromisoformat may stop reading at a NUL and take the text before it
         raise ValueError(f"NUL in timestamp {text!r}")
     stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if stamp.tzinfo is not None:
         stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
-    return stamp
+    return np.datetime64(stamp, "s")
 
 
-def _parse_timestamp(text: str) -> np.datetime64:
-    """ISO-8601 to naive datetime64[s]; offsets (incl. 'Z') become UTC."""
-    return np.datetime64(_utc_datetime(text), "s")
-
-
-_EPOCH = datetime(1970, 1, 1)
-_SECOND = timedelta(seconds=1)
-
-
-def _epoch_seconds(text: str) -> int:
-    """`_parse_timestamp` as whole seconds since 1970, fractions floored."""
-    return (_utc_datetime(text) - _EPOCH) // _SECOND
-
-
-# Data rows a CSV loader holds at a time: the hourly loader's row walk
-# parses each block of this many rows into arrays in one step. Larger blocks parsed a
-# 43,800-row file no faster and left more of the process's memory resident.
-BLOCK_ROWS = 1024
-
-
-def _csv_blocks(path, required):
-    """Yield (header, row number of the block's first row, its rows as cell
-    lists) for the data rows of a CSV file, BLOCK_ROWS rows at a time.
-
-    The header is row 1 and must name every `required` column; blank lines
-    are skipped and not numbered. A row with more or fewer cells than the
-    header, or one the reader cannot read, is an error raised only once
-    the rows before it have been handed over, so the earliest fault in the
-    file is the one reported.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        row_no, first, rows = 1, 2, []
-        try:
+def csv_rows(path, required):
+    """Yield (row number, row as a column -> cell dict) for each data row
+    of a CSV file whose header names every `required` column; the header
+    is row 1 and blank lines are skipped and not numbered. A row with more
+    or fewer cells than the header, or text the reader cannot read, is an
+    error raised at that row."""
+    row_no = 0
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+            row_no = 1
             for cells in reader:
                 if cells:
                     row_no += 1
                     if len(cells) != len(header):
                         raise InputError(f"{path}: {len(cells)} cells where the header has "
                                          f"{len(header)} (row {row_no})")
-                    rows.append(cells)
-                    if len(rows) == BLOCK_ROWS:
-                        yield header, first, rows
-                        first, rows = row_no + 1, []
-        except (ValueError, csv.Error):  # a short or long row, or one the reader cannot read
-            if rows:
-                yield header, first, rows
-            raise
-        if rows:
-            yield header, first, rows
-
-
-def csv_rows(path, required):
-    """Yield (row number, row as a column -> cell dict) for each data row
-    of a CSV file whose header names every `required` column; the header
-    is row 1 and blank lines are skipped. A row with more or fewer cells
-    than the header is an error."""
-    for header, first, rows in _csv_blocks(path, required):
-        for row_no, cells in enumerate(rows, first):
-            yield row_no, dict(zip(header, cells))
+                    yield row_no, dict(zip(header, cells))
+    except csv.Error as exc:
+        raise InputError(f"{path}: unreadable CSV: {exc} (row {row_no + 1})") from None
+    except UnicodeDecodeError as exc:  # decoded in chunks, so its row is not known
+        raise InputError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
 HOURLY_COLUMNS = ("timestamp",) + SERIES_COLUMNS
@@ -379,63 +341,44 @@ def load_hourly_series(path) -> TimeSeriesSet:
     rejected/missing hours) are dropped and the dropped-hour count is
     reported on the returned set.
 
-    A file `_bulk_parse` takes is parsed in one step. Any other is parsed
-    in blocks of rows, each into arrays in one step; a block that fails to
-    parse, holds a non-finite value or breaks the stamps' order is walked
-    again row by row, which raises the error of its first faulty row.
+    A file `_bulk_parse` takes is parsed in one step; any other, every
+    faulty one included, by `_walk_rows`.
     """
     path = Path(path)
-    stamp_blocks = [np.empty(0, dtype="datetime64[s]")]
-    value_blocks = [np.empty((len(SERIES_COLUMNS), 0))]
-    rejected = 0
-    total = 0
-    bulk = _bulk_parse(path)
-    for stamps, values in ([bulk] if bulk is not None else _parsed_blocks(path)):
-        total += len(stamps)
-        keep = (values[0] >= 0.0) & ((values[1:] >= 0.0) & (values[1:] <= 1.0)).all(axis=0)
-        rejected += len(stamps) - int(keep.sum())
-        stamp_blocks.append(stamps[keep])
-        value_blocks.append(values[:, keep])
-
+    stamps, values = _bulk_parse(path) or _walk_rows(path)
+    total = len(stamps)
+    keep = (values[0] >= 0.0) & ((values[1:] >= 0.0) & (values[1:] <= 1.0)).all(axis=0)
+    rejected = total - int(keep.sum())
     if total and rejected / total > 0.01:
         raise InputError(
             f"{path}: {rejected} of {total} rows rejected (>1% out of range)"
         )
+    stamps, values = stamps[keep], values[:, keep]
 
-    ts_arr = np.concatenate(stamp_blocks)
-    val_arr = np.concatenate(value_blocks, axis=1)
-
-    keep = _complete_day_mask(ts_arr)
-    dropped = int(len(ts_arr) - keep.sum())
+    keep = _complete_day_mask(stamps)
+    dropped = int(len(stamps) - keep.sum())
     if dropped:
         log.info("%s: dropped %d hour(s) outside complete days", path, dropped)
     if rejected:
         log.info("%s: rejected %d out-of-range row(s)", path, rejected)
 
     return TimeSeriesSet(
-        timestamps=ts_arr[keep],
-        values=np.ascontiguousarray(val_arr[:, keep]),
+        timestamps=stamps[keep],
+        values=np.ascontiguousarray(values[:, keep]),
         dropped_hours=dropped,
         rejected_rows=rejected,
     )
 
 
-def _in_order(stamps, values, prev=None) -> bool:
-    """Whether parsed rows hold finite values only and strictly increasing
-    stamps, the first after `prev` (the stamp that ends the rows before)."""
-    return bool(np.isfinite(values).all() and (np.diff(stamps) > 0).all()
-                and (prev is None or stamps[0] > prev))
-
-
 def _bulk_parse(path):
     """The stamps and (4, rows) values of an hourly CSV in one step, or None
-    for a file the step does not take; the row walk then parses it.
+    for a file the step does not take; `_walk_rows` then parses it.
 
     The step takes a file whose text splits into cells at every comma (it
     holds no quote or NUL), whose rows all have the header's cell count,
     whose series cells `np.loadtxt` reads as finite values, and whose stamps
     increase and are numpy's ISO text to the second, all with a 'Z' or all
-    without. Its values are then those the row walk reads. The first row is
+    without. Its values are then those `_walk_rows` reads. The first row is
     checked before the rest of the file is read, so a file of other stamps
     costs two lines. Its stamp must be one `fromisoformat` reads; so are
     the later ones, which increase from it and stop short of year 10000,
@@ -475,59 +418,29 @@ def _bulk_parse(path):
         printed = np.char.add(printed, b"Z")
     values = np.stack([table[name] for name in SERIES_COLUMNS])
     sound = (body.count(",") == len(table) * last  # so no row holds more cells either
-             and (printed == texts).all() and _in_order(stamps, values))
+             and (printed == texts).all() and np.isfinite(values).all()
+             and (np.diff(stamps) > 0).all())
     return (stamps, values) if sound else None
 
 
-def _parsed_blocks(path):
-    """Yield the stamps and (4, rows) values of each block of `_csv_blocks`."""
-    prev = None
-    for header, first, rows in _csv_blocks(path, HOURLY_COLUMNS):
-        index = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-        cols = [index[c] for c in HOURLY_COLUMNS]
-        try:
-            stamps, values = _parse_block(rows, cols)
-        except (ValueError, OverflowError):
-            sound = False
-        else:
-            sound = _in_order(stamps, values, prev)
-        if not sound:
-            stamps, values = _walk_block(path, first, rows, cols, prev)
-        prev = stamps[-1]
-        yield stamps, values
-
-
-def _parse_block(rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """The stamps and the (4, rows) values of a block of rows whose
-    timestamp and series cells sit at `cols`."""
-    n = len(rows)
-    columns = list(zip(*rows))
-    seconds = np.fromiter(map(_epoch_seconds, columns[cols[0]]), dtype=np.int64, count=n)
-    values = np.empty((len(SERIES_COLUMNS), n))
-    for s, c in enumerate(cols[1:]):
-        values[s] = np.fromiter(map(float, columns[c]), dtype=float, count=n)
-    return seconds.view("datetime64[s]"), values
-
-
-def _walk_block(path, first, rows, cols, prev) -> tuple[np.ndarray, np.ndarray]:
-    """`_parse_block` one row at a time through the per-cell parsers,
-    raising at the first faulty row: a bad timestamp, a stamp not after
-    the one before (`prev` ends the previous block), then each series
-    cell in column order."""
+def _walk_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The stamps and (4, rows) values of an hourly CSV, one row at a time
+    through the per-cell parsers, raising at the first faulty row: a bad
+    timestamp, a stamp not after the one before, then each series cell in
+    column order."""
     stamps, values = [], []
-    for row_no, cells in enumerate(rows, first):
-        text = cells[cols[0]]
+    for row_no, row in csv_rows(path, HOURLY_COLUMNS):
+        text = row["timestamp"]
         try:
             ts = _parse_timestamp(text)
         except ValueError:
             raise InputError(f"{path}: bad timestamp {text!r} (row {row_no})")
-        if prev is not None and ts <= prev:
+        if stamps and ts <= stamps[-1]:
             raise InputError(f"{path}: timestamps not strictly increasing (row {row_no})")
-        prev = ts
         stamps.append(ts)
-        values.append([_parse_float(cells[c], path, row_no, name)
-                       for c, name in zip(cols[1:], SERIES_COLUMNS)])
-    return np.array(stamps, dtype="datetime64[s]"), np.array(values, dtype=float).T
+        values.extend([_parse_float(row[c], path, row_no, c) for c in SERIES_COLUMNS])
+    return (np.array(stamps, dtype="datetime64[s]"),
+            np.array(values, dtype=float).reshape(-1, len(SERIES_COLUMNS)).T)
 
 
 def _complete_day_mask(timestamps: np.ndarray) -> np.ndarray:
@@ -939,14 +852,25 @@ _SCENARIO_KEYS = {
 }
 
 
+# libyaml's safe loader where PyYAML was built with it, else the pure-Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Load a scenario configuration (YAML key/value + per-year tables).
 
-    Unknown keys are errors so typos fail loudly.
+    Unknown keys are errors so typos fail loudly, and so is text that is
+    not YAML or that asks for a Python object.
     """
     path = Path(path)
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "rb") as fh:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1})" if mark is not None else ""
+        problem = getattr(exc, "problem", None) or getattr(exc, "reason", exc)
+        raise InputError(f"{path}: invalid scenario YAML: {problem}{where}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{path}: scenario must be a mapping")
     unknown = set(raw) - _SCENARIO_KEYS

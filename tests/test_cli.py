@@ -341,6 +341,45 @@ def test_simulate_non_numeric_input_exits_one(tmp_path, capsys, name, old, new, 
     assert str(paths[name]) in err and message in err
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("end_year: [2023", id="open list"),
+    pytest.param("end_year: !!python/object:collections.OrderedDict {}", id="python object"),
+])
+def test_simulate_scenario_that_is_not_safe_yaml_exits_one(tmp_path, capsys, text):
+    paths = _write_sim_inputs(tmp_path)
+    body = paths["scenario"].read_text()
+    assert "end_year: 2023" in body
+    paths["scenario"].write_text(body.replace("end_year: 2023", text))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{paths['scenario']}: invalid scenario YAML" in err and "(line " in err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "input_error"
+
+
+def test_repdays_input_that_is_not_text_exits_one(tmp_path, capsys):
+    data = tmp_path / "hourly.csv"
+    write_hourly_csv(data, synthetic_ts(3, seed=1))
+    data.write_bytes(data.read_bytes().replace(b"T12:00:00", b"T12:00:00\xe9", 1))
+    out = tmp_path / "out"
+    assert main(["repdays", "--input", str(data), "--k", "1", "--out", str(out)]) == 1
+    assert f"{data}: not " in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "input_error"
+
+
+def test_calibrate_target_cell_past_the_field_limit_exits_one(tmp_path, capsys):
+    rc, out = _calibrate(tmp_path, 'year,type,share\n2023,"' + "x" * 200_000 + '",0.5\n',
+                         "validation")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'target.csv'}: unreadable CSV: field larger than field limit" in err
+    assert "(row 2)" in err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "input_error"
+
+
 @pytest.mark.parametrize("name, old, new, message", [
     ("registry", ",15000.0,", ",inf,", "non-finite value 'inf' in column 'capacity_mw' (row 2)"),
     ("scenario", "discount_rate: 0.06", "discount_rate: .nan",

@@ -11,10 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from emsim import ingest
 from emsim.agents import InvestmentCandidate, candidate_menu
+from emsim.cli import _load_target
 from emsim.ingest import (
+    COST_COLUMNS,
+    HOURLY_COLUMNS,
     SERIES_COLUMNS,
     InputError,
     PlantCosts,
@@ -32,7 +36,8 @@ from emsim.ingest import (
     load_scenario,
     save_cost_table,
 )
-from toys import synthetic_ts, write_hourly_csv
+from emsim.repdays import REPDAYS_COLUMNS, load_representative_days
+from toys import invest_scenario, synthetic_ts, write_hourly_csv, write_scenario_yaml
 
 COST_FIELDS = [f.name for f in fields(PlantCosts)]
 
@@ -309,7 +314,7 @@ def test_non_increasing_timestamps(tmp_path):
 
 
 def _reference_load_hourly_series(path):
-    """The per-row loop the block loader replaces: a dict per row, the
+    """A plain per-row loop the loader must match: a dict per row, the
     per-cell parsers for every cell and one datetime64 per stamp."""
     path = Path(path)
     stamps, values = [], []
@@ -435,7 +440,7 @@ def test_block_loader_equals_the_per_row_loop(tmp_path, monkeypatch):
     taken = _steps_taken(monkeypatch)
     loaded = failed = 0
     for case in range(400):
-        monkeypatch.setattr(ingest, "BLOCK_ROWS", int(rng.choice([1, 2, 5, 24, 37, 100])))
+        rng.choice([1, 2, 5, 24, 37, 100])  # a spare draw: it fixes the files this seed writes
         # one file in four has naive stamps only, one in four 'Z' stamps only
         bulk = _random_hourly_file(rng, path, int(rng.integers(1, 6 * 24 + 1)),
                                    faults=int(rng.integers(3)) if case % 3 == 0 else 0,
@@ -452,7 +457,7 @@ def test_block_loader_equals_the_per_row_loop(tmp_path, monkeypatch):
 def test_block_loader_equals_the_per_row_loop_past_one_block(tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "hourly.csv"
-    _random_hourly_file(rng, path, 2 * ingest.BLOCK_ROWS + 500)
+    _random_hourly_file(rng, path, 2548)
     want = _outcome(_reference_load_hourly_series, path)
     assert isinstance(want, tuple) and want[4] > 0 and want[5] > 0  # hours dropped, rows rejected
     assert _outcome(load_hourly_series, path) == want
@@ -469,25 +474,58 @@ def _hours_with(edits):
 
 
 @pytest.mark.parametrize("rows, message", [
-    # a non-increasing stamp in block 1 before a non-numeric cell in block 2
+    # a non-increasing stamp before a non-numeric cell 20 rows on
     (_hours_with([(10, 0, 9), (30, 1, "oops")]), "timestamps not strictly increasing (row 12)"),
     # a bad timestamp and a bad value in one row: the stamp is checked first
     (_hours_with([(40, 0, "soon"), (40, 2, "x")]), "bad timestamp 'soon' (row 42)"),
-    # the first row of block 2 repeats the last stamp of block 1
+    # row 26 repeats the stamp of row 25
     (_hours_with([(24, 0, 23)]), "timestamps not strictly increasing (row 26)"),
-    # a nan in the last, partial block
+    # a nan in the last, partial day
     (_hours_with([(80, 3, "nan")]), "non-finite value 'nan' in column 'onshore_cf' (row 82)"),
-    # a bad cell before a short row of the same block
+    # a bad cell before a short row
     (_hours_with([(30, 1, "oops")])[:35] + [["2013-01-02T11:00:00", "1"]],
      "non-numeric value 'oops' in column 'demand_mw' (row 32)"),
 ])
-def test_the_first_fault_wins_across_blocks(tmp_path, monkeypatch, rows, message):
-    monkeypatch.setattr(ingest, "BLOCK_ROWS", 24)  # blocks of rows 2-25, 26-49, 50-73, 74-85
+def test_the_first_fault_wins_across_blocks(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
     _write_rows(path, rows)
     want = _outcome(_reference_load_hourly_series, path)
     assert want == f"{path}: {message}"
     assert _outcome(load_hourly_series, path) == want
+
+
+# every CSV loader, by the columns its header must name
+CSV_LOADERS = {
+    "hourly": (HOURLY_COLUMNS, load_hourly_series),
+    "costs": (("type", "capacity_mw", "year") + COST_COLUMNS, load_cost_table),
+    "registry": (("plant_id", "owner_id", "type", "capacity_mw", "construction_year"),
+                 lambda path: load_plant_registry(path, bundled_cost_table())),
+    "repdays": (REPDAYS_COLUMNS, load_representative_days),
+    "target": (("year", "type", "share"), _load_target),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(CSV_LOADERS))
+def test_a_byte_that_is_not_text_names_the_file(tmp_path, loader):
+    columns, load = CSV_LOADERS[loader]
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(",".join(columns).encode() + b"\n" + b",".join([b"caf\xe9"] * len(columns)))
+    with pytest.raises(InputError) as raised:
+        load(path)
+    message = str(raised.value)
+    # decoded in chunks, so the reader cannot tell the row
+    assert message.startswith(f"{path}: not ") and " text (" in message and "row" not in message
+
+
+@pytest.mark.parametrize("loader", sorted(CSV_LOADERS))
+def test_a_cell_past_the_field_limit_names_the_file_and_row(tmp_path, loader):
+    columns, load = CSV_LOADERS[loader]
+    path = tmp_path / "long.csv"
+    cells = ['"' + "1" * 200_000 + '"'] + ["1"] * (len(columns) - 1)
+    path.write_text(",".join(columns) + "\n\n" + ",".join(cells) + "\n")
+    with pytest.raises(InputError, match=r"long\.csv: unreadable CSV: field larger than "
+                                         r"field limit .* \(row 2\)$"):
+        load(path)
 
 
 def _edge_case_text(case: str) -> str:
@@ -995,6 +1033,53 @@ def test_scenario_load(tmp_path):
     assert scenario.price_curve == (0.002, 20.0)
     # 2015 from the table, 2030 holds the last value beyond the horizon
     assert scenario.held("fuel_price.gas", [2015, 2030]).tolist() == [21.0, 22.5]
+
+
+# PyYAML's safe loaders: the pure-Python one, and libyaml's where it is built
+YAML_LOADERS = [
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                          reason="PyYAML built without libyaml")),
+]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_scenarios_load_alike_under_both_yaml_loaders(tmp_path, monkeypatch):
+    assert ingest._YAML_LOADER is yaml.CSafeLoader
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import fixtures
+    paths = [tmp_path / "toy.yaml", tmp_path / "scen.yaml"]
+    write_scenario_yaml(paths[0], invest_scenario()[0])
+    paths[1].write_text(SCENARIO_YAML)
+    paths += [fixtures.generate(workload, 101, tmp_path / workload)["scenario"]
+              for workload in ("calibrate_small", "simulate_paper")]
+    for path in paths:
+        loaded = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(ingest, "_YAML_LOADER", loader)
+            loaded.append(load_scenario(path))
+        assert loaded[0] == loaded[1], path
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+@pytest.mark.parametrize("text, line", [
+    # the list is still open at the end of the file
+    pytest.param(b"start_year: 2020\nend_year: [2021\n", 3, id="open list"),
+    pytest.param(b"start_year: 2020\nend_year: !!python/object:collections.OrderedDict {}\n", 2,
+                 id="python object"),
+    # decoded before it is parsed, so no line is known
+    pytest.param(b"start_year: 2020\nend_year: 2021  # caf\xe9\n", None, id="not UTF-8"),
+])
+def test_scenario_that_is_not_safe_yaml_names_the_file_and_line(tmp_path, monkeypatch, loader,
+                                                                text, line):
+    monkeypatch.setattr(ingest, "_YAML_LOADER", loader)
+    path = tmp_path / "scen.yaml"
+    path.write_bytes(text)
+    with pytest.raises(InputError, match=r"scen\.yaml: invalid scenario YAML: ") as raised:
+        load_scenario(path)
+    message = str(raised.value)
+    assert message.endswith(f" (line {line})") if line else "line" not in message
 
 
 def test_scenario_unknown_key(tmp_path):
