@@ -177,40 +177,6 @@ class ScenarioBundle:
     include_first_year: bool = True
 
 
-def _mix_errors(bundle: ScenarioBundle, layout: GenomeLayout, histories: HistoryStore,
-                genomes, seeds) -> np.ndarray:
-    """Each genome's summed mix error over the scored years of its
-    simulated trajectory under its evaluation seed, from one walk of
-    `histories`; `inf` for a genome whose walk failed (the failure is
-    logged). An InputError propagates, also one of `check_target`, which
-    comes before any simulation."""
-    scenario = bundle.scenario
-    check_target(bundle, layout, "target")
-    beliefs, subsidies = layout.overrides(genomes, scenario, seeds)
-    paths = histories.walk(scenario, bundle.registry, bundle.rep_year, bundle.cost_table,
-                           beliefs, subsidies)
-    scored = [(year - scenario.start_year, bundle.target[year])
-              for year in layout.scored_years(scenario, bundle.include_first_year)]
-    errors: dict[int, float] = {}  # by id of a node's mix, which genomes through it share
-
-    def error(mix, target) -> float:
-        if id(mix) not in errors:
-            errors[id(mix)] = mix_error_validation(mix, target)
-        return errors[id(mix)]
-
-    fitness = np.empty(len(paths))
-    logged = set()
-    for g, path in enumerate(paths):
-        if isinstance(path, Exception):
-            fitness[g] = math.inf
-            if id(path) not in logged:  # once per failed node
-                logged.add(id(path))
-                log.warning("objective failed; assigning worst fitness", exc_info=path)
-        else:  # summed in year order, as mix_error_longterm does
-            fitness[g] = sum(error(path[i], target) for i, target in scored)
-    return fitness
-
-
 def objective_validation(genome, bundle: ScenarioBundle, eval_seed: int = 0,
                          layout: GenomeLayout | None = None) -> float:
     """Mix error of the final simulated year against the target."""
@@ -241,22 +207,53 @@ class Objective:
     """Picklable objective for `ga_run` and its worker pool, driven by
     its layout: `scores` a batch of genomes, or one through the call.
 
-    Its evaluations share one history store, so a batch simulates only
-    the years of its genomes' investment histories that no earlier
-    evaluation simulated, and every evaluation reuses the store's
-    appraisal plans and bids. A pool worker's unpickled copy starts with
-    its own, empty store."""
+    It checks its target with `check_target` when it is built. Its
+    evaluations share one history store, built on its bundle's inputs,
+    so a batch simulates only the years of its genomes' investment
+    histories that no earlier evaluation simulated, and every evaluation
+    reuses the store's appraisal plans and bids. A pool worker's
+    unpickled copy starts with its own, empty store."""
 
     bundle: ScenarioBundle
     layout: GenomeLayout
-    histories: HistoryStore = field(default_factory=HistoryStore, init=False,
-                                    compare=False, repr=False)
+    histories: HistoryStore = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        bundle = self.bundle
+        check_target(bundle, self.layout, "target")
+        object.__setattr__(self, "histories", HistoryStore(
+            bundle.scenario, bundle.registry, bundle.rep_year, bundle.cost_table))
 
     def scores(self, genomes, seeds) -> np.ndarray:
         """The fitness of each genome under its evaluation seed, from one
-        walk of the history store: `inf` for a genome whose simulation
-        failed. A genome's fitness does not depend on its batch."""
-        return _mix_errors(self.bundle, self.layout, self.histories, genomes, seeds)
+        walk of the history store: the summed mix error over the scored
+        years of its simulated trajectory, or `inf` for a genome whose
+        simulation failed (the failure is logged). A genome's fitness does
+        not depend on its batch. An InputError propagates."""
+        bundle, layout = self.bundle, self.layout
+        scenario = bundle.scenario
+        beliefs, subsidies = layout.overrides(genomes, scenario, seeds)
+        paths = self.histories.walk(beliefs, subsidies)
+        scored = [(year - scenario.start_year, bundle.target[year])
+                  for year in layout.scored_years(scenario, bundle.include_first_year)]
+        errors: dict[int, float] = {}  # by id of a node's mix, which genomes through it share
+
+        def error(mix, target) -> float:
+            if id(mix) not in errors:
+                errors[id(mix)] = mix_error_validation(mix, target)
+            return errors[id(mix)]
+
+        fitness = np.empty(len(paths))
+        logged = set()
+        for g, path in enumerate(paths):
+            if isinstance(path, Exception):
+                fitness[g] = math.inf
+                if id(path) not in logged:  # once per failed node
+                    logged.add(id(path))
+                    log.warning("objective failed; assigning worst fitness", exc_info=path)
+            else:  # summed in year order, as mix_error_longterm does
+                fitness[g] = sum(error(path[i], target) for i, target in scored)
+        return fitness
 
     def __call__(self, genome, eval_seed: int) -> float:
         return float(self.scores([genome], [eval_seed])[0])

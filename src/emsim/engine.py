@@ -93,46 +93,32 @@ class YearResult:
 
 class PlanStore:
     """Each commit year's appraisal plan and each distinct cost row's
-    bids, kept for as long as the scenario's `cost_inputs` stay equal.
+    bids under one scenario and representative year.
 
     Neither takes anything from the belief curves or the nuclear subsidy,
-    so worlds that differ only there share them. Asked with a scenario
-    whose cost inputs differ from the last one's, the store empties
-    first; a plan is also rebuilt when its year's menu or representative
-    year is another object. A bid row holds `marginal_cost` of one
-    (type, efficiency, variable O&M) for every scenario year, so a bid
-    read from it has the bits of `srmc`.
+    so worlds that differ only there share them; the worlds that share a
+    store also share its scenario's cost inputs, its representative year
+    and their cost table. A bid row holds `marginal_cost` of one (type,
+    efficiency, variable O&M) for every scenario year, so a bid read from
+    it has the bits of `srmc`.
     """
 
-    def __init__(self):
-        self._scenario = None
-        self._inputs = None
-        self._plans: dict[int, tuple] = {}
+    def __init__(self, scenario: ScenarioConfig, rep_year: RepresentativeYear):
+        self.scenario = scenario
+        self.rep_year = rep_year
+        self._plans: dict[int, AppraisalPlan] = {}
         self._bids: dict[tuple, list[float]] = {}
 
-    def _use(self, scenario: ScenarioConfig) -> None:
-        if scenario is self._scenario:
-            return
-        inputs = scenario.cost_inputs()
-        if inputs != self._inputs:
-            self._plans.clear()
-            self._bids.clear()
-            self._inputs = inputs
-        self._scenario = scenario
-
-    def plan(self, menu, rep_year: RepresentativeYear, scenario: ScenarioConfig,
-             year: int) -> AppraisalPlan:
+    def plan(self, menu, year: int) -> AppraisalPlan:
         """`appraisal_plan(menu, rep_year, scenario, year)`."""
-        self._use(scenario)
-        entry = self._plans.get(year)
-        if entry is None or entry[0] is not menu or entry[1] is not rep_year:
-            entry = self._plans[year] = (menu, rep_year,
-                                         appraisal_plan(menu, rep_year, scenario, year))
-        return entry[2]
+        plan = self._plans.get(year)
+        if plan is None:
+            plan = self._plans[year] = appraisal_plan(menu, self.rep_year, self.scenario, year)
+        return plan
 
-    def bids(self, plants: list[PowerPlant], scenario: ScenarioConfig, year: int) -> list[float]:
+    def bids(self, plants: list[PowerPlant], year: int) -> list[float]:
         """Each plant's short-run marginal cost in `year`, in plant order."""
-        self._use(scenario)
+        scenario = self.scenario
         column = year - scenario.start_year
         bids = []
         for plant in plants:
@@ -172,8 +158,10 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     already past their operating period, which retire immediately; so the
     registry's row order changes nothing. The registry itself is never
     mutated: the world works on copies. The world pays and believes the
-    scenario's nuclear subsidy. Worlds handed the same `plans` share
+    scenario's nuclear subsidy. Worlds handed the same `plans` (built on
+    a scenario that differs only in beliefs and nuclear subsidy) share
     their appraisal plans and bids; by default a world builds its own.
+    A registry plant built after the start year is an InputError.
     """
     plants = [copy.copy(p) for p in sorted(registry.plants, key=lambda p: p.plant_id)]
     year = scenario.start_year
@@ -181,6 +169,9 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         if plant.owner_id not in registry.funds:
             raise InputError(f"plant '{plant.plant_id}' has owner '{plant.owner_id}', "
                              "which has no funds entry")
+        if plant.construction_year > year:
+            raise InputError(f"plant '{plant.plant_id}' is built in {plant.construction_year}, "
+                             f"after the start year {year}")
         plant.status = "operating"
         if year - plant.construction_year >= plant.costs.operating_period:
             plant.status = "retired"
@@ -196,7 +187,7 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         plants=plants,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
-        plans=PlanStore() if plans is None else plans,
+        plans=PlanStore(scenario, rep_year) if plans is None else plans,
         nuclear_subsidy=scenario.nuclear_subsidy,
     )
 
@@ -233,7 +224,7 @@ def open_year(world: World) -> YearResult:
             retired.append(plant.plant_id)
 
     operating = world.operating_plants()
-    costs = world.plans.bids(operating, scenario, year)
+    costs = world.plans.bids(operating, year)
     days = tuple(dispatch_year(operating, costs, world.rep_year, scenario.price_cap,
                                scenario.demand_scale_at(year)))
     energy, revenue, subsidy, unserved = annual_totals(operating, days, world.nuclear_subsidy)
@@ -269,7 +260,7 @@ def decide(world: World, settlements: dict[str, Settlement],
     never decided."""
     year = world.year
     menu = candidate_menu(world.cost_table, year)
-    plan = world.plans.plan(menu, world.rep_year, world.scenario, year)
+    plan = world.plans.plan(menu, year)
     stack = beliefs.stack(year, plan.horizon, len(settlements))
     sets = stack.reshape(-1, *stack.shape[2:])
     index: dict[bytes, int] = {}
@@ -358,8 +349,8 @@ class _Node:
 
 class HistoryStore:
     """Every investment history simulated from one set of gene-free
-    inputs, as a tree of years, so that each history is simulated once
-    however many genomes follow it.
+    inputs, fixed when the store is built, as a tree of years, so that
+    each history is simulated once however many genomes follow it.
 
     The root is the start year after its open phase. Each company's
     committed candidate in a year (its menu index, or -1 for none) forms
@@ -370,21 +361,21 @@ class HistoryStore:
     each on along its edge, and only the years that no earlier walk
     reached are simulated. A node holds no dispatch arrays.
 
-    The store holds one root at a time, keyed by every input that is not
-    a belief: the scenario's `cost_inputs()`, price cap, nuclear subsidy
-    and scheduled retirements, and the registry, representative year and
-    cost table objects. A walk under any other key replaces the root.
+    The store holds one root at a time, keyed by the bits of the nuclear
+    subsidy its world pays; a walk under another subsidy replaces it.
     Once its nodes take more than MAX_HELD_SLOTS slots the store
-    empties. Its `plans` are kept across roots and empty by themselves
-    when the cost inputs change. A pickled copy starts empty.
+    empties. Its `plans` are kept across roots. A pickled copy starts
+    empty.
     """
 
-    def __init__(self):
-        self.plans = PlanStore()
+    def __init__(self, scenario: ScenarioConfig, registry: PlantRegistry,
+                 rep_year: RepresentativeYear, cost_table: CostTable):
+        self.inputs = (scenario, registry, rep_year, cost_table)
+        self.plans = PlanStore(scenario, rep_year)
         self._clear()
 
     def __reduce__(self):
-        return HistoryStore, ()
+        return HistoryStore, self.inputs
 
     def __len__(self) -> int:
         """The number of nodes held."""
@@ -400,27 +391,23 @@ class HistoryStore:
         if self.slots_held > MAX_HELD_SLOTS:
             self._clear()
 
-    def mixes(self, scenario: ScenarioConfig, registry: PlantRegistry,
-              rep_year: RepresentativeYear, cost_table: CostTable,
-              seed: int) -> dict[int, dict[str, float]]:
-        """Each simulated year's `objective_mix()`, equal to what `run`
-        gives from `init_world(scenario, registry, rep_year, cost_table,
-        seed)`: the one-genome case of `walk`, which raises what the
-        walk raised."""
-        [path] = self.walk(scenario, registry, rep_year, cost_table, Beliefs.of(scenario, seed),
-                           np.array([scenario.nuclear_subsidy]))
+    def mixes(self, beliefs_from: ScenarioConfig, seed: int) -> dict[int, dict[str, float]]:
+        """Each simulated year's `objective_mix()`, as `run` gives them from
+        `init_world(beliefs_from, registry, rep_year, cost_table, seed)`,
+        where `beliefs_from` differs from the store's scenario only in
+        beliefs and nuclear subsidy: `walk`'s one-genome case, raising its error."""
+        [path] = self.walk(Beliefs.of(beliefs_from, seed),
+                           np.array([beliefs_from.nuclear_subsidy]))
         if isinstance(path, Exception):
             raise path
-        return dict(zip(scenario.years(), path))
+        return dict(zip(beliefs_from.years(), path))
 
-    def walk(self, scenario: ScenarioConfig, registry: PlantRegistry,
-             rep_year: RepresentativeYear, cost_table: CostTable, beliefs: Beliefs,
-             subsidies: np.ndarray) -> list:
+    def walk(self, beliefs: Beliefs, subsidies: np.ndarray) -> list:
         """Each genome's `objective_mix()` of every simulated year, in year
-        order, as `run` gives them under `scenario` with the genome's
-        beliefs and nuclear subsidy (`subsidies[g]`, which must be finite).
-        The genomes of one subsidy share a root; groups walk one after
-        another, in the order of their first genome.
+        order, as `run` gives them under the store's inputs with the
+        genome's beliefs and nuclear subsidy (`subsidies[g]`, which must
+        be finite). The genomes of one subsidy share a root; groups walk
+        one after another, in the order of their first genome.
 
         Each step takes the genomes at one node: it builds the node (a
         group's root, or a node's child under an edge; either is the held
@@ -431,21 +418,19 @@ class HistoryStore:
         bad = subsidies[~np.isfinite(subsidies)]
         if len(bad):
             raise InputError(f"nuclear_subsidy must be finite (got {float(bad[0])!r})")
+        scenario, _, _, cost_table = self.inputs
         paths: list = [[] for _ in range(len(subsidies))]
         groups: dict[bytes, list[int]] = {}
         for g, subsidy in enumerate(subsidies):
             groups.setdefault(subsidy.tobytes(), []).append(g)
-        inputs = (scenario.cost_inputs(), scenario.scheduled_retirements)
         # (parent node, or None for a root; edge, or the root's subsidy; genomes)
-        todo = [(None, float(subsidies[g[0]]), np.array(g)) for g in reversed(groups.values())]
+        todo = [(None, subsidies[g[0]], np.array(g)) for g in reversed(groups.values())]
         root = None
         while todo:
             parent, edge, members = todo.pop()
             try:
                 if parent is None:
-                    key = (*inputs, np.array([scenario.price_cap, edge]).tobytes(),
-                           registry, rep_year, cost_table)
-                    node = root = self._root_for(key, scenario, edge)
+                    node = root = self._root_for(edge)
                 elif edge in parent.children:
                     node = parent.children[edge]
                 else:
@@ -472,14 +457,15 @@ class HistoryStore:
             todo.extend((node, edge, members[on]) for edge, on in edges.items())
         return paths
 
-    def _root_for(self, key: tuple, scenario: ScenarioConfig, subsidy: float) -> _Node:
-        """The root under `key`, whose world pays `subsidy`, built afresh
-        unless it is the root held."""
-        if self._root is not None and _same_key(key, self._key):
+    def _root_for(self, subsidy: np.float64) -> _Node:
+        """The root whose world pays `subsidy`, built afresh unless it is
+        the root held."""
+        key = subsidy.tobytes()
+        if self._root is not None and key == self._key:
             return self._root
         self._clear()
-        world = init_world(scenario, *key[3:], plans=self.plans)
-        world.nuclear_subsidy = subsidy
+        world = init_world(*self.inputs, plans=self.plans)
+        world.nuclear_subsidy = float(subsidy)
         root = self._root = _Node(world)
         self._key = key
         self._hold(root)
@@ -503,7 +489,3 @@ class HistoryStore:
                                         for gid, index in zip(settlements, edge) if index >= 0])
         return _Node(world)
 
-
-def _same_key(a: tuple, b: tuple) -> bool:
-    """Root keys match: the values bit for bit, the input objects by identity."""
-    return a[:3] == b[:3] and all(x is y for x, y in zip(a[3:], b[3:]))

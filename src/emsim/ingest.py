@@ -770,6 +770,8 @@ class ScenarioConfig:
             raise InputError(f"rng_seed must be >= 0 (got {self.rng_seed})")
         if self.discount_rate <= -1:
             raise InputError("discount_rate must be > -1")
+        if self.price_cap <= 0:
+            raise InputError(f"price_cap must be > 0 (got {self.price_cap!r})")
         for year in self.years():
             if year not in self.carbon_price:
                 raise InputError(f"carbon price missing for simulated year {year}")
@@ -808,18 +810,6 @@ class ScenarioConfig:
 
     def years(self) -> range:
         return range(self.start_year, self.end_year + 1)
-
-    def cost_inputs(self) -> tuple:
-        """Everything bids, demand scales and discounting read from the
-        scenario, bit for bit: scenarios that give equal values bid,
-        scale and discount alike, whatever their price curves, sigmas and
-        nuclear subsidy."""
-        tables = tuple((what, first, values.tobytes())
-                       for what, (first, values) in self._tables.items()
-                       if what != "price_curve_by_year")
-        return (self.start_year, self.end_year, tuple(self.fuel_map.items()),
-                tuple(self.emission_factor), tables,
-                np.array([self.discount_rate, *self.emission_factor.values()]).tobytes())
 
     def held(self, what: str, years):
         """Values of the named year table for an int or an array of years;

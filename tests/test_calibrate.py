@@ -29,7 +29,7 @@ from emsim.calibrate import (
     objective_validation,
     validation_layout,
 )
-from emsim.engine import init_world, run
+from emsim.engine import HistoryStore, init_world, run
 from emsim.ingest import InputError
 from emsim.market import dispatch_year
 from toys import invest_scenario
@@ -476,6 +476,23 @@ def test_objective_calls_the_entry_point_of_its_layout(toy_bundle):
     assert Objective(toy_bundle, layout)(genome, 1) \
         == objective_longterm(genome, toy_bundle, 1, layout)
 
+
+
+def test_a_pickled_objective_has_an_empty_store_on_its_own_bundle(toy_bundle, monkeypatch):
+    """The spawn and forkserver path: a worker's copy starts empty, and its
+    store's inputs are pickled once, as references into its bundle."""
+    objective = Objective(toy_bundle, validation_layout())
+    objective.scores(np.array([[0.002, 40.0]]), [9])
+    assert len(objective.histories) > 0
+    data = pickle.dumps(objective)
+    copied = pickle.loads(data)
+    assert len(copied.histories) == 0
+    bundle = copied.bundle
+    assert all(a is b for a, b in zip(copied.histories.inputs, (
+        bundle.scenario, bundle.registry, bundle.rep_year, bundle.cost_table)))
+    # a store that pickles with no inputs at all, as one built on none would
+    monkeypatch.setattr(HistoryStore, "__reduce__", lambda self: (HistoryStore, ()))
+    assert len(data) <= len(pickle.dumps(objective)) + 64
 
 def test_objective_longterm_runs(toy_bundle):
     layout = longterm_layout(2020, 2023)

@@ -400,6 +400,21 @@ def test_simulate_non_finite_input_exits_one(tmp_path, capsys, name, old, new, m
     assert not (out / "investments.csv").exists()
 
 
+
+def test_simulate_plant_built_after_the_start_year_exits_one(tmp_path, capsys):
+    paths = _write_sim_inputs(tmp_path)
+    text = paths["registry"].read_text()
+    assert "ccgt0,g1,CCGT,15000.0,2018," in text
+    paths["registry"].write_text(text.replace(",2018,", ",2030,", 1))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--out", str(out)])
+    assert rc == 1
+    assert "plant 'ccgt0' is built in 2030, after the start year 2020" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "input_error"
+    assert not (out / "mix_by_year.csv").exists()
+
 def test_simulate_out_of_range_repdays_row_exits_one(tmp_path, capsys):
     paths = _write_sim_inputs(tmp_path)
     lines = paths["repdays"].read_text().splitlines()

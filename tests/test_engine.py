@@ -91,6 +91,16 @@ def test_init_world_owner_without_funds_entry():
         init_world(scenario, registry, flat_rep_year(150.0), _empty_cost_table())
 
 
+def test_init_world_plant_built_after_the_start_year():
+    scenario = ScenarioConfig(start_year=2020, end_year=2021,
+                              carbon_price={2020: 0.0, 2021: 0.0})
+    plants = (make_plant("a", "g1", "CCGT", 100.0, 2020),
+              make_plant("b", "g1", "CCGT", 100.0, 2021))
+    registry = PlantRegistry(plants=plants, funds={"g1": 0.0})
+    with pytest.raises(InputError, match="plant 'b' is built in 2021, after the start year 2020"):
+        init_world(scenario, registry, flat_rep_year(150.0), _empty_cost_table())
+
+
 # ---------------------------------------------------------------------------
 # step_year
 
@@ -529,22 +539,35 @@ STORE_KEY_CHANGES = {
 
 @pytest.mark.parametrize("change", sorted(STORE_KEY_CHANGES))
 def test_dispatch_store_clears_again_when_one_input_differs(monkeypatch, change):
-    """A history store walked under one changed gene-free input starts a
-    new root, dispatched afresh, whose mixes equal a plain run's."""
+    """A history store built on one changed gene-free input dispatches
+    its own root, whose mixes equal a plain run's, and leaves a store of
+    the base inputs as it was. The nuclear subsidy is a gene: a store
+    walked under another one replaces its root."""
     base = store_inputs()
     changed = STORE_KEY_CHANGES[change](*base)
     table = _empty_cost_table()
     expected = plain_mixes(*changed, table, 3)
     calls = count_dispatches(monkeypatch)
-    store = HistoryStore()
-    first = store.mixes(*base, table, 3)
-    assert store.mixes(*base, table, 3) == first
+    store = HistoryStore(*base, table)
+    first = store.mixes(base[0], 3)
+    assert store.mixes(base[0], 3) == first
     assert len(calls) == len(store) == 1
-    assert store.mixes(*changed, table, 3) == expected
-    assert len(calls) == 2
-    # the changed inputs replaced the root: the base inputs build afresh too
-    assert store.mixes(*base, table, 3) == first
-    assert len(calls) == 3
+    root = store._root
+    if change == "nuclear subsidy":
+        assert store.mixes(changed[0], 3) == expected
+        assert len(calls) == 2
+        # the other subsidy replaced the root: the base subsidy builds afresh too
+        assert store.mixes(base[0], 3) == first
+        assert len(calls) == 3
+        assert store._root is not root
+    else:
+        other = HistoryStore(*changed, table)
+        assert other.mixes(changed[0], 3) == expected
+        assert len(calls) == 2
+        assert len(other) == 1
+        assert store.mixes(base[0], 3) == first
+        assert len(calls) == 2
+        assert store._root is root
     assert len(store) == 1
 
 
@@ -565,13 +588,13 @@ def test_history_store_reuses_nodes_across_beliefs(monkeypatch, change):
     expected = plain_mixes(changed, registry, rep, table, seed)
     base = plain_mixes(scenario, registry, rep, table, 3)
     calls = count_dispatches(monkeypatch)
-    store = HistoryStore()
-    assert store.mixes(scenario, registry, rep, table, 3) == base
+    store = HistoryStore(scenario, registry, rep, table)
+    assert store.mixes(scenario, 3) == base
     assert len(calls) == len(store) == 5
-    assert store.mixes(changed, registry, rep, table, seed) == expected
+    assert store.mixes(changed, seed) == expected
     # the root and every year of the shared history were reused
     assert len(calls) == len(store) < 10
-    assert store.mixes(scenario, registry, rep, table, 3) == base
+    assert store.mixes(scenario, 3) == base
     assert len(calls) == len(store)
 
 
@@ -587,8 +610,8 @@ def test_history_store_simulates_each_history_once(monkeypatch, funds):
     histories = set()
     expected = [plain_mixes(s, registry, rep, table, 3, histories) for s in scenarios]
     calls = count_dispatches(monkeypatch)
-    store = HistoryStore()
-    assert [store.mixes(s, registry, rep, table, 3) for s in scenarios] == expected
+    store = HistoryStore(scenario, registry, rep, table)
+    assert [store.mixes(s, 3) for s in scenarios] == expected
     assert len(calls) == len(store) == len(histories) < 5 * len(CURVES)
 
 
@@ -617,16 +640,15 @@ def test_nodes_never_change_once_built(monkeypatch):
     monkeypatch.setattr(engine, "open_year", recording)
     run(init_world(scenario, registry, rep, table, seed=3), lambda result: None)
     monkeypatch.setattr(engine, "open_year", real)
-    store = HistoryStore()
-    store.mixes(scenario, registry, rep, table, 3)
+    store = HistoryStore(scenario, registry, rep, table)
+    store.mixes(scenario, 3)
     path = [store._root]
     while path[-1].children:
         path.extend(path[-1].children.values())
     # later walks branch off every year of the first one
     for curve in CURVES:
         noisy = replace(scenario, price_curve=curve, sigma_c=20.0)
-        assert store.mixes(noisy, registry, rep, table, 3) \
-            == plain_mixes(noisy, registry, rep, table, 3)
+        assert store.mixes(noisy, 3) == plain_mixes(noisy, registry, rep, table, 3)
     assert len(store) > len(path)
     assert [_snapshot(n.world, n.settlements, n.mix) for n in path] == opened
 
@@ -639,8 +661,8 @@ def test_failed_walk_leaves_no_node(monkeypatch, phase):
     scenario, registry, rep, table = invest_scenario(end_year=2024)
     walked = replace(scenario, price_curve=(0.002, 20.0))
     failing = replace(scenario, price_curve=(0.0, 20.0), sigma_c=20.0)
-    store = HistoryStore()
-    store.mixes(walked, registry, rep, table, 3)
+    store = HistoryStore(scenario, registry, rep, table)
+    store.mixes(walked, 3)
     nodes = len(store)
     real = getattr(engine, phase)
 
@@ -650,21 +672,20 @@ def test_failed_walk_leaves_no_node(monkeypatch, phase):
 
     monkeypatch.setattr(engine, phase, broken)
     with pytest.raises(RuntimeError, match="broke"):
-        store.mixes(failing, registry, rep, table, 3)
+        store.mixes(failing, 3)
     monkeypatch.setattr(engine, phase, real)
     assert len(store) == nodes
     for scenario in (failing, walked):
-        assert store.mixes(scenario, registry, rep, table, 3) \
-            == plain_mixes(scenario, registry, rep, table, 3)
+        assert store.mixes(scenario, 3) == plain_mixes(scenario, registry, rep, table, 3)
 
 
 def test_failed_root_leaves_an_empty_store(monkeypatch):
     scenario, registry, rep, table = invest_scenario(end_year=2024)
-    store = HistoryStore()
-    store.mixes(scenario, registry, rep, table, 3)
+    store = HistoryStore(scenario, registry, rep, table)
+    store.mixes(scenario, 3)
     monkeypatch.setattr(engine, "open_year", lambda world: 1 / 0)
     with pytest.raises(ZeroDivisionError):
-        store.mixes(replace(scenario, price_cap=250.0), registry, rep, table, 3)
+        store.mixes(replace(scenario, nuclear_subsidy=5.0), 3)
     assert len(store) == 0
 
 
@@ -675,15 +696,15 @@ def test_a_non_finite_subsidy_is_an_input_error(monkeypatch, subsidy):
     scenario, registry, rep, table = invest_scenario(end_year=2024)
     with pytest.raises(InputError) as raised:
         replace(scenario, nuclear_subsidy=subsidy)
-    store = HistoryStore()
-    store.mixes(scenario, registry, rep, table, 3)
+    store = HistoryStore(scenario, registry, rep, table)
+    store.mixes(scenario, 3)
     nodes = len(store)
     calls = count_dispatches(monkeypatch)
     beliefs = Beliefs.of(scenario, 3)
     beliefs = replace(beliefs, **{f: np.repeat(getattr(beliefs, f), 2, axis=0)
                                   for f in ("curves", "sigma_m", "sigma_c", "seeds")})
     with pytest.raises(InputError, match=re.escape(str(raised.value))):
-        store.walk(scenario, registry, rep, table, beliefs, np.array([0.0, subsidy]))
+        store.walk(beliefs, np.array([0.0, subsidy]))
     assert calls == []
     assert len(store) == nodes
 
@@ -694,16 +715,16 @@ def test_history_store_empties_at_its_slot_bound(monkeypatch):
                  [(0.0, -30.0), (0.002, 20.0), (0.0, 20.0), (0.002, 20.0), (0.0, -30.0)]]
     expected = [plain_mixes(s, registry, rep, table, 3) for s in scenarios]
     calls = count_dispatches(monkeypatch)
-    unbounded = HistoryStore()
-    assert [unbounded.mixes(s, registry, rep, table, 3) for s in scenarios] == expected
+    unbounded = HistoryStore(scenario, registry, rep, table)
+    assert [unbounded.mixes(s, 3) for s in scenarios] == expected
     unbounded_calls = len(calls)
     assert unbounded.slots_held == sum(len(nodes) for nodes in _plants_per_node(unbounded)) \
         + NODE_SLOTS * len(unbounded)
     # the root lists 3 plants and each later year at least 3
     monkeypatch.setattr(engine, "MAX_HELD_SLOTS", 3 * (NODE_SLOTS + 3))
-    bounded = HistoryStore()
+    bounded = HistoryStore(scenario, registry, rep, table)
     for s, mixes in zip(scenarios, expected):
-        assert bounded.mixes(s, registry, rep, table, 3) == mixes
+        assert bounded.mixes(s, 3) == mixes
         assert bounded.slots_held <= engine.MAX_HELD_SLOTS
         assert len(bounded) < 3
     assert len(calls) - unbounded_calls > unbounded_calls
@@ -742,14 +763,13 @@ def test_shared_store_plans_follow_the_cost_inputs(change):
         return ([r.bid_prices for r in years],
                 [[ev.npv for ev in r.investment_log] for r in years])
 
-    plans = PlanStore()
+    plans = PlanStore(scenario, rep)
     base = trajectory(scenario, plans)
-    # other beliefs alone keep the store's plans and bids, and match a fresh world
+    # other beliefs alone share the store's plans and bids, and match a fresh world
     noisier = replace(scenario, sigma_c=2.0)
     assert trajectory(noisier, plans) == trajectory(noisier, None) != base
-    shared = trajectory(changed, plans)
+    # a store of the changed scenario gives the changed trajectory
     fresh = trajectory(changed, None)
-    assert shared == fresh
+    assert trajectory(changed, PlanStore(changed, rep)) == fresh
     assert fresh[1] != base[1]
-    # the change replaced what the store held: the base inputs build afresh too
     assert trajectory(scenario, plans) == base == trajectory(scenario, None)

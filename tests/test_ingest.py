@@ -1178,6 +1178,21 @@ def test_scenario_in_code_non_finite_value_names_key(overrides, key):
                           **overrides})
 
 
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"discount_rate": -1.0}, "discount_rate must be > -1"),
+    ({"sigma_m": -1e-4}, "sigma_m and sigma_c must be >= 0"),
+    ({"sigma_c": -2.0}, "sigma_m and sigma_c must be >= 0"),
+    ({"demand_scale": {2020: -0.5}}, "demand_scale must be >= 0"),
+    ({"price_cap": 0.0}, r"price_cap must be > 0 \(got 0\.0\)"),
+    ({"price_cap": -5.0}, r"price_cap must be > 0 \(got -5\.0\)"),
+], ids=["discount_rate", "sigma_m", "sigma_c", "demand_scale", "zero price_cap",
+        "negative price_cap"])
+def test_scenario_out_of_range_value_names_key(overrides, message):
+    with pytest.raises(InputError, match=message):
+        ScenarioConfig(**{"start_year": 2020, "end_year": 2020, "carbon_price": {2020: 1.0},
+                          **overrides})
+
 def test_scenario_integral_float_year_loads(tmp_path):
     path = tmp_path / "scen.yaml"
     path.write_text(SCENARIO_YAML.replace("start_year: 2013", "start_year: 2013.0")
