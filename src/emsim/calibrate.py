@@ -20,7 +20,8 @@ import numpy as np
 
 from .agents import Beliefs
 from .engine import OBJECTIVE_TYPES, HistoryStore
-from .ingest import InputError, WorkerPool
+from .ingest import InputError
+from .pool import WorkerPool
 
 log = logging.getLogger(__name__)
 
@@ -348,11 +349,10 @@ class _GenerationLogWriter:
         self._fh.flush()
 
     def write(self, record: GenerationRecord) -> None:
-        for i in range(len(record.fitnesses)):
-            self._writer.writerow(
-                [record.generation, i, repr(float(record.fitnesses[i]))]
-                + [repr(float(g)) for g in record.genomes[i]]
-            )
+        # the csv module writes a float as its repr
+        rows = zip(record.fitnesses.tolist(), record.genomes.tolist())
+        self._writer.writerows([record.generation, i, f, *genome]
+                               for i, (f, genome) in enumerate(rows))
         self._fh.flush()
 
     def close(self) -> None:

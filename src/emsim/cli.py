@@ -26,7 +26,6 @@ from . import calibrate as cal
 from . import engine, repdays
 from .ingest import (
     InputError,
-    available_cpus,
     bundled_cost_table,
     csv_rows,
     load_cost_table,
@@ -34,6 +33,7 @@ from .ingest import (
     load_plant_registry,
     load_scenario,
 )
+from .pool import available_cpus
 
 log = logging.getLogger(__name__)
 
@@ -186,7 +186,8 @@ def _load_bundle_inputs(args):
     scenario = load_scenario(_require_file(args.scenario))
     cost_table = (load_cost_table(_require_file(args.costs))
                   if args.costs else bundled_cost_table())
-    registry = load_plant_registry(_require_file(args.registry), cost_table)
+    registry = load_plant_registry(_require_file(args.registry), cost_table,
+                                   scenario.start_year)
     rep = repdays.load_representative_days(_require_file(args.repdays))
     return scenario, cost_table, registry, rep
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import csv
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, WorkerPool,
-                     _parse_float, _parse_int, available_cpus, csv_rows)
+from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, _parse_float,
+                     _parse_int, csv_rows)
+from .pool import WorkerPool, processes_for
 
 log = logging.getLogger(__name__)
 
@@ -403,7 +403,7 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
     Each row holds k, the method, the three metrics and, under "year", the
     representative year they score. A k is clustered on the RNG stream of
     (seed, k, method), so its days do not depend on the other k listed,
-    and the k values may run on `_sweep_workers` processes without
+    and the k values may run on `processes_for` processes without
     changing a bit. The error raised is that of the smallest failing k.
     """
     if method not in _METHOD_CODES:
@@ -419,7 +419,7 @@ def evaluate_k_range(ts: TimeSeriesSet, k_list, method: str = "medoid", seed=0) 
     rows = []
     # the calling process clusters the smallest k, the workers start from the
     # largest while the calling process summarises the observed series
-    with WorkerPool(_sweep_workers(len(ks)), _score_k, dm, method, _seed_int(seed)) as pool:
+    with WorkerPool(processes_for(len(ks)), _score_k, dm, method, _seed_int(seed)) as pool:
         clustered = pool.in_order(ks)
         observed = summarize(ts.values, np.ones(ts.n_hours))
         for k, (year, approx) in zip(ks, clustered):
@@ -444,24 +444,6 @@ def _score_k(k: int, dm: DayMatrix, method: str,
     year = assemble_year(select_representative(clustering, dm, method), clustering.weights)
     _check_varies(year.values, f"the k={k} representative days")
     return year, summarize(year.values, year.hour_weights)
-
-
-# the variables a BLAS library reads its thread count from
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _sweep_workers(n_k: int) -> int:
-    """Processes for a sweep of `n_k` values, the calling one included:
-    the CPUs BLAS leaves free.
-
-    Each k's matrix products run on the BLAS library's own threads, which
-    take every CPU unless one of `_BLAS_THREAD_VARS` caps them (the largest
-    set value counts), so default BLAS threading gives one sweep process
-    and a one-thread BLAS one sweep process per CPU, at most one per k.
-    """
-    caps = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit() and int(v) > 0]
-    blas = max(caps) if caps else available_cpus()
-    return max(1, min(n_k, available_cpus() // blas))
 
 
 def _check_varies(values: np.ndarray, where: str) -> None:

@@ -73,6 +73,19 @@ def test_sample_mean_converges():
     assert abs(np.mean(c) - 40.0) < 0.05
 
 
+@pytest.mark.parametrize("sigma_m, sigma_c", [(0.0, 1.0), (0.0005, 0.0), (0.0005, 2.0)])
+def test_sample_spread_matches_sigma(sigma_m, sigma_c):
+    scenario = plain_scenario(price_curve=(0.001, 40.0), sigma_m=sigma_m, sigma_c=sigma_c)
+    m, c = belief_curves(scenario, 3, 1, 2020, 10000)
+    # the sample standard deviation of n normal draws has a relative standard
+    # error of 1/sqrt(2(n - 1)) = 0.0071, so 0.04 is a five-sigma band
+    for values, sigma in ((m, sigma_m), (c, sigma_c)):
+        if sigma:
+            assert abs(np.std(values, ddof=1) / sigma - 1.0) < 0.04
+        else:
+            assert np.ptp(values) == 0.0
+
+
 def test_belief_set_deterministic_and_cached():
     scenario = plain_scenario(sigma_m=0.0005, sigma_c=0.5, price_curve=(0.001, 30.0))
     a = belief_curves(scenario, 7, 0, 2020, 12)

@@ -411,9 +411,29 @@ def test_simulate_plant_built_after_the_start_year_exits_one(tmp_path, capsys):
                "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
                "--costs", str(paths["costs"]), "--out", str(out)])
     assert rc == 1
-    assert "plant 'ccgt0' is built in 2030, after the start year 2020" in capsys.readouterr().err
+    assert (f"{paths['registry']}: plant 'ccgt0' is built in 2030, after the start year 2020 "
+            "(row 2)") in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "input_error"
     assert not (out / "mix_by_year.csv").exists()
+
+
+def test_calibrate_plant_built_after_the_start_year_exits_one(tmp_path, capsys):
+    paths = _write_sim_inputs(tmp_path)
+    text = paths["registry"].read_text()
+    assert "pv0,g1,PV,4000.0,2019," in text
+    paths["registry"].write_text(text.replace(",2019,", ",2030,", 1))
+    write_target_csv(tmp_path / "target.csv", {2023: ALL_TYPES})
+    out = tmp_path / "out"
+    rc = main(["calibrate", "validation", "--scenario", str(paths["scenario"]),
+               "--registry", str(paths["registry"]), "--repdays", str(paths["repdays"]),
+               "--costs", str(paths["costs"]), "--target", str(tmp_path / "target.csv"),
+               "--pop", "2", "--gens", "0", "--workers", "2", "--out", str(out)])
+    assert rc == 1
+    assert (f"{paths['registry']}: plant 'pv0' is built in 2030, after the start year 2020 "
+            "(row 4)") in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "input_error"
+    assert not (out / "best.csv").exists()
+
 
 def test_simulate_out_of_range_repdays_row_exits_one(tmp_path, capsys):
     paths = _write_sim_inputs(tmp_path)

@@ -556,7 +556,7 @@ def test_evaluate_k_range_names_a_constant_series():
 
 
 def _sweep(monkeypatch, workers, *args, **kwargs):
-    monkeypatch.setattr(repdays, "_sweep_workers", lambda n_k: min(n_k, workers))
+    monkeypatch.setattr(repdays, "processes_for", lambda n_k: min(n_k, workers))
     return evaluate_k_range(*args, **kwargs)
 
 
@@ -615,7 +615,7 @@ if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     with open(sys.argv[1], "rb") as fh:
         ts, ks, method = pickle.load(fh)
-    repdays._sweep_workers = lambda n_k: 3
+    repdays.processes_for = lambda n_k: 3
     rows = repdays.evaluate_k_range(ts, ks, method=method, seed=4)
     with open(sys.argv[2], "wb") as fh:
         pickle.dump(rows, fh)
@@ -635,25 +635,6 @@ def test_a_spawned_sweep_matches_the_serial_bits(monkeypatch, tmp_path):
                     str(tmp_path / "rows.pkl")], env=env, check=True, timeout=120)
     with open(tmp_path / "rows.pkl", "rb") as fh:
         _assert_same_rows(serial, pickle.load(fh))
-
-
-@pytest.mark.parametrize("cpus, blas, n_k, want", [
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 24, 2),
-    (2, {}, 24, 1),                                            # BLAS takes every CPU
-    (8, {"OPENBLAS_NUM_THREADS": "2"}, 24, 4),
-    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),                  # at most one per k
-    (1, {"OPENBLAS_NUM_THREADS": "1"}, 24, 1),
-    (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 24, 1),  # the largest cap
-    (4, {"MKL_NUM_THREADS": "8"}, 24, 1),
-    (4, {"OMP_NUM_THREADS": "junk"}, 24, 1),
-])
-def test_the_sweep_threads_share_the_cpus_with_blas(monkeypatch, cpus, blas, n_k, want):
-    for name in repdays._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in blas.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(repdays, "available_cpus", lambda: cpus)
-    assert repdays._sweep_workers(n_k) == want
 
 
 def test_a_one_worker_sweep_stops_at_the_first_failing_k(monkeypatch):
