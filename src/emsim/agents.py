@@ -127,14 +127,10 @@ class InvestmentCandidate:
 
 def candidate_menu(cost_table, year: int) -> tuple[InvestmentCandidate, ...]:
     """One candidate per type in the table: the largest capacity it
-    offers, costed by lookup at the given year. Built once per table and
-    year; every later call returns the same tuple."""
-    if year not in cost_table.menus:
-        cost_table.menus[year] = tuple(
-            InvestmentCandidate(ptype, capacity, cost_table.lookup(ptype, capacity, year))
-            for ptype in cost_table.types()
-            for capacity in [cost_table.largest_capacity(ptype)])
-    return cost_table.menus[year]
+    offers, costed by lookup at the given year."""
+    return tuple(InvestmentCandidate(ptype, capacity, cost_table.lookup(ptype, capacity, year))
+                 for ptype in cost_table.types()
+                 for capacity in [cost_table.largest_capacity(ptype)])
 
 
 def expected_cashflow(candidate: InvestmentCandidate, curves: np.ndarray,
@@ -195,6 +191,7 @@ class AppraisalPlan:
     `fixed` holds each candidate's discounted capital and fixed O&M.
     """
 
+    menu: tuple[InvestmentCandidate, ...]  # the candidates appraised, in menu order
     horizon: int               # belief columns the menu needs
     dispatchable: int          # rows before the first intermittent one
     candidate: np.ndarray      # (R,) each row's menu index
@@ -236,7 +233,7 @@ def appraisal_plan(menu: tuple[InvestmentCandidate, ...], rep_year: Representati
             cf @ hour_weights, scale * ((cf * demand) @ hour_weights)))
     table = np.concatenate(rows, axis=1, dtype=float)
     table = table[:, np.argsort(table[0], kind="stable")]  # dispatchable rows first
-    return AppraisalPlan(horizon, int((table[0] == 0).sum()), table[1].astype(np.intp),
+    return AppraisalPlan(menu, horizon, int((table[0] == 0).sum()), table[1].astype(np.intp),
                          table[2].astype(np.intp), *table[3:], np.array(fixed, dtype=float),
                          demand, hour_weights)
 

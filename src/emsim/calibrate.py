@@ -20,7 +20,7 @@ import numpy as np
 
 from .agents import Beliefs
 from .engine import OBJECTIVE_TYPES, HistoryStore
-from .ingest import InputError
+from .ingest import InputError, open_new
 from .pool import WorkerPool
 
 log = logging.getLogger(__name__)
@@ -341,7 +341,7 @@ class _GenerationLogWriter:
     log survives an interrupted run with only complete generations."""
 
     def __init__(self, path, n_genes: int):
-        self._fh = open(path, "w", newline="")
+        self._fh = open_new(path, newline="")
         self._writer = csv.writer(self._fh)
         self._writer.writerow(
             ["generation", "individual", "fitness"] + [f"gene_{i}" for i in range(n_genes)]
@@ -534,7 +534,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
             if writer:
                 writer.close()
             if telemetry_path:
-                with open(telemetry_path, "w") as fh:
+                with open_new(telemetry_path) as fh:
                     json.dump(telemetry, fh, indent=1)
 
     best_idx = int(np.argmin(fitness))

@@ -32,6 +32,7 @@ from .ingest import (
     load_hourly_series,
     load_plant_registry,
     load_scenario,
+    open_new,
 )
 from .pool import available_cpus
 
@@ -83,7 +84,7 @@ class _Manifest:
                          config={k: (str(v) if isinstance(v, Path) else v)
                                  for k, v in sorted(vars(self.args).items())
                                  if k not in ("func",) and v is not None})
-        with open(self.path, "w") as fh:
+        with open_new(self.path) as fh:
             json.dump(self.body, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -114,7 +115,7 @@ def _require_file(path) -> Path:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -196,20 +197,20 @@ class _DispatchLogSink:
     """Streams per-year results into the output CSVs as they complete."""
 
     def __init__(self, out: Path, with_dispatch: bool):
-        self.mix_fh = open(out / "mix_by_year.csv", "w", newline="")
+        self.mix_fh = open_new(out / "mix_by_year.csv", newline="")
         self.mix = csv.writer(self.mix_fh)
         self.mix.writerow(["year", "type", "energy_mwh", "share"])
-        self.funds_fh = open(out / "funds_by_year.csv", "w", newline="")
+        self.funds_fh = open_new(out / "funds_by_year.csv", newline="")
         self.funds = csv.writer(self.funds_fh)
         self.funds.writerow(["year", "genco_id", "funds"])
-        self.invest_fh = open(out / "investments.csv", "w", newline="")
+        self.invest_fh = open_new(out / "investments.csv", newline="")
         self.invest = csv.writer(self.invest_fh)
         self.invest.writerow(["year", "genco_id", "type", "capacity_mw", "npv",
                               "committed", "online_year", "affordable"])
         self.dispatch_fh = None
         self.dispatch = None
         if with_dispatch:
-            self.dispatch_fh = open(out / "dispatch_log.csv", "w", newline="")
+            self.dispatch_fh = open_new(out / "dispatch_log.csv", newline="")
             self.dispatch = csv.writer(self.dispatch_fh)
             self.dispatch.writerow(["year", "cluster", "hour", "weight", "plant_id",
                                     "price", "dispatch_mw", "clearing_price",

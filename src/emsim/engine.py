@@ -93,27 +93,31 @@ class YearResult:
 
 class PlanStore:
     """Each commit year's appraisal plan and each distinct cost row's
-    bids under one scenario and representative year.
+    bids under one scenario, representative year and cost table.
 
     Neither takes anything from the belief curves or the nuclear subsidy,
     so worlds that differ only there share them; the worlds that share a
-    store also share its scenario's cost inputs, its representative year
-    and their cost table. A bid row holds `marginal_cost` of one (type,
-    efficiency, variable O&M) for every scenario year, so a bid read from
-    it has the bits of `srmc`.
+    store also share its scenario's cost inputs. A bid row holds
+    `marginal_cost` of one (type, efficiency, variable O&M) for every
+    scenario year, so a bid read from it has the bits of `srmc`.
     """
 
-    def __init__(self, scenario: ScenarioConfig, rep_year: RepresentativeYear):
+    def __init__(self, scenario: ScenarioConfig, rep_year: RepresentativeYear,
+                 cost_table: CostTable):
         self.scenario = scenario
         self.rep_year = rep_year
+        self.cost_table = cost_table
         self._plans: dict[int, AppraisalPlan] = {}
         self._bids: dict[tuple, list[float]] = {}
 
-    def plan(self, menu, year: int) -> AppraisalPlan:
-        """`appraisal_plan(menu, rep_year, scenario, year)`."""
+    def plan(self, year: int) -> AppraisalPlan:
+        """The plan of the year's candidate menu, built once per year:
+        `appraisal_plan(candidate_menu(cost_table, year), rep_year,
+        scenario, year)`, whose `menu` is that menu."""
         plan = self._plans.get(year)
         if plan is None:
-            plan = self._plans[year] = appraisal_plan(menu, self.rep_year, self.scenario, year)
+            plan = self._plans[year] = appraisal_plan(
+                candidate_menu(self.cost_table, year), self.rep_year, self.scenario, year)
         return plan
 
     def bids(self, plants: list[PowerPlant], year: int) -> list[float]:
@@ -137,7 +141,6 @@ class World:
     year: int
     scenario: ScenarioConfig
     rep_year: RepresentativeYear
-    cost_table: CostTable
     plants: list[PowerPlant]
     funds: dict[str, float]             # genco id -> funds, the one ledger
     plans: PlanStore
@@ -159,8 +162,9 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     registry's row order changes nothing. The registry itself is never
     mutated: the world works on copies. The world pays and believes the
     scenario's nuclear subsidy. Worlds handed the same `plans` (built on
-    a scenario that differs only in beliefs and nuclear subsidy) share
-    their appraisal plans and bids; by default a world builds its own.
+    a scenario that differs only in beliefs and nuclear subsidy, and on
+    the same representative year and cost table) share their appraisal
+    plans and bids; by default a world builds its own.
     A registry plant built after the start year is an InputError.
     """
     plants = [copy.copy(p) for p in sorted(registry.plants, key=lambda p: p.plant_id)]
@@ -183,11 +187,10 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
         year=year,
         scenario=scenario,
         rep_year=rep_year,
-        cost_table=cost_table,
         plants=plants,
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
-        plans=PlanStore(scenario, rep_year) if plans is None else plans,
+        plans=PlanStore(scenario, rep_year, cost_table) if plans is None else plans,
         nuclear_subsidy=scenario.nuclear_subsidy,
     )
 
@@ -252,15 +255,14 @@ def open_year(world: World) -> YearResult:
 def decide(world: World, settlements: dict[str, Settlement],
            beliefs: Beliefs) -> tuple[np.ndarray, np.ndarray]:
     """Each company's funds, in settlement order, and the NPVs of the
-    year's candidate menu (`candidate_menu(world.cost_table, world.year)`)
-    under each genome's beliefs: a (genomes, companies, candidates)
-    array. Every distinct belief set is appraised once, in one stacked
+    year's candidate menu (`world.plans.plan(world.year).menu`) under
+    each genome's beliefs: a (genomes, companies, candidates) array.
+    Every distinct belief set is appraised once, in one stacked
     `appraise` call, with the world's nuclear subsidy. Nothing is
     changed. The scenario's final year makes no commitments, so it is
     never decided."""
     year = world.year
-    menu = candidate_menu(world.cost_table, year)
-    plan = world.plans.plan(menu, year)
+    plan = world.plans.plan(year)
     stack = beliefs.stack(year, plan.horizon, len(settlements))
     sets = stack.reshape(-1, *stack.shape[2:])
     index: dict[bytes, int] = {}
@@ -268,7 +270,7 @@ def decide(world: World, settlements: dict[str, Settlement],
     distinct = sets[np.unique(inverse, return_index=True)[1]]
     npvs = appraise(plan, distinct, world.nuclear_subsidy)[inverse]
     funds = np.array([s.funds_start + s.delta for s in settlements.values()])
-    return funds, npvs.reshape(*stack.shape[:2], len(menu))
+    return funds, npvs.reshape(*stack.shape[:2], len(plan.menu))
 
 
 def close_year(world: World, settlements: dict[str, Settlement],
@@ -305,7 +307,7 @@ def step_year(world: World) -> YearResult:
     result = open_year(world)
     if result.year < world.scenario.end_year:
         funds, npvs = decide(world, result.settlements, Beliefs.of(world.scenario, world.seed))
-        menu = candidate_menu(world.cost_table, result.year)
+        menu = world.plans.plan(result.year).menu
         for gid, money, row in zip(result.settlements, funds.tolist(), npvs[0].tolist()):
             commitment, evaluations = invest_step(gid, money, result.year, menu, row)
             result.investment_log.extend(evaluations)
@@ -361,17 +363,16 @@ class HistoryStore:
     each on along its edge, and only the years that no earlier walk
     reached are simulated. A node holds no dispatch arrays.
 
-    The store holds one root at a time, keyed by the bits of the nuclear
-    subsidy its world pays; a walk under another subsidy replaces it.
-    Once its nodes take more than MAX_HELD_SLOTS slots the store
-    empties. Its `plans` are kept across roots. A pickled copy starts
-    empty.
+    The store holds a root for each nuclear subsidy walked, keyed by the
+    bits of the subsidy its world pays. Once its nodes take more than
+    MAX_HELD_SLOTS slots the store empties; its `plans` are kept. A
+    pickled copy starts empty.
     """
 
     def __init__(self, scenario: ScenarioConfig, registry: PlantRegistry,
                  rep_year: RepresentativeYear, cost_table: CostTable):
         self.inputs = (scenario, registry, rep_year, cost_table)
-        self.plans = PlanStore(scenario, rep_year)
+        self.plans = PlanStore(scenario, rep_year, cost_table)
         self._clear()
 
     def __reduce__(self):
@@ -382,7 +383,7 @@ class HistoryStore:
         return self._nodes
 
     def _clear(self) -> None:
-        self._key = self._root = None
+        self._roots: dict[bytes, _Node] = {}
         self._nodes = self.slots_held = 0
 
     def _hold(self, node: _Node) -> None:
@@ -410,33 +411,33 @@ class HistoryStore:
         one after another, in the order of their first genome.
 
         Each step takes the genomes at one node: it builds the node (a
-        group's root, or a node's child under an edge; either is the held
-        one when there is one), appends its mix to their paths and decides
-        them. When a step raises, its genomes get the exception in place
-        of their mixes and no node is attached; an InputError propagates."""
+        group's root, or a node's child under an edge) unless the store
+        holds it, appends its mix to their paths and decides them. A
+        node built is attached unless the store emptied during the walk.
+        When a step raises, its genomes get the exception in place of
+        their mixes and no node is attached; an InputError propagates."""
         subsidies = np.asarray(subsidies, dtype=float)
         bad = subsidies[~np.isfinite(subsidies)]
         if len(bad):
             raise InputError(f"nuclear_subsidy must be finite (got {float(bad[0])!r})")
-        scenario, _, _, cost_table = self.inputs
+        scenario = self.inputs[0]
         paths: list = [[] for _ in range(len(subsidies))]
         groups: dict[bytes, list[int]] = {}
         for g, subsidy in enumerate(subsidies):
             groups.setdefault(subsidy.tobytes(), []).append(g)
-        # (parent node, or None for a root; edge, or the root's subsidy; genomes)
-        todo = [(None, subsidies[g[0]], np.array(g)) for g in reversed(groups.values())]
-        root = None
+        roots = self._roots
+        # (parent node, or None for a root; edge, or the root's subsidy bits; genomes)
+        todo = [(None, key, np.array(g)) for key, g in reversed(groups.items())]
         while todo:
             parent, edge, members = todo.pop()
             try:
-                if parent is None:
-                    node = root = self._root_for(edge)
-                elif edge in parent.children:
-                    node = parent.children[edge]
-                else:
-                    node = self._child(parent, edge)
-                    if self._root is root:  # the store did not empty during this walk
-                        parent.children[edge] = node
+                children = roots if parent is None else parent.children
+                node = children.get(edge)
+                if node is None:
+                    node = (self._root_for(subsidies[members[0]]) if parent is None
+                            else self._child(parent, edge))
+                    if self._roots is roots:  # the store did not empty during this walk
+                        children[edge] = node
                         self._hold(node)
                 for g in members:
                     paths[g].append(node.mix)
@@ -444,7 +445,7 @@ class HistoryStore:
                 if world.year >= scenario.end_year:
                     continue
                 funds, npvs = decide(world, node.settlements, beliefs.take(members))
-                best, affordable = commit_rule(funds, candidate_menu(cost_table, world.year), npvs)
+                best, affordable = commit_rule(funds, world.plans.plan(world.year).menu, npvs)
             except InputError:
                 raise
             except Exception as exc:
@@ -458,18 +459,10 @@ class HistoryStore:
         return paths
 
     def _root_for(self, subsidy: np.float64) -> _Node:
-        """The root whose world pays `subsidy`, built afresh unless it is
-        the root held."""
-        key = subsidy.tobytes()
-        if self._root is not None and key == self._key:
-            return self._root
-        self._clear()
+        """A new root whose world pays `subsidy`."""
         world = init_world(*self.inputs, plans=self.plans)
         world.nuclear_subsidy = float(subsidy)
-        root = self._root = _Node(world)
-        self._key = key
-        self._hold(root)
-        return root
+        return _Node(world)
 
     @staticmethod
     def _child(node: _Node, edge: tuple[int, ...]) -> _Node:
@@ -478,7 +471,7 @@ class HistoryStore:
         phase brings online: it gets copies of them and of the
         commitments that build them, and of the funds and settlements."""
         parent = node.world
-        menu = candidate_menu(parent.cost_table, parent.year)
+        menu = parent.plans.plan(parent.year).menu
         building = {id(c.plant): copy.copy(c.plant) for c in parent.commitments}
         world = replace(
             parent, plants=[building.get(id(p), p) for p in parent.plants],

@@ -45,6 +45,13 @@ class InputError(ValueError):
     """An input file or configuration failed validation."""
 
 
+def open_new(path, newline: str | None = None):
+    """A new file at `path`, open for writing text. A file already there is
+    unlinked first, not truncated, so a hard link to it keeps the old text."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
+
+
 # ---------------------------------------------------------------------------
 # Hourly time series
 
@@ -344,11 +351,6 @@ class CostTable:
                                         for caps in by_year.values()])
                 for ptype, by_year in grid.items()}
 
-    @cached_property
-    def menus(self) -> dict[int, tuple]:
-        """Investment menus by year, each built once by `agents.candidate_menu`."""
-        return {}
-
     def types(self) -> list[str]:
         return list(self._index)
 
@@ -443,7 +445,7 @@ def load_cost_table(path) -> CostTable:
 
 def save_cost_table(table: CostTable, path) -> None:
     """Write a cost table back to CSV (one row per expanded year)."""
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("type", "capacity_mw", "year") + COST_COLUMNS)
         for (ptype, cap, year), costs in sorted(table.rows.items()):
@@ -654,14 +656,6 @@ class ScenarioConfig:
         return self._tables["price_curve_by_year"]
 
 
-_SCENARIO_KEYS = {
-    "start_year", "end_year", "fuel_price", "carbon_price", "demand_scale",
-    "scheduled_retirements", "discount_rate", "price_cap", "nuclear_subsidy",
-    "sigma_m", "sigma_c", "rng_seed", "emission_factor", "fuel_map",
-    "price_curve", "price_curve_by_year",
-}
-
-
 # libyaml's safe loader where PyYAML was built with it, else the pure-Python one
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -683,7 +677,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise InputError(f"{path}: invalid scenario YAML: {problem}{where}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{path}: scenario must be a mapping")
-    unknown = set(raw) - _SCENARIO_KEYS
+    unknown = set(raw) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         raise InputError(f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
     for key in ("start_year", "end_year"):
@@ -712,47 +706,42 @@ def load_scenario(path) -> ScenarioConfig:
             raise InputError(f"{path}: {what} must be a year -> value mapping")
         return {whole(y, f"{what} year"): number(v, f"{what}.{y}") for y, v in obj.items()}
 
-    fuel_price = {
-        str(fuel): year_table(tbl, f"fuel_price.{fuel}")
-        for fuel, tbl in (raw.get("fuel_price") or {}).items()
-    }
-    retirements = []
-    for item in raw.get("scheduled_retirements") or []:
-        if not isinstance(item, dict) or "plant_id" not in item or "year" not in item:
-            raise InputError(f"{path}: scheduled_retirements entries need plant_id and year")
-        retirements.append((str(item["plant_id"]),
-                            whole(item["year"], "scheduled_retirements year")))
+    def retirements(items) -> tuple[tuple[str, int], ...]:
+        pairs = []
+        for item in items or []:
+            if not isinstance(item, dict) or "plant_id" not in item or "year" not in item:
+                raise InputError(f"{path}: scheduled_retirements entries need plant_id and year")
+            pairs.append((str(item["plant_id"]),
+                          whole(item["year"], "scheduled_retirements year")))
+        return tuple(pairs)
 
     def curve_pair(obj, what) -> tuple[float, float]:
         if not isinstance(obj, dict) or set(obj) != {"m", "c"}:
             raise InputError(f"{path}: {what} must be a mapping with keys m and c")
         return (number(obj["m"], f"{what}.m"), number(obj["c"], f"{what}.c"))
 
-    curve = curve_pair(raw["price_curve"], "price_curve") if "price_curve" in raw else (0.0, 0.0)
-    curve_by_year = {
-        whole(y, "price_curve_by_year year"): curve_pair(v, f"price_curve_by_year.{y}")
-        for y, v in (raw.get("price_curve_by_year") or {}).items()
+    # each key's parser, in the order their errors are raised; a key the
+    # file leaves out takes ScenarioConfig's default
+    parsers = {
+        "fuel_price": lambda obj: {str(fuel): year_table(tbl, f"fuel_price.{fuel}")
+                                   for fuel, tbl in (obj or {}).items()},
+        "scheduled_retirements": retirements,
+        "price_curve": lambda obj: curve_pair(obj, "price_curve"),
+        "price_curve_by_year": lambda obj: {
+            whole(y, "price_curve_by_year year"): curve_pair(v, f"price_curve_by_year.{y}")
+            for y, v in (obj or {}).items()},
+        "start_year": lambda v: whole(v, "start_year"),
+        "end_year": lambda v: whole(v, "end_year"),
+        "carbon_price": lambda obj: year_table(obj, "carbon_price"),
+        "demand_scale": lambda obj: year_table(obj, "demand_scale"),
+        **{key: (lambda v, key=key: number(v, key)) for key in (
+            "discount_rate", "price_cap", "nuclear_subsidy", "sigma_m", "sigma_c")},
+        "rng_seed": lambda v: whole(v, "rng_seed"),
+        "emission_factor": lambda obj: {str(k): number(v, f"emission_factor.{k}")
+                                        for k, v in (obj or {}).items()},
+        "fuel_map": lambda obj: {str(k): str(v) for k, v in (obj or {}).items()},
     }
-
-    config = dict(
-        start_year=whole(raw["start_year"], "start_year"),
-        end_year=whole(raw["end_year"], "end_year"),
-        fuel_price=fuel_price,
-        carbon_price=year_table(raw.get("carbon_price"), "carbon_price"),
-        demand_scale=year_table(raw.get("demand_scale"), "demand_scale"),
-        scheduled_retirements=tuple(retirements),
-        discount_rate=number(raw.get("discount_rate", 0.06), "discount_rate"),
-        price_cap=number(raw.get("price_cap", 300.0), "price_cap"),
-        nuclear_subsidy=number(raw.get("nuclear_subsidy", 0.0), "nuclear_subsidy"),
-        sigma_m=number(raw.get("sigma_m", 0.0), "sigma_m"),
-        sigma_c=number(raw.get("sigma_c", 0.0), "sigma_c"),
-        rng_seed=whole(raw.get("rng_seed", 0), "rng_seed"),
-        emission_factor={str(k): number(v, f"emission_factor.{k}")
-                         for k, v in (raw.get("emission_factor") or {}).items()},
-        fuel_map={str(k): str(v) for k, v in (raw.get("fuel_map") or {}).items()},
-        price_curve=curve,
-        price_curve_by_year=curve_by_year,
-    )
+    config = {key: parse(raw[key]) for key, parse in parsers.items() if key in raw}
     try:
         return ScenarioConfig(**config)
     except InputError as exc:

@@ -184,11 +184,15 @@ class WorkerPool:
 
     def _receive(self, rnd: int, done: dict, timeout) -> None:
         """Read one message from each pool process that has one ready within
-        `timeout` seconds (None: until one has), keeping round `rnd`'s."""
+        `timeout` seconds (None: until one has), keeping round `rnd`'s. A
+        pool process that has exited is an error only to a caller waiting
+        on the pool (`timeout` None); a poll passes it by."""
         for conn in multiprocessing.connection.wait(self._conns, timeout):
             try:
                 got, i, payload = conn.recv()
             except EOFError:
+                if timeout is not None:
+                    continue
                 raise RuntimeError("a pool process exited before sending its result") from None
             if got == rnd:
                 done[i] = _unpickled(payload)

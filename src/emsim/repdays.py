@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import (HOURS_PER_DAY, InputError, SERIES_NAMES, TimeSeriesSet, _parse_float,
-                     _parse_int, csv_rows)
+                     _parse_int, csv_rows, open_new)
 from .pool import WorkerPool, processes_for
 
 log = logging.getLogger(__name__)
@@ -471,7 +471,7 @@ REPDAYS_COLUMNS = ("cluster", "weight", "hour") + tuple(
 
 def save_representative_days(rep: RepresentativeYear, path) -> None:
     """Write one row per (cluster, hour) with the cluster's weight."""
-    with open(path, "w", newline="") as fh:
+    with open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPDAYS_COLUMNS)
         for c in range(rep.k):

@@ -19,10 +19,11 @@ from emsim.agents import (
     invest_step,
     npv,
 )
+from emsim.engine import PlanStore
 from emsim.ingest import CF_SERIES, CostTable, InputError, PlantCosts, PowerPlant, ScenarioConfig
 from emsim.market import marginal_cost
 from emsim.repdays import assemble_year
-from toys import flat_rep_year, invest_cost_table, npv_tolerance, simple_costs
+from toys import flat_rep_year, invest_cost_table, invest_scenario, npv_tolerance, simple_costs
 
 
 def plain_scenario(**overrides):
@@ -475,6 +476,9 @@ def test_candidate_menu_largest_capacity_per_type():
 
 
 def test_candidate_menu_built_once_per_table_and_year(monkeypatch):
+    """A plan store builds each year's menu with its plan: one lookup per
+    candidate per year, whatever the year's integer type; another store
+    on the same table builds its own."""
     lookups = []
     lookup = CostTable.lookup
 
@@ -482,19 +486,21 @@ def test_candidate_menu_built_once_per_table_and_year(monkeypatch):
         lookups.append(args)
         return lookup(self, *args)
 
+    scenario, _, rep, table = invest_scenario()
+    reference = candidate_menu(table, 2020)
     monkeypatch.setattr(CostTable, "lookup", counting)
-    table = invest_cost_table()
-    menu = candidate_menu(table, 2020)
+    store = PlanStore(scenario, rep, table)
+    menu = store.plan(2020).menu
     assert isinstance(menu, tuple)
+    assert menu == reference
     assert len(lookups) == len(menu) == 3
-    assert candidate_menu(table, 2020) is menu
-    assert candidate_menu(table, np.int64(2020)) is menu
+    assert store.plan(np.int64(2020)) is store.plan(2020)
     assert len(lookups) == 3
-    candidate_menu(table, 2021)
+    assert store.plan(np.int64(2021)) is store.plan(2021)
     assert len(lookups) == 6
-    other = invest_cost_table()
-    assert candidate_menu(other, 2020) == menu
-    assert candidate_menu(other, 2020) is not menu
+    other = PlanStore(scenario, rep, table)
+    assert other.plan(2020).menu == menu
+    assert other.plan(2020).menu is not menu
     assert len(lookups) == 9
 
 

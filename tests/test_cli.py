@@ -520,6 +520,40 @@ def _calibrate(tmp_path, target, *extra, workers=1, **scenario_fields):
     return rc, out
 
 
+def _linked_rerun(out, names, rerun) -> None:
+    """Hard-link each named output, rerun into the same directory, and
+    check that the rerun replaced each file, leaving the link its old text."""
+    for name in names:
+        os.link(out / name, out / f"{name}.old")
+    before = {name: (out / name).read_bytes() for name in names}
+    rerun()
+    for name in names:
+        assert not os.path.samefile(out / name, out / f"{name}.old"), name
+        assert os.stat(out / name).st_nlink == 1, name
+        assert (out / f"{name}.old").read_bytes() == before[name], name
+
+
+def test_calibrate_rerun_replaces_its_outputs(tmp_path):
+    target = {y: ALL_TYPES for y in range(2020, 2024)}
+    rc, out = _calibrate(tmp_path, target, "validation")
+    assert rc == 0
+    names = ["best.csv", "generation_log.csv", "telemetry.json", "manifest.json"]
+    _linked_rerun(out, names, lambda: _calibrate(tmp_path, target, "validation"))
+    assert (out / "best.csv").read_bytes() == (out / "best.csv.old").read_bytes()
+
+
+def test_simulate_rerun_replaces_its_outputs(tmp_path):
+    paths = _write_sim_inputs(tmp_path)
+    out = tmp_path / "out"
+    args = ["simulate", "--scenario", str(paths["scenario"]), "--registry",
+            str(paths["registry"]), "--repdays", str(paths["repdays"]), "--seed", "3",
+            "--dispatch-log", "--out", str(out)]
+    assert main(args) == 0
+    names = ["mix_by_year.csv", "funds_by_year.csv", "investments.csv", "dispatch_log.csv",
+             "manifest.json"]
+    _linked_rerun(out, names, lambda: main(args))
+
+
 def test_calibrate_target_missing_type_exits_one(tmp_path, capsys):
     target = {2023: {t: v for t, v in ALL_TYPES.items() if t != "nuclear"}}
     rc, out = _calibrate(tmp_path, target, "validation")

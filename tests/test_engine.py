@@ -542,7 +542,7 @@ def test_dispatch_store_clears_again_when_one_input_differs(monkeypatch, change)
     """A history store built on one changed gene-free input dispatches
     its own root, whose mixes equal a plain run's, and leaves a store of
     the base inputs as it was. The nuclear subsidy is a gene: a store
-    walked under another one replaces its root."""
+    walked under another one holds a root for each and reuses both."""
     base = store_inputs()
     changed = STORE_KEY_CHANGES[change](*base)
     table = _empty_cost_table()
@@ -552,14 +552,16 @@ def test_dispatch_store_clears_again_when_one_input_differs(monkeypatch, change)
     first = store.mixes(base[0], 3)
     assert store.mixes(base[0], 3) == first
     assert len(calls) == len(store) == 1
-    root = store._root
+    roots = dict(store._roots)
+    assert len(roots) == 1
     if change == "nuclear subsidy":
         assert store.mixes(changed[0], 3) == expected
         assert len(calls) == 2
-        # the other subsidy replaced the root: the base subsidy builds afresh too
+        # the other subsidy got a root of its own, and both are kept
         assert store.mixes(base[0], 3) == first
-        assert len(calls) == 3
-        assert store._root is not root
+        assert store.mixes(changed[0], 3) == expected
+        assert len(calls) == len(store) == len(store._roots) == 2
+        assert store._roots.items() >= roots.items()
     else:
         other = HistoryStore(*changed, table)
         assert other.mixes(changed[0], 3) == expected
@@ -567,8 +569,24 @@ def test_dispatch_store_clears_again_when_one_input_differs(monkeypatch, change)
         assert len(other) == 1
         assert store.mixes(base[0], 3) == first
         assert len(calls) == 2
-        assert store._root is root
-    assert len(store) == 1
+        assert store._roots == roots
+        assert len(store) == 1
+
+
+def test_history_store_keeps_the_root_of_every_subsidy(monkeypatch):
+    """Walks under subsidy A, then B, then A again: the third walk
+    builds no node, and each walk gives a plain run's mixes."""
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    scenario = replace(scenario, price_curve=(0.002, 20.0))
+    subsidies = [replace(scenario, nuclear_subsidy=s) for s in (0.0, 5.0)]
+    expected = [plain_mixes(s, registry, rep, table, 3) for s in subsidies]
+    calls = count_dispatches(monkeypatch)
+    store = HistoryStore(scenario, registry, rep, table)
+    assert [store.mixes(s, 3) for s in subsidies] == expected
+    nodes = len(calls)
+    assert nodes == len(store) == 2 * len(expected[0])
+    assert store.mixes(subsidies[0], 3) == expected[0]
+    assert len(calls) == len(store) == nodes
 
 
 # each changes what reaches only the beliefs: the scenario's price curve
@@ -642,7 +660,7 @@ def test_nodes_never_change_once_built(monkeypatch):
     monkeypatch.setattr(engine, "open_year", real)
     store = HistoryStore(scenario, registry, rep, table)
     store.mixes(scenario, 3)
-    path = [store._root]
+    path = list(store._roots.values())
     while path[-1].children:
         path.extend(path[-1].children.values())
     # later walks branch off every year of the first one
@@ -679,14 +697,20 @@ def test_failed_walk_leaves_no_node(monkeypatch, phase):
         assert store.mixes(scenario, 3) == plain_mixes(scenario, registry, rep, table, 3)
 
 
-def test_failed_root_leaves_an_empty_store(monkeypatch):
+def test_failed_root_attaches_nothing(monkeypatch):
     scenario, registry, rep, table = invest_scenario(end_year=2024)
+    other = replace(scenario, nuclear_subsidy=5.0)
     store = HistoryStore(scenario, registry, rep, table)
     store.mixes(scenario, 3)
+    held = (dict(store._roots), len(store), store.slots_held)
+    real = engine.open_year
     monkeypatch.setattr(engine, "open_year", lambda world: 1 / 0)
     with pytest.raises(ZeroDivisionError):
-        store.mixes(replace(scenario, nuclear_subsidy=5.0), 3)
-    assert len(store) == 0
+        store.mixes(other, 3)
+    monkeypatch.setattr(engine, "open_year", real)
+    assert (store._roots, len(store), store.slots_held) == held
+    for scenario in (other, scenario):
+        assert store.mixes(scenario, 3) == plain_mixes(scenario, registry, rep, table, 3)
 
 
 @pytest.mark.parametrize("subsidy", [np.nan, np.inf, -np.inf], ids=str)
@@ -734,8 +758,8 @@ def test_history_store_empties_at_its_slot_bound(monkeypatch):
 
 
 def _plants_per_node(store):
-    """Each node's plant list, root first."""
-    todo = [store._root]
+    """Each held node's plant list."""
+    todo = list(store._roots.values())
     while todo:
         node = todo.pop()
         yield node.world.plants
@@ -763,13 +787,13 @@ def test_shared_store_plans_follow_the_cost_inputs(change):
         return ([r.bid_prices for r in years],
                 [[ev.npv for ev in r.investment_log] for r in years])
 
-    plans = PlanStore(scenario, rep)
+    plans = PlanStore(scenario, rep, table)
     base = trajectory(scenario, plans)
     # other beliefs alone share the store's plans and bids, and match a fresh world
     noisier = replace(scenario, sigma_c=2.0)
     assert trajectory(noisier, plans) == trajectory(noisier, None) != base
     # a store of the changed scenario gives the changed trajectory
     fresh = trajectory(changed, None)
-    assert trajectory(changed, PlanStore(changed, rep)) == fresh
+    assert trajectory(changed, PlanStore(changed, rep, table)) == fresh
     assert fresh[1] != base[1]
     assert trajectory(scenario, plans) == base == trajectory(scenario, None)

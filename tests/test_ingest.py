@@ -1,6 +1,7 @@
 """Loader and cost-table tests."""
 
 import csv
+import os
 from dataclasses import fields
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -708,6 +709,16 @@ def test_cost_table_round_trip(tmp_path):
     assert reloaded.rows == table.rows
 
 
+def test_saving_over_a_file_replaces_it(tmp_path):
+    path, link = tmp_path / "costs.csv", tmp_path / "old.csv"
+    path.write_text("old\n")
+    os.link(path, link)
+    save_cost_table(bundled_cost_table(), path)
+    assert not os.path.samefile(path, link)
+    assert link.read_text() == "old\n"
+    assert load_cost_table(path).rows == bundled_cost_table().rows
+
+
 # ---------------------------------------------------------------------------
 # registry
 
@@ -931,6 +942,26 @@ def test_scenario_that_is_not_safe_yaml_names_the_file_and_line(tmp_path, monkey
         load_scenario(path)
     message = str(raised.value)
     assert message.endswith(f" (line {line})") if line else "line" not in message
+
+
+def test_scenario_accepts_every_field_as_a_key(tmp_path):
+    extra = {"demand_scale": "{2013: 1.0, 2014: 1.1}", "nuclear_subsidy": "5.0",
+             "sigma_m": "0.0001", "sigma_c": "2.0",
+             "price_curve_by_year": "{2013: {m: 0.001, c: 10.0}}"}
+    path = tmp_path / "scen.yaml"
+    path.write_text(SCENARIO_YAML + "".join(f"{k}: {v}\n" for k, v in extra.items()))
+    assert {f.name for f in fields(ScenarioConfig)} == set(yaml.safe_load(path.read_text()))
+    scenario = load_scenario(path)
+    assert (scenario.demand_scale, scenario.nuclear_subsidy, scenario.sigma_m,
+            scenario.sigma_c, scenario.price_curve_by_year) == \
+        ({2013: 1.0, 2014: 1.1}, 5.0, 0.0001, 2.0, {2013: (0.001, 10.0)})
+
+
+def test_scenario_without_optional_keys_takes_the_config_defaults(tmp_path):
+    path = tmp_path / "scen.yaml"
+    path.write_text("start_year: 2020\nend_year: 2021\ncarbon_price: {2020: 5.0, 2021: 6.0}\n")
+    assert load_scenario(path) == ScenarioConfig(start_year=2020, end_year=2021,
+                                                 carbon_price={2020: 5.0, 2021: 6.0})
 
 
 def test_scenario_unknown_key(tmp_path):

@@ -164,6 +164,29 @@ def test_worker_pool_raises_an_outcome_that_cannot_come_back_as_the_items_error(
     assert multiprocessing.active_children() == []
 
 
+def exits(item, caller):
+    """`item`, in the calling process once no pool process is left; a pool
+    process exits."""
+    if os.getpid() != caller:
+        os._exit(3)
+    deadline = time.monotonic() + 30
+    while multiprocessing.active_children():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    return item
+
+
+def test_a_pool_process_that_exits_fails_only_the_item_it_took():
+    """The calling process's own item comes back although the pool process
+    had exited by the time it was computed."""
+    with WorkerPool(2, exits, os.getpid()) as pool:
+        results = pool.in_order(["first", "second"])
+        assert next(results) == "first"
+        with pytest.raises(RuntimeError, match="exited before sending its result"):
+            next(results)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("cpus, blas, n_k, want", [
     (2, {"OPENBLAS_NUM_THREADS": "1"}, 24, 2),
     (2, {}, 24, 1),                                            # BLAS takes every CPU
