@@ -188,7 +188,8 @@ class AppraisalPlan:
     (candidate, operating year), the dispatchable rows first.
 
     A row's cash flow is the one `expected_cashflow` gives that year;
-    `fixed` holds each candidate's discounted capital and fixed O&M.
+    `fixed` holds each candidate's discounted capital and fixed O&M, and
+    `tranche` its first capital tranche, the bits of `InvestmentCandidate.tranche`.
     """
 
     menu: tuple[InvestmentCandidate, ...]  # the candidates appraised, in menu order
@@ -203,6 +204,7 @@ class AppraisalPlan:
     cf_sum: np.ndarray         # (R,) sum of w x cf; 0 on a dispatchable row
     cf_demand_sum: np.ndarray  # (R,) scale x sum of w x cf x demand; 0 on a dispatchable row
     fixed: np.ndarray          # (candidates,) discounted capital and fixed O&M, as negative flows
+    tranche: np.ndarray        # (candidates,) the capital tranche paid in the commit year
     demand: np.ndarray         # (H,) representative demand
     hour_weights: np.ndarray   # (H,)
 
@@ -215,11 +217,12 @@ def appraisal_plan(menu: tuple[InvestmentCandidate, ...], rep_year: Representati
     horizon = max((c.lead_years + c.operating_years for c in menu), default=0)
     discount = (1.0 + scenario.discount_rate) ** -np.arange(max(horizon, 1))
     demand, hour_weights = rep_year.series("demand"), rep_year.hour_weights
-    fixed, rows = [], [np.empty((9, 0))]
+    fixed, tranche, rows = [], [], [np.empty((9, 0))]
     for index, cand in enumerate(menu):
         lead, n_years = cand.lead_years, cand.lead_years + cand.operating_years
         tranches = cand.capital_tranches
-        fixed.append(-cand.capital_total / tranches * discount[:tranches].sum()
+        tranche.append(cand.tranche)
+        fixed.append(-tranche[-1] * discount[:tranches].sum()
                      - cand.costs.fixed_om * cand.capacity_mw * discount[lead:n_years].sum())
         years = np.arange(commit_year + lead, commit_year + n_years)
         cost = marginal_cost(cand.plant_type, cand.costs.efficiency, cand.costs.variable_om,
@@ -235,7 +238,7 @@ def appraisal_plan(menu: tuple[InvestmentCandidate, ...], rep_year: Representati
     table = table[:, np.argsort(table[0], kind="stable")]  # dispatchable rows first
     return AppraisalPlan(menu, horizon, int((table[0] == 0).sum()), table[1].astype(np.intp),
                          table[2].astype(np.intp), *table[3:], np.array(fixed, dtype=float),
-                         demand, hour_weights)
+                         np.array(tranche, dtype=float), demand, hour_weights)
 
 
 # `appraise` prices at most this many (belief set, row, hour) cells at a
@@ -322,21 +325,21 @@ class InvestmentEvaluation:
     affordable: bool
 
 
-def commit_rule(funds, menu: tuple[InvestmentCandidate, ...], npvs):
-    """The commit decision of companies holding `funds` over the appraised
-    menu (`npvs[..., i]` is the NPV of `menu[i]`, as `appraise` returns
-    it; `funds` broadcasts against `npvs[..., 0]`): the index of the
+def commit_rule(funds, tranche: np.ndarray, npvs):
+    """The commit decision of companies holding `funds` over an appraised
+    menu (`npvs[..., i]` is the NPV of candidate i, as `appraise` returns
+    it, and `tranche[i]` its first capital tranche, as `AppraisalPlan`
+    holds it; `funds` broadcasts against `npvs[..., 0]`): the index of the
     first highest positive NPV (-1 when none is positive), and whether
     the funds cover that candidate's first capital tranche, as arrays of
     the shape of `npvs[..., 0]`. A company commits only when both hold."""
     npvs = np.asarray(npvs, dtype=float)
     positive = np.where(npvs > 0.0, npvs, 0.0)
-    if not menu:
+    if not len(tranche):
         index = np.full(npvs.shape[:-1], -1)
         return index, np.ones(index.shape, dtype=bool)
     # argmax gives the first of equal values
     index = np.where(positive.max(axis=-1) > 0.0, positive.argmax(axis=-1), -1)
-    tranche = np.array([c.tranche for c in menu])
     return index, (index < 0) | ~(np.asarray(funds) < tranche[index])
 
 
@@ -357,14 +360,14 @@ def commit(genco_id: str, year: int, candidate: InvestmentCandidate) -> Commitme
     return Commitment(plant, year, online, candidate.tranche, candidate.capital_tranches - 1)
 
 
-def invest_step(genco_id: str, funds: float, year: int,
-                menu: tuple[InvestmentCandidate, ...],
+def invest_step(genco_id: str, funds: float, year: int, plan: AppraisalPlan,
                 npvs: list[float]) -> tuple[Commitment | None, list[InvestmentEvaluation]]:
-    """Apply `commit_rule` to the appraised menu and record every
+    """Apply `commit_rule` to the plan's appraised menu and record every
     candidate: the commitment made, if any, and one evaluation row per
     candidate. Nothing passed in is changed.
     """
-    idx, affordable = commit_rule(funds, menu, npvs)
+    menu = plan.menu
+    idx, affordable = commit_rule(funds, plan.tranche, npvs)
     idx, affordable = int(idx), bool(affordable)
     commitment = None
     if idx >= 0:

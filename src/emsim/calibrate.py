@@ -234,7 +234,9 @@ class Objective:
         bundle, layout = self.bundle, self.layout
         scenario = bundle.scenario
         beliefs, subsidies = layout.overrides(genomes, scenario, seeds)
-        paths = self.histories.walk(beliefs, subsidies)
+        store = self.histories
+        npvs, failed = store.npvs(beliefs, subsidies)
+        paths = store.walk(npvs, subsidies, failed)
         scored = [(year - scenario.start_year, bundle.target[year])
                   for year in layout.scored_years(scenario, bundle.include_first_year)]
         errors: dict[int, float] = {}  # by id of a node's mix, which genomes through it share
@@ -259,6 +261,27 @@ class Objective:
     def __call__(self, genome, eval_seed: int) -> float:
         return float(self.scores([genome], [eval_seed])[0])
 
+    def work(self) -> int:
+        """The estimated work of scoring one genome, in cells: per decided
+        year, belief sets x dispatchable plan rows x representative hours
+        appraised; per simulated year, plants x hours dispatched; and
+        NOISE_GENERATOR_CELLS per belief-noise generator built, where the
+        layout lets a sigma be above 0. Each GenCo holds its own belief set
+        then, and all hold one otherwise."""
+        bundle = self.bundle
+        scenario, plans = bundle.scenario, self.histories.plans
+        upper = np.array([[hi for _, hi in self.layout.bounds]])
+        noisy = bool(np.any(np.concatenate(self.layout.sigmas(upper, scenario)) > 0))
+        companies, hours = len(bundle.registry.funds), len(bundle.rep_year.hour_weights)
+        years = scenario.years()
+        cells = len(bundle.registry.plants) * hours * len(years)
+        for year in years[:-1]:
+            plan = plans.plan(year)
+            cells += (companies if noisy else 1) * plan.dispatchable * hours
+            if noisy:
+                cells += NOISE_GENERATOR_CELLS * companies * plan.horizon
+        return cells
+
     def seeds_matter(self, genomes) -> np.ndarray:
         """Whether the fitness of each genome can depend on the evaluation
         seed. The seed reaches only the belief noise, which draws nothing
@@ -270,6 +293,23 @@ class Objective:
 
 # ---------------------------------------------------------------------------
 # Genetic algorithm
+
+# `ga_run` runs one process, the calling one included, per POOL_PROCESS_CELLS
+# cells of a generation's estimated work (population x `Objective.work`).
+# Measured on a 2-vCPU host (calibrate_small inputs, alternating runs at
+# one and two processes): a pool process costs 1.7-3.8 ms to start,
+# 0.8-1.6 ms to close and 0.3-0.55 ms per generation, and walks again
+# every history its genomes reach; two processes lost at 0.34 M cells per
+# generation (validation, pop 40: 54 against 45 ms), broke even at 1.4 M
+# (validation, pop 160) and 2.4 M (long-term, pop 4), and won at 4.1 M
+# (validation, pop 480: 0.14 against 0.20 s) and 7.1 M (long-term,
+# pop 12: 0.10 against 0.13 s). So two processes start from 2 M cells,
+# where they about break even.
+POOL_PROCESS_CELLS = 1_000_000
+# The cells one belief-noise generator costs: building one took 11-25 us,
+# and appraising one cell 5-9 ns. The weight is at the top of that range,
+# so an error in the estimate leans toward starting the pool.
+NOISE_GENERATOR_CELLS = 3_000
 
 TOURNAMENT_SIZE = 3
 BLEND_ALPHA = 0.5          # blend crossover widens the parents' span by this on each side
@@ -424,6 +464,24 @@ def _evaluate(objective, pool: WorkerPool, fitness_of: dict, genomes: np.ndarray
     return fitness, len(todo)
 
 
+def _processes(cfg: GAConfig, objective) -> int:
+    """The processes `ga_run` scores on, the calling one included:
+    `parallel_workers`, at most one per genome and, for an `Objective`,
+    at most one per POOL_PROCESS_CELLS cells of a generation's estimated
+    work; logged with what decided it."""
+    asked = cfg.parallel_workers
+    processes = min(asked, cfg.population_size)
+    if not isinstance(objective, Objective):
+        log.info("GA scores on %d of %d processes asked for (no work estimate for a "
+                 "plain objective)", processes, asked)
+        return processes
+    work = cfg.population_size * objective.work()
+    processes = max(1, min(processes, work // POOL_PROCESS_CELLS))
+    log.info("GA scores on %d of %d processes asked for: a generation's estimated work is "
+             "%d cells, and a process pays from %d", processes, asked, work, POOL_PROCESS_CELLS)
+    return processes
+
+
 def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GAResult:
     """Minimize `objective(genome, eval_seed)` with a real-valued GA.
 
@@ -432,10 +490,10 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
     of parents plus offspring. Evaluation seeds derive from (seed,
     generation, index) so results are reproducible under any worker
     scheduling; a seed is drawn only for an evaluation it can change and
-    for the best individual. One `WorkerPool` of `parallel_workers`
-    processes, at most one per genome, serves the whole run, the calling
-    process scoring the first batch of each generation and any batch no
-    worker has claimed, and each distinct genome (with its seed, when that
+    for the best individual. One `WorkerPool` of the processes that
+    `_processes` allows serves the whole run, the calling process scoring
+    the first batch of each generation and any batch no worker has
+    claimed, and each distinct genome (with its seed, when that
     can matter) is evaluated once per run. Each generation's log line is
     also kept as one entry of the JSON list written to `telemetry_path`
     when the run ends, also when it fails.
@@ -483,7 +541,7 @@ def ga_run(cfg: GAConfig, objective, log_path=None, telemetry_path=None) -> GARe
         last_record = now
         telemetry.append(entry)
 
-    with WorkerPool(min(cfg.parallel_workers, pop_size), _score_batch, objective) as pool:
+    with WorkerPool(_processes(cfg, objective), _score_batch, objective) as pool:
         try:
             fitness, n_evaluated = _evaluate(objective, pool, fitness_of, population, cfg.seed, 0)
             writer = _GenerationLogWriter(log_path, n_genes) if log_path else None

@@ -252,27 +252,6 @@ def open_year(world: World) -> YearResult:
                       days=days, retired=retired)
 
 
-def decide(world: World, settlements: dict[str, Settlement],
-           beliefs: Beliefs) -> tuple[np.ndarray, np.ndarray]:
-    """Each company's funds, in settlement order, and the NPVs of the
-    year's candidate menu (`world.plans.plan(world.year).menu`) under
-    each genome's beliefs: a (genomes, companies, candidates) array.
-    Every distinct belief set is appraised once, in one stacked
-    `appraise` call, with the world's nuclear subsidy. Nothing is
-    changed. The scenario's final year makes no commitments, so it is
-    never decided."""
-    year = world.year
-    plan = world.plans.plan(year)
-    stack = beliefs.stack(year, plan.horizon, len(settlements))
-    sets = stack.reshape(-1, *stack.shape[2:])
-    index: dict[bytes, int] = {}
-    inverse = [index.setdefault(b.tobytes(), len(index)) for b in sets]
-    distinct = sets[np.unique(inverse, return_index=True)[1]]
-    npvs = appraise(plan, distinct, world.nuclear_subsidy)[inverse]
-    funds = np.array([s.funds_start + s.delta for s in settlements.values()])
-    return funds, npvs.reshape(*stack.shape[:2], len(plan.menu))
-
-
 def close_year(world: World, settlements: dict[str, Settlement],
                commitments: list[Commitment]) -> list[str]:
     """The close phase of the world's year: take on `commitments` (each
@@ -300,16 +279,72 @@ def close_year(world: World, settlements: dict[str, Settlement],
     return activated
 
 
+def npv_table(plans: PlanStore, beliefs: Beliefs, subsidies, companies: int,
+              years) -> tuple[dict[int, np.ndarray], dict[int, Exception]]:
+    """The NPVs of each year's candidate menu (`plans.plan(year).menu`)
+    under the beliefs of each genome's `companies` GenCos and its nuclear
+    subsidy (`subsidies[g]`): a (genomes, companies, candidates) array per
+    year, and each failed genome's error, by genome index.
+
+    The genomes of one subsidy form a group; every distinct belief set of
+    a group and year is appraised once, in one stacked `appraise` call, so
+    a genome's rows have the bits of its appraisal alone. When a year's
+    appraisal raises, each genome is appraised alone in that year: a genome
+    whose appraisal raises keeps the first error it raised, and NaN rows.
+    An InputError propagates."""
+    subsidies = np.asarray(subsidies, dtype=float)
+    table, errors = {}, {}
+    for year in years:
+        plan = plans.plan(year)
+        try:
+            table[year] = _appraised(plan, beliefs, subsidies, companies, year)
+        except InputError:
+            raise
+        except Exception:
+            npvs = table[year] = np.full((len(subsidies), companies, len(plan.menu)), np.nan)
+            for g in range(len(subsidies)):
+                try:
+                    [npvs[g]] = _appraised(plan, beliefs.take([g]), subsidies[[g]], companies,
+                                           year)
+                except InputError:
+                    raise
+                except Exception as exc:
+                    errors.setdefault(g, exc)
+    return table, errors
+
+
+def _appraised(plan: AppraisalPlan, beliefs: Beliefs, subsidies: np.ndarray, companies: int,
+               year: int) -> np.ndarray:
+    """`npv_table`'s array of one year."""
+    stack = beliefs.stack(year, plan.horizon, companies)
+    sets = stack.reshape(-1, *stack.shape[2:])
+    groups: dict[bytes, list[int]] = {}
+    for g, subsidy in enumerate(subsidies):
+        groups.setdefault(subsidy.tobytes(), []).extend(range(g * companies, (g + 1) * companies))
+    npvs = np.empty((len(sets), len(plan.menu)))
+    for rows in groups.values():
+        index: dict[bytes, int] = {}
+        inverse = [index.setdefault(sets[r].tobytes(), len(index)) for r in rows]
+        distinct = sets[np.array(rows)[np.unique(inverse, return_index=True)[1]]]
+        npvs[rows] = appraise(plan, distinct, subsidies[rows[0] // companies])[inverse]
+    return npvs.reshape(*stack.shape[:2], len(plan.menu))
+
+
 def step_year(world: World) -> YearResult:
-    """Advance the world by one year: `open_year`, `decide` under the
-    world's own scenario and seed, `invest_step` for each company (except
-    in the final scenario year), then `close_year`."""
+    """Advance the world by one year: `open_year`, the year's `npv_table`
+    under the world's own scenario, seed and nuclear subsidy, `invest_step`
+    for each company (except in the final scenario year), then
+    `close_year`."""
     result = open_year(world)
-    if result.year < world.scenario.end_year:
-        funds, npvs = decide(world, result.settlements, Beliefs.of(world.scenario, world.seed))
-        menu = world.plans.plan(result.year).menu
-        for gid, money, row in zip(result.settlements, funds.tolist(), npvs[0].tolist()):
-            commitment, evaluations = invest_step(gid, money, result.year, menu, row)
+    year = result.year
+    if year < world.scenario.end_year:
+        table, errors = npv_table(world.plans, Beliefs.of(world.scenario, world.seed),
+                                  [world.nuclear_subsidy], len(result.settlements), [year])
+        if errors:
+            raise errors[0]
+        plan = world.plans.plan(year)
+        for (gid, s), row in zip(result.settlements.items(), table[year][0].tolist()):
+            commitment, evaluations = invest_step(gid, s.funds_start + s.delta, year, plan, row)
             result.investment_log.extend(evaluations)
             if commitment is not None:
                 result.investments.append(commitment)
@@ -336,15 +371,17 @@ NODE_SLOTS = 40
 
 class _Node:
     """One simulated year of one investment history after its open
-    phase: the world, each company's pre-invest settlement, the year's
-    objective mix, and the next year's node under each edge."""
+    phase: the world, each company's pre-invest settlement and the funds
+    it invests from, the year's objective mix, and the next year's node
+    under each edge."""
 
-    __slots__ = ("world", "settlements", "mix", "children")
+    __slots__ = ("world", "settlements", "funds", "mix", "children")
 
     def __init__(self, world: World):
         result = open_year(world)
         self.world = world
         self.settlements = result.settlements
+        self.funds = np.array([s.funds_start + s.delta for s in result.settlements.values()])
         self.mix = result.objective_mix()
         self.children: dict[tuple[int, ...], _Node] = {}
 
@@ -358,9 +395,9 @@ class HistoryStore:
     committed candidate in a year (its menu index, or -1 for none) forms
     an edge, and the edge's child is the next year after closing the
     node with those commitments and opening that year. A batch of
-    genomes walks the tree together: at each node the genomes that
-    reached it are decided in one `decide` call, `commit_rule` sends
-    each on along its edge, and only the years that no earlier walk
+    genomes walks the tree together, with the NPVs `npv_table` gives it
+    (`npvs`): at each node `commit_rule` sends the genomes that reached
+    it on along their edges, and only the years that no earlier walk
     reached are simulated. A node holds no dispatch arrays.
 
     The store holds a root for each nuclear subsidy walked, keyed by the
@@ -396,24 +433,35 @@ class HistoryStore:
         """Each simulated year's `objective_mix()`, as `run` gives them from
         `init_world(beliefs_from, registry, rep_year, cost_table, seed)`,
         where `beliefs_from` differs from the store's scenario only in
-        beliefs and nuclear subsidy: `walk`'s one-genome case, raising its error."""
-        [path] = self.walk(Beliefs.of(beliefs_from, seed),
-                           np.array([beliefs_from.nuclear_subsidy]))
+        beliefs and nuclear subsidy: `walk`'s one-genome case, raising its
+        error (the appraisal's, when `npvs` failed the genome)."""
+        subsidies = np.array([beliefs_from.nuclear_subsidy])
+        npvs, failed = self.npvs(Beliefs.of(beliefs_from, seed), subsidies)
+        [path] = self.walk(npvs, subsidies, failed)
         if isinstance(path, Exception):
             raise path
         return dict(zip(beliefs_from.years(), path))
 
-    def walk(self, beliefs: Beliefs, subsidies: np.ndarray) -> list:
+    def npvs(self, beliefs: Beliefs, subsidies) -> tuple[dict[int, np.ndarray], dict]:
+        """`npv_table` of every year the store's worlds decide, for the
+        store's companies: what `walk` takes."""
+        scenario, registry = self.inputs[:2]
+        return npv_table(self.plans, beliefs, subsidies, len(registry.funds),
+                         range(scenario.start_year, scenario.end_year))
+
+    def walk(self, npvs: dict[int, np.ndarray], subsidies, failed: dict) -> list:
         """Each genome's `objective_mix()` of every simulated year, in year
         order, as `run` gives them under the store's inputs with the
-        genome's beliefs and nuclear subsidy (`subsidies[g]`, which must
-        be finite). The genomes of one subsidy share a root; groups walk
-        one after another, in the order of their first genome.
+        genome's NPVs (`npvs[year][g]`) and nuclear subsidy (`subsidies[g]`,
+        which must be finite), or, for a genome of `failed` (a dict of
+        errors by genome index, as `npvs` gives it), its error: such a
+        genome is not walked. The genomes of one subsidy share a root;
+        groups walk one after another, in the order of their first genome.
 
         Each step takes the genomes at one node: it builds the node (a
         group's root, or a node's child under an edge) unless the store
-        holds it, appends its mix to their paths and decides them. A
-        node built is attached unless the store emptied during the walk.
+        holds it, appends its mix to their paths and applies `commit_rule`.
+        A node built is attached unless the store emptied during the walk.
         When a step raises, its genomes get the exception in place of
         their mixes and no node is attached; an InputError propagates."""
         subsidies = np.asarray(subsidies, dtype=float)
@@ -421,10 +469,11 @@ class HistoryStore:
         if len(bad):
             raise InputError(f"nuclear_subsidy must be finite (got {float(bad[0])!r})")
         scenario = self.inputs[0]
-        paths: list = [[] for _ in range(len(subsidies))]
+        paths: list = [failed.get(g, []) for g in range(len(subsidies))]
         groups: dict[bytes, list[int]] = {}
         for g, subsidy in enumerate(subsidies):
-            groups.setdefault(subsidy.tobytes(), []).append(g)
+            if g not in failed:
+                groups.setdefault(subsidy.tobytes(), []).append(g)
         roots = self._roots
         # (parent node, or None for a root; edge, or the root's subsidy bits; genomes)
         todo = [(None, key, np.array(g)) for key, g in reversed(groups.items())]
@@ -441,11 +490,11 @@ class HistoryStore:
                         self._hold(node)
                 for g in members:
                     paths[g].append(node.mix)
-                world = node.world
-                if world.year >= scenario.end_year:
+                year = node.world.year
+                if year >= scenario.end_year:
                     continue
-                funds, npvs = decide(world, node.settlements, beliefs.take(members))
-                best, affordable = commit_rule(funds, world.plans.plan(world.year).menu, npvs)
+                best, affordable = commit_rule(node.funds, self.plans.plan(year).tranche,
+                                               npvs[year][members])
             except InputError:
                 raise
             except Exception as exc:

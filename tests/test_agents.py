@@ -504,11 +504,19 @@ def test_candidate_menu_built_once_per_table_and_year(monkeypatch):
     assert len(lookups) == 9
 
 
+def test_plan_keeps_each_candidates_first_tranche():
+    """The bits of `InvestmentCandidate.tranche`, which `commit` charges."""
+    menu = oracle_menu()
+    plan = appraisal_plan(menu, flat_rep_year(1000.0), plain_scenario(), 2021)
+    assert plan.tranche.tobytes() == np.array([c.tranche for c in menu]).tobytes()
+    assert appraisal_plan((), flat_rep_year(1000.0), plain_scenario(), 2021).tranche.shape == (0,)
+
+
 def invest(menu, scenario, funds, rep_year=None, genco_id="g1"):
     curves = belief_curves(scenario, 0, 0, 2020, max(horizon(c) for c in menu))
     plan = appraisal_plan(menu, rep_year or flat_rep_year(1000.0), scenario, 2020)
     npvs = appraise(plan, curves[None], scenario.nuclear_subsidy)[0].tolist()
-    return invest_step(genco_id, funds, 2020, menu, npvs)
+    return invest_step(genco_id, funds, 2020, plan, npvs)
 
 
 def test_invest_step_no_positive_npv():
@@ -642,6 +650,7 @@ def oracle_npv_lists():
 @pytest.mark.parametrize("npvs", list(oracle_npv_lists()))
 def test_invest_step_equals_the_two_pass_oracle(npvs, caplog):
     menu = oracle_menu()
+    plan = appraisal_plan(menu, flat_rep_year(1000.0), plain_scenario(), 2021)
     assert len(npvs) == len(menu)
     tranches = [c.capital_total / c.capital_tranches for c in menu]
     funds_cases = [0.0, 1e12, float("nan")]
@@ -653,7 +662,7 @@ def test_invest_step_equals_the_two_pass_oracle(npvs, caplog):
             expected = invest_step_two_pass("g7", funds, 2021, menu, npvs)
             expected_log = [(r.levelno, r.getMessage()) for r in caplog.records]
             caplog.clear()
-            got = invest_step("g7", funds, 2021, menu, npvs)
+            got = invest_step("g7", funds, 2021, plan, npvs)
             got_log = [(r.levelno, r.getMessage()) for r in caplog.records]
         assert got == expected
         assert got_log == expected_log

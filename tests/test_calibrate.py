@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emsim import calibrate, engine
+from emsim import agents, calibrate, engine
 from emsim.calibrate import (
     GAConfig,
     Objective,
@@ -29,7 +29,7 @@ from emsim.calibrate import (
     objective_validation,
     validation_layout,
 )
-from emsim.engine import HistoryStore, init_world, run
+from emsim.engine import HistoryStore, PlanStore, init_world, run
 from emsim.ingest import InputError
 from emsim.market import dispatch_year
 from toys import invest_scenario
@@ -312,12 +312,15 @@ def test_ga_opens_no_more_processes_than_a_generation_has_batches(monkeypatch):
 
 
 SPAWN_RUN = """
-import multiprocessing, pickle, sys
+import logging, multiprocessing, pickle, sys
 import numpy as np
+from emsim import calibrate
 from emsim.calibrate import ga_run
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
+    calibrate.POOL_PROCESS_CELLS = 1  # a pool process however small the work
+    logging.basicConfig(level=logging.INFO)
     with open(sys.argv[1], "rb") as fh:
         cfg, objective = pickle.load(fh)
     result = ga_run(cfg, objective)
@@ -336,8 +339,10 @@ def test_ga_spawned_workers_match_serial(toy_bundle, tmp_path):
     src = str(Path(calibrate.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    subprocess.run([sys.executable, "-c", SPAWN_RUN, str(tmp_path / "run.pkl"),
-                    str(tmp_path / "fitness.npy")], env=env, check=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", SPAWN_RUN, str(tmp_path / "run.pkl"),
+                           str(tmp_path / "fitness.npy")], env=env, check=True, timeout=120,
+                          capture_output=True, text=True)
+    assert "GA scores on 2 of 2 processes asked for" in done.stderr
     spawned = np.load(tmp_path / "fitness.npy")
     assert np.array_equal(spawned, np.array([rec.fitnesses for rec in serial.generations]))
 
@@ -648,10 +653,13 @@ class FailsAbove60:
         return self.objective(genome, seed)
 
 
-def test_chunked_pool_matches_serial_with_failing_genomes(toy_bundle):
+def test_chunked_pool_matches_serial_with_failing_genomes(toy_bundle, monkeypatch):
+    # a plain callable gets the processes asked for, whatever its work
+    started = _process_starts(monkeypatch)
     objective = FailsAbove60(Objective(toy_bundle, validation_layout()))
     runs = [ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
                              parallel_workers=w), objective) for w in (1, 2, 3)]
+    assert len(started) == 1 + 2
     serial, *pooled = [np.array([rec.fitnesses for rec in r.generations]) for r in runs]
     assert np.isinf(serial).any()
     for fitness in pooled:
@@ -781,11 +789,14 @@ def test_fitness_does_not_depend_on_its_batch(toy_bundle, layout):
 
 
 @LAYOUTS
-def test_ga_run_gives_the_same_results_at_any_worker_count(toy_bundle, layout):
+def test_ga_run_gives_the_same_results_at_any_worker_count(toy_bundle, layout, monkeypatch):
+    monkeypatch.setattr(calibrate, "POOL_PROCESS_CELLS", 1)  # the pool however small the work
+    started = _process_starts(monkeypatch)
     objective = Objective(toy_bundle, layout)
     runs = [ga_run(small_cfg(population_size=10, max_generations=3, stall_generations=1000,
                              bounds=layout.bounds, parallel_workers=w), objective)
             for w in (1, 2, 3)]
+    assert len(started) == 1 + 2
     serial, *pooled = runs
     if layout.kind == "longterm":
         assert (serial.generations[0].genomes[:, -3:-1] > 0).all()
@@ -796,6 +807,80 @@ def test_ga_run_gives_the_same_results_at_any_worker_count(toy_bundle, layout):
             assert a.genomes.tobytes() == b.genomes.tobytes()
         assert result.best.genome.tobytes() == serial.best.genome.tobytes()
     assert multiprocessing.active_children() == []
+
+
+def _process_line(caplog) -> str:
+    """The one log line in which `ga_run` names its process count."""
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("GA scores on")]
+    return line
+
+
+def test_ga_run_starts_no_process_for_a_small_objective(toy_bundle, monkeypatch, caplog):
+    """The validation toy's generation is far below the work one pool
+    process pays for, so three workers asked for score on one process."""
+    started = _process_starts(monkeypatch)
+    objective = Objective(toy_bundle, validation_layout())
+    cfg = small_cfg(population_size=10, max_generations=2, stall_generations=1000,
+                    parallel_workers=3)
+    with caplog.at_level(logging.INFO, logger="emsim.calibrate"):
+        pooled = ga_run(cfg, objective)
+    assert started == []
+    work = cfg.population_size * objective.work()
+    assert 0 < work < calibrate.POOL_PROCESS_CELLS
+    assert _process_line(caplog) == (
+        f"GA scores on 1 of 3 processes asked for: a generation's estimated work is {work} "
+        f"cells, and a process pays from {calibrate.POOL_PROCESS_CELLS}")
+    serial = ga_run(replace(cfg, parallel_workers=1), objective)
+    assert [r.fitnesses.tobytes() for r in pooled.generations] == \
+        [r.fitnesses.tobytes() for r in serial.generations]
+
+
+def test_ga_run_starts_the_processes_a_long_term_objective_pays_for(toy_bundle, monkeypatch,
+                                                                      caplog):
+    """Belief noise makes the long-term toy's generation of six worth
+    more than three processes, so it gets the three asked for."""
+    layout = longterm_layout(2020, 2023)
+    objective = Objective(toy_bundle, layout)
+    cfg = small_cfg(population_size=6, max_generations=1, stall_generations=1000,
+                    bounds=layout.bounds, parallel_workers=3)
+    work = cfg.population_size * objective.work()
+    assert work >= 3 * calibrate.POOL_PROCESS_CELLS
+    # without the noise generators' weight it would run on one process
+    monkeypatch.setattr(calibrate, "NOISE_GENERATOR_CELLS", 0)
+    assert cfg.population_size * objective.work() < calibrate.POOL_PROCESS_CELLS
+    monkeypatch.undo()
+    started = _process_starts(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="emsim.calibrate"):
+        ga_run(cfg, objective)
+    assert len(started) == 2
+    assert _process_line(caplog).startswith("GA scores on 3 of 3 processes asked for: "
+                                            f"a generation's estimated work is {work} cells")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_plain_objective_gets_the_processes_asked_for(monkeypatch, caplog):
+    started = _process_starts(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="emsim.calibrate"):
+        ga_run(small_cfg(population_size=4, max_generations=1, parallel_workers=3), quadratic)
+    assert len(started) == 2
+    assert _process_line(caplog) == ("GA scores on 3 of 3 processes asked for (no work "
+                                     "estimate for a plain objective)")
+
+
+def test_objective_work_counts_cells_and_noise_generators(toy_bundle):
+    """Per decided year, belief sets x dispatchable rows x hours, plus
+    the noise generators' weight; per year, plants x hours."""
+    scenario, registry, rep = toy_bundle.scenario, toy_bundle.registry, toy_bundle.rep_year
+    hours, companies = len(rep.hour_weights), len(registry.funds)
+    plans = [PlanStore(scenario, rep, toy_bundle.cost_table).plan(y) for y in (2020, 2021, 2022)]
+    dispatch = len(registry.plants) * hours * 4
+    appraisal = sum(p.dispatchable * hours for p in plans)
+    generators = sum(companies * p.horizon for p in plans)
+    assert scenario.sigma_m == scenario.sigma_c == 0.0  # validation: one belief set
+    assert Objective(toy_bundle, validation_layout()).work() == appraisal + dispatch
+    assert Objective(toy_bundle, longterm_layout(2020, 2023)).work() == \
+        companies * appraisal + dispatch + calibrate.NOISE_GENERATOR_CELLS * generators
+    assert (dispatch, appraisal, generators) == (576, 7920, 192)
 
 
 def commits_in(bundle, layout, genome, seed, year, plant_type) -> bool:
@@ -856,6 +941,31 @@ def test_a_failed_root_scores_inf_for_its_subsidy_group_only(toy_bundle, monkeyp
     assert np.isinf(scores).tolist() == failed.tolist()
     assert np.isfinite(expected).all()
     assert scores[~failed].tobytes() == expected[~failed].tobytes()
+
+
+def test_a_failed_appraisal_scores_inf_and_spares_the_rest_of_its_batch(toy_bundle,
+                                                                        monkeypatch):
+    """The belief noise of one evaluation seed raises, in the last decided
+    year only: its genomes score inf, and every other genome of the batch,
+    those of its subsidy and history included, the bits it scores alone."""
+    layout = longterm_layout(2020, 2023)
+    genomes = np.array(store_genomes(layout))
+    genomes[:, -3] = 1e-4  # every genome draws noise
+    seeds = [7 + i % 3 for i in range(len(genomes))]
+    alone = [Objective(toy_bundle, layout).scores(g[None], [s])[0] for g, s in zip(genomes, seeds)]
+    real = agents.add_belief_noise
+
+    def broken(curves, root_seed, genco_index, sim_year, sigma_m, sigma_c):
+        if root_seed == 8 and sim_year == 2022:
+            raise RuntimeError("noise broke")
+        real(curves, root_seed, genco_index, sim_year, sigma_m, sigma_c)
+
+    monkeypatch.setattr(agents, "add_belief_noise", broken)
+    scores = Objective(toy_bundle, layout).scores(genomes, seeds)
+    failed = np.array(seeds) == 8
+    assert np.isinf(scores).tolist() == failed.tolist()
+    assert np.isfinite(alone).all()
+    assert scores[~failed].tobytes() == np.array(alone)[~failed].tobytes()
 
 
 @pytest.mark.parametrize("entry", [objective_validation, objective_longterm])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import emsim
-from emsim import repdays
+from emsim import calibrate, repdays
 from emsim.cli import main
 from emsim.ingest import SERIES_NAMES, PlantRegistry, load_hourly_series
 from emsim.repdays import save_representative_days
@@ -598,9 +599,16 @@ def test_calibrate_longterm_scoring_no_year_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_calibrate_input_error_inside_evaluation_exits_one(tmp_path, capsys, workers):
+def test_calibrate_input_error_inside_evaluation_exits_one(tmp_path, capsys, monkeypatch,
+                                                            workers):
+    # a pool process however small the work, so the error also crosses the pool
+    monkeypatch.setattr(calibrate, "POOL_PROCESS_CELLS", 1)
+    started, start = [], multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda proc: (started.append(proc), start(proc)))
     rc, out = _calibrate(tmp_path, {2023: ALL_TYPES}, "validation", workers=workers,
                          scheduled_retirements=(("ghost", 2021),))
+    assert len(started) == workers - 1
     assert rc == 1
     assert "unknown plant 'ghost'" in capsys.readouterr().err
     assert not (out / "best.csv").exists()

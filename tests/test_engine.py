@@ -671,7 +671,9 @@ def test_nodes_never_change_once_built(monkeypatch):
     assert [_snapshot(n.world, n.settlements, n.mix) for n in path] == opened
 
 
-PHASES = ("open_year", "decide", "close_year")
+# each phase a walk's year goes through, and the engine function that fails
+# it; a genome is decided from `npv_table`'s appraisals, before the walk
+PHASES = {"open_year": "open_year", "decide": "appraise", "close_year": "close_year"}
 
 
 @pytest.mark.parametrize("phase", PHASES)
@@ -682,19 +684,44 @@ def test_failed_walk_leaves_no_node(monkeypatch, phase):
     store = HistoryStore(scenario, registry, rep, table)
     store.mixes(walked, 3)
     nodes = len(store)
-    real = getattr(engine, phase)
+    name = PHASES[phase]
+    real = getattr(engine, name)
 
     def broken(*args):
         real(*args)  # change what the phase changes, then fail
         raise RuntimeError(f"{phase} broke")
 
-    monkeypatch.setattr(engine, phase, broken)
+    monkeypatch.setattr(engine, name, broken)
     with pytest.raises(RuntimeError, match="broke"):
         store.mixes(failing, 3)
-    monkeypatch.setattr(engine, phase, real)
+    monkeypatch.setattr(engine, name, real)
     assert len(store) == nodes
     for scenario in (failing, walked):
         assert store.mixes(scenario, 3) == plain_mixes(scenario, registry, rep, table, 3)
+
+
+def test_a_failed_appraisal_is_the_error_mixes_raises(monkeypatch):
+    """A genome whose appraisal raises is not walked: `mixes` raises the
+    appraisal's error, also when its walk would have failed first, and the
+    store gains no node."""
+    scenario, registry, rep, table = invest_scenario(end_year=2024)
+    walked = replace(scenario, price_curve=(0.002, 20.0))
+    store = HistoryStore(scenario, registry, rep, table)
+    store.mixes(walked, 3)
+    nodes = len(store)
+    real = engine.appraise
+
+    def late(plan, beliefs, subsidy):
+        if plan is store.plans.plan(2023):
+            raise RuntimeError("appraise broke")
+        return real(plan, beliefs, subsidy)
+
+    monkeypatch.setattr(engine, "appraise", late)
+    monkeypatch.setattr(engine, "open_year", lambda world: 1 / 0)
+    failing = replace(scenario, price_curve=(0.0, 20.0))
+    with pytest.raises(RuntimeError, match="appraise broke"):
+        store.mixes(failing, 3)
+    assert len(store) == nodes
 
 
 def test_failed_root_attaches_nothing(monkeypatch):
@@ -727,8 +754,10 @@ def test_a_non_finite_subsidy_is_an_input_error(monkeypatch, subsidy):
     beliefs = Beliefs.of(scenario, 3)
     beliefs = replace(beliefs, **{f: np.repeat(getattr(beliefs, f), 2, axis=0)
                                   for f in ("curves", "sigma_m", "sigma_c", "seeds")})
+    subsidies = np.array([0.0, subsidy])
+    npvs, failed = store.npvs(beliefs, subsidies)
     with pytest.raises(InputError, match=re.escape(str(raised.value))):
-        store.walk(beliefs, np.array([0.0, subsidy]))
+        store.walk(npvs, subsidies, failed)
     assert calls == []
     assert len(store) == nodes
 
