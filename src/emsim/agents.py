@@ -36,24 +36,19 @@ def add_belief_noise(curves: np.ndarray, root_seed: int, genco_index: int, sim_y
     """Perturb one GenCo's (2, horizon) base curves for the target years
     sim_year, sim_year + 1, ... in place.
 
-    Each target year perturbs its base curve with normal noise on m, then
-    on c, drawn from the stream (root seed, simulated year, genco index,
-    target year), so a draw never depends on which years are asked for.
-    A zero sigma draws nothing, and zero sigmas build no generator.
+    Target year t adds row t of one (horizon, 2) standard normal block,
+    drawn from the stream (root seed, simulated year, genco index), times
+    sigma_m on m and sigma_c on c. The block fills in C order, so no draw
+    depends on the horizon. Zero sigmas build no generator.
     """
     if not (sigma_m or sigma_c):
         return
-    stream = [root_seed, sim_year, genco_index]
-    # each int below 2**32 is one 32-bit entropy word, so a uint32 array
-    # seeds the same generator, and numpy converts it faster than a list
-    words = max(stream) < 2**32
-    for t, year in enumerate(np.arange(sim_year, sim_year + curves.shape[1])):
-        entropy = stream + [year]
-        rng = np.random.default_rng(np.array(entropy, dtype=np.uint32) if words else entropy)
-        if sigma_m:
-            curves[0, t] = rng.normal(curves[0, t], sigma_m)
-        if sigma_c:
-            curves[1, t] = rng.normal(curves[1, t], sigma_c)
+    z = np.random.default_rng([root_seed, sim_year, genco_index]).standard_normal(
+        (curves.shape[1], 2))
+    if sigma_m:
+        curves[0] += sigma_m * z[:, 0]
+    if sigma_c:
+        curves[1] += sigma_c * z[:, 1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,8 @@ class Beliefs:
     def stack(self, sim_year: int, horizon: int, companies: int) -> np.ndarray:
         """Each genome's belief curves for each of `companies` GenCos, a
         (G, companies, 2, horizon) array: entry [g, i] is what
-        `belief_curves` gives GenCo i under genome g's scenario and seed."""
+        `belief_curves` gives GenCo i under genome g's scenario and seed,
+        one noise generator per (genome, GenCo) where a sigma is nonzero."""
         years = np.arange(sim_year, sim_year + horizon)
         base = self.curves[:, held_rows(self.first_year, self.curves.shape[1], years)]
         stack = np.repeat(base.transpose(0, 2, 1)[:, None], companies, axis=1)

@@ -264,10 +264,10 @@ class Objective:
     def work(self) -> int:
         """The estimated work of scoring one genome, in cells: per decided
         year, belief sets x dispatchable plan rows x representative hours
-        appraised; per simulated year, plants x hours dispatched; and
-        NOISE_GENERATOR_CELLS per belief-noise generator built, where the
-        layout lets a sigma be above 0. Each GenCo holds its own belief set
-        then, and all hold one otherwise."""
+        appraised; per simulated year, plants x hours dispatched; and the
+        weight NOISE_GENERATOR_CELLS per (GenCo, target year) of noisy
+        beliefs, where the layout lets a sigma be above 0. Each GenCo holds
+        its own belief set then, and all hold one otherwise."""
         bundle = self.bundle
         scenario, plans = bundle.scenario, self.histories.plans
         upper = np.array([[hi for _, hi in self.layout.bounds]])
@@ -306,9 +306,11 @@ class Objective:
 # pop 12: 0.10 against 0.13 s). So two processes start from 2 M cells,
 # where they about break even.
 POOL_PROCESS_CELLS = 1_000_000
-# The cells one belief-noise generator costs: building one took 11-25 us,
-# and appraising one cell 5-9 ns. The weight is at the top of that range,
-# so an error in the estimate leans toward starting the pool.
+# The weight of one (GenCo, target year) of noisy beliefs. It is not the
+# noise's cost (0.6-0.9 us, against 5-9 ns per appraisal cell); it makes
+# noisy long-term runs start the pool where it pays: on the calibrate_small
+# inputs (2 vCPUs) pop 40, gens 10 took a median of 0.72 s at one process
+# and 0.54 s at two, and pop 12, gens 2 tied.
 NOISE_GENERATOR_CELLS = 3_000
 
 TOURNAMENT_SIZE = 3

@@ -104,9 +104,11 @@ def test_belief_set_deterministic_and_cached():
 def test_belief_noise_is_drawn_from_the_seed_tuple_stream(root_seed):
     scenario = plain_scenario(sigma_m=0.0005, sigma_c=0.5, price_curve=(0.001, 30.0))
     m, c = belief_curves(scenario, root_seed, 2, 2021, 6)
-    for t, year in enumerate(range(2021, 2027)):
-        rng = np.random.default_rng([root_seed, 2021, 2, year])
-        assert (m[t], c[t]) == (rng.normal(0.001, 0.0005), rng.normal(30.0, 0.5))
+    # target year 2021 + t adds row t of one block drawn on that stream;
+    # a longer block has the same first rows, so no draw depends on the horizon
+    z = np.random.default_rng([root_seed, 2021, 2]).standard_normal((9, 2))
+    for t in range(6):
+        assert (m[t], c[t]) == (0.001 + 0.0005 * z[t, 0], 30.0 + 0.5 * z[t, 1])
 
 
 def test_belief_set_uses_per_year_curves():
@@ -122,9 +124,9 @@ def test_zero_sigmas_build_no_generator(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
     belief_curves(plain_scenario(price_curve=(0.001, 30.0)), 0, 0, 2020, 40)
     assert built == []
-    # the counter sees the generators a nonzero sigma builds, one per target year
+    # the counter sees the generators a nonzero sigma builds: one for all 40 target years
     belief_curves(plain_scenario(price_curve=(0.001, 30.0), sigma_m=1e-4), 0, 0, 2020, 40)
-    assert len(built) == 40
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +290,20 @@ def test_cashflow_reads_each_scenario_table_once(monkeypatch):
 
 def _reference_cashflow(candidate, scenario, root_seed, genco_index, rep_year, commit_year):
     """The appraisal as a loop over operating years, with each target
-    year's curve drawn lazily on its own stream: the oracle that the
+    year's curve read from row t of one long noise block drawn on the
+    stream (root seed, commit year, genco index): the oracle that the
     array form must equal exactly."""
-    drawn = {}
+    # 64 rows: longer than any horizon `_random_case` draws
+    z = np.random.default_rng([root_seed, commit_year, genco_index]).standard_normal((64, 2))
 
     def curve(year):
-        if year not in drawn:
-            m, c = scenario.curve_params_at(year)
-            rng = np.random.default_rng([root_seed, commit_year, genco_index, year])
-            if scenario.sigma_m != 0:
-                m = float(rng.normal(m, scenario.sigma_m))
-            if scenario.sigma_c != 0:
-                c = float(rng.normal(c, scenario.sigma_c))
-            drawn[year] = (m, c)
-        return drawn[year]
+        m, c = scenario.curve_params_at(year)
+        t = year - commit_year
+        if scenario.sigma_m != 0:
+            m = m + scenario.sigma_m * float(z[t, 0])
+        if scenario.sigma_c != 0:
+            c = c + scenario.sigma_c * float(z[t, 1])
+        return m, c
 
     lead = candidate.lead_years
     n_years = lead + candidate.operating_years
