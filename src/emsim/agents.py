@@ -298,15 +298,16 @@ def npv(cashflows, discount_rate: float) -> float:
     return float(r @ discounts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Commitment:
-    """A plant under construction with its remaining capital schedule."""
+    """A plant committed to in `committed_year` and its capital schedule:
+    `tranches` payments of `tranche`, the first in the commit year and one
+    in each year after it. The plant operates from the year after the last."""
 
     plant: PowerPlant
     committed_year: int
-    online_year: int
     tranche: float
-    tranches_left: int
+    tranches: int
 
 
 @dataclass(frozen=True)
@@ -343,17 +344,15 @@ def commit(genco_id: str, year: int, candidate: InvestmentCandidate) -> Commitme
     """The plant `genco_id` commits to building in `year`, with its capital
     schedule: the first tranche is paid this year and the rest over the
     lead years."""
-    online = year + candidate.lead_years
     plant = PowerPlant(
         plant_id=f"{genco_id}-{candidate.plant_type}-{year}",
         owner_id=genco_id,
         plant_type=candidate.plant_type,
         capacity_mw=candidate.capacity_mw,
-        construction_year=online,
+        construction_year=year + candidate.lead_years,
         costs=candidate.costs,
-        status="under_construction",
     )
-    return Commitment(plant, year, online, candidate.tranche, candidate.capital_tranches - 1)
+    return Commitment(plant, year, candidate.tranche, candidate.capital_tranches)
 
 
 def invest_step(genco_id: str, funds: float, year: int, plan: AppraisalPlan,
@@ -373,8 +372,8 @@ def invest_step(genco_id: str, funds: float, year: int, plan: AppraisalPlan,
                      genco_id, best.plant_type, best.tranche, funds)
         else:
             commitment = commit(genco_id, year, best)
-            log.info("%s commits to %s %.0f MW (npv %.0f, online %d)", genco_id,
-                     best.plant_type, best.capacity_mw, npvs[idx], commitment.online_year)
+            log.info("%s commits to %s %.0f MW (npv %.0f, online %d)", genco_id, best.plant_type,
+                     best.capacity_mw, npvs[idx], commitment.plant.construction_year)
     evaluations = [InvestmentEvaluation(
         genco_id, year, cand.plant_type, cand.capacity_mw, value,
         committed=i == idx and commitment is not None,

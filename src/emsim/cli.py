@@ -220,8 +220,8 @@ class _DispatchLogSink:
         for ptype in sorted(result.energy_mwh):
             self.mix.writerow([result.year, ptype, _fmt(result.energy_mwh[ptype]),
                                _fmt(result.mix.get(ptype, 0.0))])
-        for gid in sorted(result.funds):
-            self.funds.writerow([result.year, gid, _fmt(result.funds[gid])])
+        for gid in sorted(result.settlements):
+            self.funds.writerow([result.year, gid, _fmt(result.settlements[gid].funds_end)])
         for ev in result.investment_log:
             self.invest.writerow([ev.year, ev.genco_id, ev.plant_type,
                                   _fmt(ev.capacity_mw), _fmt(ev.npv),

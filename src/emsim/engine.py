@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,7 +64,6 @@ class YearResult:
     mix: dict[str, float]               # plant type -> share of served energy
     unserved_mwh: float
     settlements: dict[str, Settlement]  # genco id -> money movements
-    funds: dict[str, float]             # genco id -> funds at year end
     plant_ids: list[str]                # operating plants, in dispatch column order
     bid_prices: list[float]             # each operating plant's bid
     days: tuple[DayDispatch, ...]       # every representative day's clearings
@@ -138,18 +138,33 @@ class PlanStore:
 
 @dataclass
 class World:
+    """A simulated year's state. Its lists only grow: `close_year` rebinds
+    them and `funds`, so a copy of a world shares what it held."""
+
     year: int
     scenario: ScenarioConfig
     rep_year: RepresentativeYear
-    plants: list[PowerPlant]
+    plants: list[PowerPlant]            # every plant that entered, in entry order
+    lives: list[tuple[int, int]]        # each plant's operating years [first, end)
     funds: dict[str, float]             # genco id -> funds, the one ledger
     plans: PlanStore
     nuclear_subsidy: float              # per nuclear MWh, paid and believed
-    commitments: list[Commitment] = field(default_factory=list)
+    commitments: list[Commitment] = field(default_factory=list)  # every one made
     seed: int = 0
 
     def operating_plants(self) -> list[PowerPlant]:
-        return [p for p in self.plants if p.status == "operating"]
+        return [p for p, (first, end) in zip(self.plants, self.lives)
+                if first <= self.year < end]
+
+
+def _life(plant: PowerPlant, first: int, scenario: ScenarioConfig) -> tuple[int, int]:
+    """The operating years [first, end) of `plant` entering a world in year
+    `first`: it retires at the first year from `first` on at which its
+    age (year - construction_year) reaches its operating period, or at
+    which a scheduled retirement names it."""
+    aged = plant.construction_year + math.ceil(plant.costs.operating_period)
+    return first, min([max(first, aged)] + [y for pid, y in scenario.scheduled_retirements
+                                            if pid == plant.plant_id and y >= first])
 
 
 def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
@@ -158,36 +173,36 @@ def init_world(scenario: ScenarioConfig, registry: PlantRegistry,
     """Build a world at the scenario's start year.
 
     Registry plants start operating, in plant id order, except those
-    already past their operating period, which retire immediately; so the
-    registry's row order changes nothing. The registry itself is never
-    mutated: the world works on copies. The world pays and believes the
+    already past their operating period, which are logged and left out;
+    so the registry's row order changes nothing. The world pays and believes the
     scenario's nuclear subsidy. Worlds handed the same `plans` (built on
     a scenario that differs only in beliefs and nuclear subsidy, and on
     the same representative year and cost table) share their appraisal
     plans and bids; by default a world builds its own.
     A registry plant built after the start year is an InputError.
     """
-    plants = [copy.copy(p) for p in sorted(registry.plants, key=lambda p: p.plant_id)]
     year = scenario.start_year
-    for plant in plants:
+    plants = []
+    for plant in sorted(registry.plants, key=lambda p: p.plant_id):
         if plant.owner_id not in registry.funds:
             raise InputError(f"plant '{plant.plant_id}' has owner '{plant.owner_id}', "
                              "which has no funds entry")
         if plant.construction_year > year:
             raise InputError(f"plant '{plant.plant_id}' is built in {plant.construction_year}, "
                              f"after the start year {year}")
-        plant.status = "operating"
         if year - plant.construction_year >= plant.costs.operating_period:
-            plant.status = "retired"
             log.info("plant %s already past operating period at init; retired", plant.plant_id)
+        else:
+            plants.append(plant)
     for pid, _ in scenario.scheduled_retirements:
-        if pid not in {p.plant_id for p in plants}:
+        if pid not in {p.plant_id for p in registry.plants}:
             raise InputError(f"scheduled retirement names unknown plant '{pid}'")
     return World(
         year=year,
         scenario=scenario,
         rep_year=rep_year,
         plants=plants,
+        lives=[_life(plant, year, scenario) for plant in plants],
         funds=dict(registry.funds),
         seed=scenario.rng_seed if seed is None else seed,
         plans=PlanStore(scenario, rep_year, cost_table) if plans is None else plans,
@@ -206,26 +221,17 @@ def _mix(plants: list[PowerPlant], energy: list[float]):
 
 
 def open_year(world: World) -> YearResult:
-    """The open phase of the world's year: retire (scheduled and aged-out
-    plants), dispatch every representative day and settle the year's
-    revenues and costs. The result holds each company's settlement
-    before it invests, and no funds, investments or activations yet."""
+    """The open phase of the world's year, which changes nothing on the
+    world: dispatch every representative day over the plants operating
+    this year and settle the year's revenues and costs. The result holds
+    the plants retired this year and each company's settlement before it
+    invests, and no investments or activations yet."""
     year = world.year
     scenario = world.scenario
     if not scenario.start_year <= year <= scenario.end_year:
         raise InputError(f"scenario does not cover year {year}")
 
-    # a retiring plant is replaced by a retired copy, so the plants a world
-    # shares with the worlds of a HistoryStore never change in this phase
-    retired = []
-    scheduled = {pid for pid, y in scenario.scheduled_retirements if y == year}
-    for i, plant in enumerate(world.plants):
-        if plant.status != "operating":
-            continue
-        if plant.plant_id in scheduled or year - plant.construction_year >= plant.costs.operating_period:
-            world.plants[i] = replace(plant, status="retired")
-            retired.append(plant.plant_id)
-
+    retired = [p.plant_id for p, (_, end) in zip(world.plants, world.lives) if end == year]
     operating = world.operating_plants()
     costs = world.plans.bids(operating, year)
     days = tuple(dispatch_year(operating, costs, world.rep_year, scenario.price_cap,
@@ -240,14 +246,13 @@ def open_year(world: World) -> YearResult:
         s.subsidy += subsidy[i]
         s.variable_cost += energy[i] * costs[i]
         s.fixed_cost += plant.costs.fixed_om * plant.capacity_mw
-    for commitment in world.commitments:
-        if commitment.tranches_left > 0:
-            settlements[commitment.plant.owner_id].capital_existing += commitment.tranche
-            commitment.tranches_left -= 1
+    for c in world.commitments:
+        if c.committed_year < year < c.committed_year + c.tranches:
+            settlements[c.plant.owner_id].capital_existing += c.tranche
 
     energy_by_type, mix = _mix(operating, energy)
     return YearResult(year=year, energy_mwh=energy_by_type, mix=mix, unserved_mwh=unserved,
-                      settlements=settlements, funds={},
+                      settlements=settlements,
                       plant_ids=[p.plant_id for p in operating], bid_prices=costs,
                       days=days, retired=retired)
 
@@ -255,28 +260,23 @@ def open_year(world: World) -> YearResult:
 def close_year(world: World, settlements: dict[str, Settlement],
                commitments: list[Commitment]) -> list[str]:
     """The close phase of the world's year: take on `commitments` (each
-    owner's settlement pays its first tranche), write every company's
-    funds_end, bring finished construction online and advance the
-    calendar. Returns the ids of the plants brought online."""
-    for commitment in commitments:
-        settlements[commitment.plant.owner_id].capital_new += commitment.tranche
-        world.commitments.append(commitment)
-        world.plants.append(commitment.plant)
+    owner's settlement pays its first tranche, and each plant operates
+    from the year after its last), write every company's funds_end and
+    advance the calendar. Returns the ids of the plants that start
+    operating in the new year."""
+    for c in commitments:
+        settlements[c.plant.owner_id].capital_new += c.tranche
+    world.commitments = world.commitments + commitments
+    world.plants = world.plants + [c.plant for c in commitments]
+    world.lives = world.lives + [_life(c.plant, c.committed_year + c.tranches, world.scenario)
+                                 for c in commitments]
     # funds change only here, so funds_end == funds_start + delta exactly
-    for gid, s in settlements.items():
-        s.funds_end = world.funds[gid] = s.funds_start + s.delta
-
-    building = []
-    activated = []
-    for commitment in world.commitments:
-        if commitment.online_year <= world.year + 1 and commitment.tranches_left == 0:
-            commitment.plant.status = "operating"
-            activated.append(commitment.plant.plant_id)
-        else:
-            building.append(commitment)
-    world.commitments = building
+    for s in settlements.values():
+        s.funds_end = s.funds_start + s.delta
+    world.funds = {gid: s.funds_end for gid, s in settlements.items()}
     world.year += 1
-    return activated
+    return [p.plant_id for p, (first, _) in zip(world.plants, world.lives)
+            if first == world.year]
 
 
 def npv_table(plans: PlanStore, beliefs: Beliefs, subsidies, companies: int,
@@ -349,7 +349,6 @@ def step_year(world: World) -> YearResult:
             if commitment is not None:
                 result.investments.append(commitment)
     result.activated = close_year(world, result.settlements, result.investments)
-    result.funds = {gid: s.funds_end for gid, s in result.settlements.items()}
     return result
 
 
@@ -516,16 +515,11 @@ class HistoryStore:
     @staticmethod
     def _child(node: _Node, edge: tuple[int, ...]) -> _Node:
         """The node after `node` under `edge`. The new world shares the
-        parent's plants except those under construction, which the close
-        phase brings online: it gets copies of them and of the
-        commitments that build them, and of the funds and settlements."""
+        parent's plants and commitments, which never change; it gets
+        copies of the settlements, which the close phase completes."""
         parent = node.world
         menu = parent.plans.plan(parent.year).menu
-        building = {id(c.plant): copy.copy(c.plant) for c in parent.commitments}
-        world = replace(
-            parent, plants=[building.get(id(p), p) for p in parent.plants],
-            funds=dict(parent.funds),
-            commitments=[replace(c, plant=building[id(c.plant)]) for c in parent.commitments])
+        world = replace(parent)
         settlements = {gid: copy.copy(s) for gid, s in node.settlements.items()}
         close_year(world, settlements, [commit(gid, parent.year, menu[index])
                                         for gid, index in zip(settlements, edge) if index >= 0])

@@ -306,6 +306,9 @@ class PlantCosts:
     connection_cost: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite (got {value!r})")
         if not 0.0 <= self.efficiency <= 1.0:
             raise InputError(f"efficiency {self.efficiency} outside [0, 1]")
         for name in ("operating_period", "predev_period", "construction_period"):
@@ -471,7 +474,7 @@ def bundled_cost_table() -> CostTable:
 # Plant registry
 
 
-@dataclass
+@dataclass(frozen=True)
 class PowerPlant:
     plant_id: str
     owner_id: str
@@ -479,7 +482,6 @@ class PowerPlant:
     capacity_mw: float
     construction_year: int
     costs: PlantCosts
-    status: str = "operating"  # operating | under_construction | retired
 
     def __post_init__(self):
         if self.plant_type not in PLANT_TYPES:
@@ -586,6 +588,10 @@ class ScenarioConfig:
                                  f"(its years run {min(table)}-{max(table)})")
         if self.end_year < self.start_year:
             raise InputError("end_year must be >= start_year")
+        for pid, year in self.scheduled_retirements:
+            if year < self.start_year:
+                raise InputError(f"scheduled retirement of {pid!r} in {year} is before "
+                                 f"start_year {self.start_year}")
         if self.sigma_m < 0 or self.sigma_c < 0:
             raise InputError("sigma_m and sigma_c must be >= 0")
         if self.rng_seed < 0:

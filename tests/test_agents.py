@@ -562,8 +562,9 @@ def test_invest_step_picks_argmax_npv():
     assert commitment is not None
     assert commitment.plant.plant_type == "Coal"
     assert commitment.plant.owner_id == "g1"
-    assert commitment.online_year == 2022
-    assert commitment.tranches_left == 1
+    assert commitment.plant.construction_year == 2022
+    assert commitment.committed_year == 2020
+    assert commitment.tranches == 2
     assert commitment.tranche == menu[1].capital_total / 2
 
 
@@ -615,7 +616,7 @@ def invest_step_two_pass(genco_id, funds, year, menu, npvs):
     plant = PowerPlant(
         plant_id=f"{genco_id}-{best.plant_type}-{year}", owner_id=genco_id,
         plant_type=best.plant_type, capacity_mw=best.capacity_mw, construction_year=online,
-        costs=best.costs, status="under_construction",
+        costs=best.costs,
     )
     evaluations[idx] = InvestmentEvaluation(
         genco_id, year, best.plant_type, best.capacity_mw, best_npv,
@@ -623,7 +624,7 @@ def invest_step_two_pass(genco_id, funds, year, menu, npvs):
     )
     log.info("%s commits to %s %.0f MW (npv %.0f, online %d)",
              genco_id, best.plant_type, best.capacity_mw, best_npv, online)
-    return Commitment(plant, year, online, tranche, best.capital_tranches - 1), evaluations
+    return Commitment(plant, year, tranche, best.capital_tranches), evaluations
 
 
 def oracle_menu():

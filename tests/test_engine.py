@@ -1,6 +1,7 @@
 """World lifecycle, settlement and yearly-loop tests."""
 
 import copy
+import logging
 import pickle
 import re
 import weakref
@@ -53,16 +54,22 @@ def _empty_cost_table():
 def test_init_world_all_operating():
     world = nuclear_world()
     assert world.year == 2020
-    assert all(p.status == "operating" for p in world.plants)
+    assert [p.plant_id for p in world.plants] == ["n1"]
+    assert world.lives == [(2020, 2070)]
+    assert world.operating_plants() == world.plants
 
 
-def test_init_world_overage_plant_retired():
+def test_init_world_overage_plant_retired(caplog):
     scenario = ScenarioConfig(start_year=2020, end_year=2020, carbon_price={2020: 0.0})
     old = make_plant("old", "g1", "CCGT", 100.0, 1990,
                      simple_costs(operating_period=25))
     registry = PlantRegistry(plants=(old,), funds={"g1": 0.0})
-    world = init_world(scenario, registry, flat_rep_year(100.0), _empty_cost_table())
-    assert world.plants[0].status == "retired"
+    with caplog.at_level(logging.INFO, logger="emsim.engine"):
+        world = init_world(scenario, registry, flat_rep_year(100.0), _empty_cost_table())
+    assert caplog.messages == ["plant old already past operating period at init; retired"]
+    assert world.plants == world.lives == world.operating_plants() == []
+    result = step_year(world)
+    assert result.plant_ids == result.retired == []
 
 
 def test_init_world_empty_registry():
@@ -217,7 +224,8 @@ def test_run_deterministic_replay():
         years = []
         run(world, years.append)
         return [
-            (r.year, sorted(r.energy_mwh.items()), sorted(r.funds.items()),
+            (r.year, sorted(r.energy_mwh.items()),
+             sorted((gid, s.funds_end) for gid, s in r.settlements.items()),
              r.prices.tolist(), [c.plant.plant_id for c in r.investments])
             for r in years
         ]
@@ -230,12 +238,12 @@ def test_money_conservation_ledger():
     scenario = type(scenario)(**{**scenario.__dict__, "price_curve": (0.002, 30.0)})
     world = init_world(scenario, registry, rep, table, seed=5)
     years = []
-    run(world, years.append)
-    for result in years:
+    run(world, lambda result: years.append((result, dict(world.funds))))
+    for result, funds in years:
         for gid, s in result.settlements.items():
             # exact replay: funds_end was computed as funds_start + delta
             assert s.funds_end == s.funds_start + s.delta
-            assert result.funds[gid] == s.funds_end
+            assert funds[gid] == s.funds_end
 
 
 @pytest.mark.parametrize("sigma_c, seed, opening, price_cap", [
@@ -251,14 +259,14 @@ def test_money_conservation_per_genco(sigma_c, seed, opening, price_cap):
         registry = PlantRegistry(plants=registry.plants, funds=dict(zip(("g1", "g2"), opening)))
     world = init_world(scenario, registry, rep, table, seed=seed)
     years = []
-    run(world, years.append)
-    assert len({c.plant.owner_id for r in years for c in r.investments}) == 2
+    run(world, lambda result: years.append((result, dict(world.funds))))
+    assert len({c.plant.owner_id for r, _ in years for c in r.investments}) == 2
     funds = dict(registry.funds)
-    for result in years:
+    for result, world_funds in years:
         # each year opens with the funds the previous year closed with
         assert {gid: s.funds_start for gid, s in result.settlements.items()} == funds
         funds = {gid: s.funds_end for gid, s in result.settlements.items()}
-        assert result.funds == funds
+        assert world_funds == funds
         # every unit of market revenue is a cleared MWh at its clearing price
         paid = sum(float(np.sum(day.clearings[:, None] * day.dispatch))
                    * day.weight * DAYS_PER_YEAR for day in result.days)
@@ -340,8 +348,9 @@ def test_investment_lifecycle():
     committed = [c for r in years for c in r.investments]
     assert committed, "high flat price should trigger at least one investment"
     first = committed[0]
-    assert first.plant.status == "operating"
-    assert first.tranches_left == 0
+    # it operates once the run is over, and owes no tranche
+    assert first.plant in world.operating_plants()
+    assert first.committed_year + first.tranches <= world.year
     assert first.plant.plant_id in {pid for r in years for pid in r.activated}
     # every tranche paid shows up in the settlements: total capital across
     # all companies equals the committed capital minus what is still owed
@@ -352,7 +361,8 @@ def test_investment_lifecycle():
         costs = c.plant.costs
         full = (costs.predev_cost + costs.construction_cost) * c.plant.capacity_mw \
             + costs.infrastructure_cost
-        expected += full - c.tranche * c.tranches_left
+        owed = max(0, c.committed_year + c.tranches - world.year)
+        expected += full - c.tranche * owed
     assert paid == pytest.approx(expected, rel=1e-12)
 
 
@@ -394,9 +404,10 @@ def test_energy_balance_every_year_with_scaled_demand_and_shortfall():
 # settlement against the per-company loop
 
 
-def settle_per_genco(funds, operating, totals, costs, commitments):
+def settle_per_genco(year, funds, operating, totals, costs, commitments):
     """Oracle: the settlement as one loop per company in sorted order, each
-    summing over the whole operating fleet and then over every commitment."""
+    summing over the whole operating fleet and then over every commitment
+    with a tranche due in `year`."""
     energy, revenue, subsidy, _ = totals
     settlements = {}
     for gid in sorted(funds):
@@ -409,17 +420,19 @@ def settle_per_genco(funds, operating, totals, costs, commitments):
             s.variable_cost += energy[i] * costs[i]
             s.fixed_cost += plant.costs.fixed_om * plant.capacity_mw
         for commitment in commitments:
-            if commitment.plant.owner_id != gid or commitment.tranches_left <= 0:
+            due = range(commitment.committed_year + 1,
+                        commitment.committed_year + commitment.tranches)
+            if commitment.plant.owner_id != gid or year not in due:
                 continue
             s.capital_existing += commitment.tranche
-            commitment.tranches_left -= 1
         settlements[gid] = s
     return settlements
 
 
 def interleaved_world(seed):
     """A seeded fleet whose owners interleave in list order, with
-    commitments owed 0 to 3 tranches, in a scenario where companies invest."""
+    commitments made in the year before the start and owed 0 to 3 more
+    tranches, in a scenario where companies invest."""
     scenario, _, rep, table = invest_scenario(end_year=2026)
     scenario = replace(scenario, price_curve=(0.002, 50.0), sigma_c=4.0, nuclear_subsidy=3.0)
     rep = flat_rep_year(demand=(20000.0, 35000.0), solar=(0.2, 0.6), onshore=(0.5, 0.3),
@@ -439,10 +452,9 @@ def interleaved_world(seed):
     world = init_world(scenario, registry, rep, table, seed=seed)
     for j, left in enumerate((0, 1, 2, 3, 1, 0)):
         plant = make_plant(f"c{j}", gencos[j % 3], "CCGT", 500.0, 2021 + j)
-        plant.status = "under_construction"
         world.plants.append(plant)
-        world.commitments.append(
-            Commitment(plant, 2019, 2020 + j, float(rng.uniform(1e6, 1e8)), left))
+        world.lives.append(engine._life(plant, 2020 + left, scenario))
+        world.commitments.append(Commitment(plant, 2019, float(rng.uniform(1e6, 1e8)), left + 1))
     return world
 
 
@@ -461,15 +473,15 @@ def test_one_pass_settlement_equals_the_per_genco_loop(seed):
         by_id.update((p.plant_id, p) for p in world.plants)
         operating = [by_id[pid] for pid in result.plant_ids]
         totals = annual_totals(operating, result.days, world.scenario.nuclear_subsidy)
-        expected = settle_per_genco(funds, operating, totals, result.bid_prices,
-                                    expected_commitments)
+        expected = settle_per_genco(result.year, funds, operating, totals, result.bid_prices,
+                                    commitments)
         for commitment in result.investments:
             expected[commitment.plant.owner_id].capital_new += commitment.tranche
         for s in expected.values():
             s.funds_end = s.funds_start + s.delta
         assert list(result.settlements.items()) == list(expected.items())
-        assert ([c.tranches_left for c in commitments]
-                == [c.tranches_left for c in expected_commitments])
+        # the year took on its investments and changed no commitment
+        assert world.commitments == expected_commitments + result.investments
         invested += len(result.investments)
     assert invested
 
@@ -636,8 +648,10 @@ def test_history_store_simulates_each_history_once(monkeypatch, funds):
 def _snapshot(world, settlements, mix):
     """Everything a walk reads from a year after its open phase, or a
     later year inherits from it."""
-    return (world.year, [(p.plant_id, p.status) for p in world.plants], dict(world.funds),
-            [(c.plant.plant_id, c.plant.status, c.tranches_left) for c in world.commitments],
+    return (world.year, [(p.plant_id, life) for p, life in zip(world.plants, world.lives)],
+            dict(world.funds),
+            [(c.plant.plant_id, c.committed_year, c.tranche, c.tranches)
+             for c in world.commitments],
             {gid: vars(s).copy() for gid, s in settlements.items()}, dict(mix))
 
 

@@ -553,6 +553,16 @@ def test_negative_connection_cost_accepted():
     assert table.lookup("RecipDiesel", 20, 2018).connection_cost == -31900
 
 
+@pytest.mark.parametrize("name, value", [("operating_period", float("inf")),
+                                         ("construction_period", float("nan")),
+                                         ("connection_cost", float("-inf"))])
+def test_plant_costs_built_in_code_must_be_finite(name, value):
+    # an infinite operating period gives a plant no retirement year
+    costs = vars(bundled_cost_table().lookup("CCGT", 1200, 2020))
+    with pytest.raises(InputError, match=f"^{name} must be finite"):
+        PlantCosts(**{**costs, name: value})
+
+
 def test_duplicate_key_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     with open(path, "w") as fh:
@@ -982,6 +992,25 @@ def test_scenario_end_before_start(tmp_path):
     path = tmp_path / "scen.yaml"
     path.write_text("start_year: 2020\nend_year: 2019\ncarbon_price: {2019: 0.0, 2020: 0.0}\n")
     with pytest.raises(InputError, match="end_year"):
+        load_scenario(path)
+
+
+def test_scheduled_retirement_before_the_start_year():
+    scenario = invest_scenario()[0]
+    assert scenario.start_year == 2020
+    message = "scheduled retirement of 'coal0' in 2010 is before start_year 2020"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        ScenarioConfig(**{**scenario.__dict__, "scheduled_retirements": (("coal0", 2010),)})
+    # a retirement in the start year is a retirement, not an error
+    ScenarioConfig(**{**scenario.__dict__, "scheduled_retirements": (("coal0", 2020),)})
+
+
+def test_scenario_retirement_before_the_start_year_names_the_file(tmp_path):
+    path = tmp_path / "scen.yaml"
+    path.write_text(SCENARIO_YAML.replace("{plant_id: coal-b, year: 2016}",
+                                          "{plant_id: coal-b, year: 2012}"))
+    with pytest.raises(InputError, match=r"^.*scen\.yaml: scheduled retirement of 'coal-b' "
+                                         r"in 2012 is before start_year 2013$"):
         load_scenario(path)
 
 
